@@ -14,8 +14,7 @@ from .analysis import (CriteriaReport, EnergyGrid, band_grid, essential_support,
 from .bands import band_edges, band_intervals, discriminant, in_band_mask
 from .dynamics import (LatticeState, PropagationPlan, dynamical_reflection,
                        evolve, free_propagator_kernel, group_velocity,
-                       make_plan, projection_defect, scattering_from_dynamics,
-                       wave_packet)
+                       make_plan, projection_defect, wave_packet)
 from .errors import (BandEdge, CrossCheckFailure, DegenerateBasis,
                      HorizonExceeded, JacobiReflectError, NoOpenChannel,
                      NonFiniteEntry, NonPositiveCoefficient, NormalizationPole,
@@ -60,8 +59,8 @@ __all__ = [
     "spectral_reflection_mratio_grid", "green_offdiag",
     # dynamics
     "LatticeState", "PropagationPlan", "make_plan", "evolve", "wave_packet",
-    "group_velocity", "dynamical_reflection", "scattering_from_dynamics",
-    "projection_defect", "free_propagator_kernel",
+    "group_velocity", "dynamical_reflection", "projection_defect",
+    "free_propagator_kernel",
     # analysis
     "EnergyGrid", "CriteriaReport", "explicit_grid", "band_grid",
     "essential_support", "reflectionless_report", "landauer_current",

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, roots_legendre
 
 from .bands import band_intervals, guard_edges
 from .errors import BandEdge
@@ -231,7 +231,7 @@ def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=400):
     if beta_l == beta_r and mu_l == mu_r:
         return {"charge_current": 0.0, "energy_current": 0.0}
 
-    x, w = np.polynomial.legendre.leggauss(int(quadrature))
+    x, w = roots_legendre(int(quadrature))
     theta = 0.5 * np.pi * (x + 1.0)
     w_theta = 0.5 * np.pi * w
     bands, _ = _margins(spec.background)

@@ -42,9 +42,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _warn(message):
+def _warn(message, label="error"):
+    # "error" when the command fails, "warning" when it goes on
     color = sys.stderr.isatty() and not os.environ.get("NO_COLOR")
-    prefix = "\x1b[31merror:\x1b[0m" if color else "error:"
+    code = 31 if label == "error" else 33
+    prefix = f"\x1b[{code}m{label}:\x1b[0m" if color else f"{label}:"
     print(f"{prefix} {message}", file=sys.stderr)
 
 
@@ -202,7 +204,7 @@ def _cmd_jost(args):
         try:
             datum = alpha_beta(spec, lam)
         except NumericalError as exc:
-            _warn(f"lambda = {_fmt(lam)} skipped: {exc}")
+            _warn(f"lambda = {_fmt(lam)} skipped: {exc}", label="warning")
             continue
         r_from_s = abs(res["s_rr"][j]) ** 2
         rows.append({

@@ -1,11 +1,13 @@
 """Finite-truncation time evolution and wave-packet scattering runs.
 
-Propagation is exact on the truncated operator: one symmetric tridiagonal
-eigendecomposition per (operator, size), then e^{-itJ} phi = V e^{-itw}
-V^T phi.  Wave packets are Gaussian position envelopes riding a Bloch
-carrier of the background, oriented toward the perturbation window; the
-horizon t_max keeps everything away from the hard truncation boundary, so
-no absorbing layers are needed.
+Propagation is a Chebyshev expansion (Tal-Ezer & Kosloff 1984) built from
+tridiagonal matvecs, so memory stays O(N): with the spectrum inside
+[c - r, c + r] by Gershgorin's theorem and X = (J - c) / r,
+e^{-itJ} = e^{-itc} sum_k (2 - delta_k0) (-i sign t)^k J_k(r|t|) T_k(X),
+cut where J_k(r|t|) past k = r|t| drops below CHEB_TOL.  Wave packets are
+Gaussian position envelopes riding a Bloch carrier of the background,
+oriented toward the perturbation window; the horizon t_max keeps everything
+away from the hard truncation boundary, so no absorbing layers are needed.
 
 Masses on sites <= -1 / >= +1 after the packet clears the window estimate
 the stationary reflection/transmission probabilities; the site-0 remnant
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import jv
 
 from .bands import band_intervals
@@ -27,6 +28,7 @@ from .model import JacobiSpec, truncate
 from .scattering import scattering_grid
 
 PACKET_CUTOFF = 5.0   # envelope support radius in units of sigma
+CHEB_TOL = 1e-18      # last Bessel coefficient kept in the Chebyshev sum
 
 __all__ = [
     "LatticeState",
@@ -36,7 +38,6 @@ __all__ = [
     "wave_packet",
     "group_velocity",
     "dynamical_reflection",
-    "scattering_from_dynamics",
     "projection_defect",
     "free_propagator_kernel",
 ]
@@ -68,33 +69,19 @@ class LatticeState:
 
 @dataclass(eq=False)
 class PropagationPlan:
-    """Eigendecomposition of a truncation plus the safe time horizon."""
+    """Truncation, its spectral interval center +- radius, and the time horizon."""
 
     truncation: object
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    center: float
+    radius: float
     t_max: float
     v_max: float
 
 
-_EIG_CACHE = {}
-
-
-def _eigendecomposition(spec, N):
-    key = (spec.canonical_key(), N)
-    if key not in _EIG_CACHE:
-        if len(_EIG_CACHE) >= 1:
-            _EIG_CACHE.clear()   # one decomposition is ~0.5 GB at N=4000
-        trunc = truncate(spec, N)
-        w, v = eigh_tridiagonal(trunc.diag, trunc.offdiag)
-        _EIG_CACHE[key] = (trunc, w, v)
-    return _EIG_CACHE[key]
-
-
 def make_plan(spec, N, k_pack):
     """Plan for a packet initially confined to |k| <= k_pack."""
-    trunc, w, v = _eigendecomposition(spec, N)
-    v_max = 2.0 * _max_hopping(spec)
+    trunc = truncate(spec, N)
+    v_max = 2.0 * max(spec.background.a + spec.a_override)
     win = spec.window
     w_ext = max(abs(win[0]), abs(win[1])) if win else 0
     t_max = (N - k_pack - w_ext) / v_max
@@ -102,24 +89,44 @@ def make_plan(spec, N, k_pack):
         raise WindowTooSmall(
             f"truncation N = {N} leaves no propagation room for extent {k_pack}"
         )
-    return PropagationPlan(truncation=trunc, eigenvalues=w, eigenvectors=v,
-                           t_max=t_max, v_max=v_max)
+    reach = np.append(trunc.offdiag, 0.0) + np.append(0.0, trunc.offdiag)
+    lo, hi = np.min(trunc.diag - reach), np.max(trunc.diag + reach)   # Gershgorin
+    return PropagationPlan(truncation=trunc, center=float(lo + hi) / 2,
+                           radius=float(hi - lo) / 2, t_max=t_max, v_max=v_max)
 
 
-def _max_hopping(spec):
-    a_max = max(spec.background.a)
-    if spec.a_override:
-        a_max = max(a_max, max(spec.a_override))
-    return float(a_max)
+def _bessel_coefficients(z):
+    """J_k(z) up to the first k > z with |J_k(z)| < CHEB_TOL."""
+    # past k = z an Airy tail of width ~z^(1/3) reaches CHEB_TOL well within the cap
+    ks = np.arange(int(z + 20.0 * np.cbrt(z)) + 40)
+    jk = jv(ks, z)
+    return jk[: np.flatnonzero((ks > z) & (np.abs(jk) < CHEB_TOL))[0]]
+
+
+def _tridiag_apply(diag, off, v):
+    """Symmetric tridiagonal matrix (diag, off) times v."""
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out
 
 
 def evolve(plan, state, t):
     """e^{-itJ} on the truncation; |t| beyond the horizon is refused."""
     if abs(t) > plan.t_max:
         raise HorizonExceeded(f"|t| = {abs(t)} exceeds horizon {plan.t_max:.3f}")
-    coeffs = plan.eigenvectors.T @ state.amplitudes
-    coeffs *= np.exp(-1j * plan.eigenvalues * t)
-    return LatticeState.from_amplitudes(state.N, plan.eigenvectors @ coeffs)
+    trunc, c, r = plan.truncation, plan.center, plan.radius
+    diag2, off2 = 2.0 * (trunc.diag - c) / r, 2.0 * trunc.offdiag / r   # 2X
+    jk = _bessel_coefficients(r * abs(t))
+    powers = np.array([1, -1j, -1, 1j]) if t >= 0 else np.array([1, 1j, -1, -1j])
+    weights = 2.0 * jk * powers[np.arange(jk.size) % 4]
+    # T_0(X) phi and T_1(X) phi, then T_{k+1} = 2X T_k - T_{k-1}
+    prev, cur = state.amplitudes, 0.5 * _tridiag_apply(diag2, off2, state.amplitudes)
+    acc = 0.5 * weights[0] * prev
+    for w in weights[1:]:
+        acc += w * cur
+        prev, cur = cur, _tridiag_apply(diag2, off2, cur) - prev
+    return LatticeState.from_amplitudes(state.N, np.exp(-1j * c * t) * acc)
 
 
 def _bloch_carrier(background, lam0, k_lo, k_hi, rightward):
@@ -198,6 +205,15 @@ def _stationary_reflection_avg(spec, lam0, dlam, nodes=21):
     return float(np.sum(w[keep] * r) / np.sum(w[keep]))
 
 
+def _left_packet_run(spec, lam0, dlam, N, t_factor):
+    """Packet from the left, its plan and the observation time t_factor * t_max."""
+    packet = wave_packet(spec, "l", lam0, dlam, N)
+    occupied = np.flatnonzero(np.abs(packet.amplitudes) > 0)
+    k_pack = int(max(abs(occupied[0] - N), abs(occupied[-1] - N)))
+    plan = make_plan(spec, N, k_pack)
+    return packet, plan, t_factor * plan.t_max
+
+
 def dynamical_reflection(spec, lam0, dlam, N, t_factor=0.8):
     """Packet run from the left; masses after clearing the window.
 
@@ -205,11 +221,7 @@ def dynamical_reflection(spec, lam0, dlam, N, t_factor=0.8):
     the site-0 remnant, t_star, and the stationary packet-averaged
     reflection for comparison.
     """
-    packet = wave_packet(spec, "l", lam0, dlam, N)
-    occupied = np.flatnonzero(np.abs(packet.amplitudes) > 0)
-    k_pack = int(max(abs(occupied[0] - N), abs(occupied[-1] - N)))
-    plan = make_plan(spec, N, k_pack)
-    t_star = t_factor * plan.t_max
+    packet, plan, t_star = _left_packet_run(spec, lam0, dlam, N, t_factor)
     out = evolve(plan, packet, t_star)
     r_dyn = out.mass(-N, -1)
     t_dyn = out.mass(1, N)
@@ -228,11 +240,6 @@ def dynamical_reflection(spec, lam0, dlam, N, t_factor=0.8):
     }
 
 
-def scattering_from_dynamics(spec, lam_grid, dlam, N):
-    """Per-energy dynamical estimates of reflection/transmission."""
-    return [dynamical_reflection(spec, float(lam0), dlam, N) for lam0 in lam_grid]
-
-
 def projection_defect(spec, lam0, dlam, N, t_factor=0.8):
     """Idempotency/completeness defect of the evolved side projections.
 
@@ -241,11 +248,7 @@ def projection_defect(spec, lam0, dlam, N, t_factor=0.8):
     t = t*.  Returns ||P_l^2 phi - P_l phi|| plus the defect of
     ||P_l phi||^2 + ||P_r phi||^2 + |<delta_0, e^{-itJ} phi>|^2 = 1.
     """
-    packet = wave_packet(spec, "l", lam0, dlam, N)
-    occupied = np.flatnonzero(np.abs(packet.amplitudes) > 0)
-    k_pack = int(max(abs(occupied[0] - N), abs(occupied[-1] - N)))
-    plan = make_plan(spec, N, k_pack)
-    t_star = t_factor * plan.t_max
+    packet, plan, t_star = _left_packet_run(spec, lam0, dlam, N, t_factor)
 
     def mask(state, side):
         amp = state.amplitudes.copy()
@@ -255,17 +258,17 @@ def projection_defect(spec, lam0, dlam, N, t_factor=0.8):
             amp[: N + 1] = 0.0     # keep sites >= +1
         return LatticeState.from_amplitudes(N, amp)
 
-    def project(state, side):
-        fwd = evolve(plan, state, t_star)
+    def project(fwd, side):
+        """P psi, given fwd = e^{-itJ} psi."""
         return evolve(plan, mask(fwd, side), -t_star)
 
-    p_l = project(packet, "l")
-    p_ll = project(p_l, "l")
+    fwd = evolve(plan, packet, t_star)
+    p_l = project(fwd, "l")
+    p_ll = project(evolve(plan, p_l, t_star), "l")
     idem = float(np.linalg.norm(p_ll.amplitudes - p_l.amplitudes))
 
-    p_r = project(packet, "r")
-    remnant = evolve(plan, packet, t_star).site(0)
-    total = p_l.norm ** 2 + p_r.norm ** 2 + abs(remnant) ** 2
+    p_r = project(fwd, "r")
+    total = p_l.norm ** 2 + p_r.norm ** 2 + abs(fwd.site(0)) ** 2
     return idem + abs(total - packet.norm ** 2)
 
 

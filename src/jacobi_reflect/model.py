@@ -145,11 +145,6 @@ class JacobiSpec:
             return self.b_override[j]
         return self.background.value_at(k)[1]
 
-    def canonical_key(self):
-        """Hashable identity used for caching eigendecompositions."""
-        bg = self.background
-        return (bg.a, bg.b, bg.phase, self.offset, self.a_override, self.b_override)
-
 
 def coefficient(spec, k):
     """Return ``(a_k, b_k)`` for any integer site ``k``."""

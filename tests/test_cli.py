@@ -70,6 +70,21 @@ def test_jost_reports_triple_residual(configs, capsys):
         assert float(row["residual"]) <= 1e-10
 
 
+def test_jost_skips_are_warnings_and_total_failure_is_an_error(configs, capsys):
+    # -0.2 lies in the period-2 gap, where the right channel is closed
+    code = cli.main(["jost", "--config", configs["p2"], "--grid=-1:-0.2:0.4"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert [float(r["lambda"]) for r in _csv_rows(captured.out)] == [-1.0, -0.6]
+    assert captured.err.startswith("warning: lambda = -0.19999999999999996 skipped")
+    assert "error:" not in captured.err
+    code = cli.main(["jost", "--config", configs["p2"], "--lambda", "-0.2"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("warning: lambda = -0.20000000000000001 skipped")
+    assert captured.err.splitlines()[-1] == "error: every grid point failed"
+
+
 def test_reflect_check_exit_codes(configs, capsys):
     assert cli.main(["reflect-check", "--config", configs["free"],
                      "--grid", "0:1:0.25"]) == 0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from jacobi_reflect import (Background, HorizonExceeded, LatticeState,
+from jacobi_reflect import (Background, HorizonExceeded, JacobiSpec, LatticeState,
                             WindowTooSmall, band_intervals, discriminant,
                             dynamical_reflection, evolve, free_propagator_kernel,
                             group_velocity, make_plan, projection_defect,
@@ -33,6 +34,40 @@ def test_evolution_is_unitary_and_reversible():
     assert abs(out.norm - 1.0) <= 1e-12
     back = evolve(plan, out, -30.0)
     assert np.abs(back.amplitudes - state.amplitudes).max() <= 1e-12
+
+
+def _dense_evolve(plan, state, t):
+    """Oracle: e^{-itJ} from the full eigendecomposition of the truncation."""
+    trunc = plan.truncation
+    w, v = eigh_tridiagonal(trunc.diag, trunc.offdiag)
+    return v @ (np.exp(-1j * w * t) * (v.T @ state.amplitudes))
+
+
+def test_chebyshev_matches_dense_propagation():
+    # perturbed period-3 background, so the spectral interval is off-center
+    spec = JacobiSpec(background=Background.periodic((1.0, 0.6, 1.3), (0.4, -0.3, 0.9)),
+                      offset=-2, a_override=(0.7, 1.6, 0.9), b_override=(-0.5, 1.2))
+    N = 150
+    plan = make_plan(spec, N, 40)
+    rng = np.random.default_rng(3)
+    amps = np.zeros(2 * N + 1, dtype=complex)
+    amps[N - 40: N + 41] = rng.normal(size=81) + 1j * rng.normal(size=81)
+    amps /= np.linalg.norm(amps)
+    state = LatticeState.from_amplitudes(N, amps)
+    for t in (0.9 * plan.t_max, -0.6 * plan.t_max, 0.0):
+        got = evolve(plan, state, t).amplitudes
+        np.testing.assert_allclose(got, _dense_evolve(plan, state, t), rtol=0, atol=1e-12)
+    assert np.array_equal(evolve(plan, state, 0.0).amplitudes, amps)
+
+
+def test_chebyshev_interval_contains_spectrum():
+    for spec in (free_spec(), single_site_spec(), period2_spec(),
+                 random_spec(np.random.default_rng(4))):
+        plan = make_plan(spec, 60, 10)
+        w = eigh_tridiagonal(plan.truncation.diag, plan.truncation.offdiag,
+                             eigvals_only=True)
+        assert plan.center - plan.radius <= w.min()
+        assert w.max() <= plan.center + plan.radius
 
 
 def test_energy_is_conserved():
@@ -112,6 +147,19 @@ def test_single_site_dynamical_reflection():
     assert out["abs_error"] <= 1e-3
     assert out["site0_mass"] <= 1e-4
     assert out["R_dyn"] + out["T_dyn"] + out["site0_mass"] <= 1.0 + 1e-10
+
+
+def test_large_truncation_in_linear_memory():
+    # 40 001 sites: a dense eigenvector matrix would take 12.8 GB
+    N = 20000
+    plan = make_plan(single_site_spec(), N, N // 2)
+    arrays = [v for obj in (plan, plan.truncation) for v in vars(obj).values()
+              if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= 16 * (2 * N + 1)
+    out = dynamical_reflection(single_site_spec(), 0.0, 0.05, N)
+    np.testing.assert_allclose(out["R_dyn"], 0.2, atol=5e-3)
+    assert out["abs_error"] <= 1e-3
+    assert abs(out["R_dyn"] + out["T_dyn"] + out["site0_mass"] - 1.0) <= 1e-10
 
 
 def test_free_packet_transmits():
