@@ -26,8 +26,8 @@ from .mfunc import (HerglotzValue, ac_density, m_left, m_left_boundary,
                     m_left_grid, m_oracle_truncated, m_right, m_right_boundary,
                     m_right_grid, strip_once, tail_m)
 from .model import (Background, BoundaryPoint, JacobiSpec, TruncatedOperator,
-                    coefficient, coefficient_arrays, parse_config,
-                    serialize_config, truncate, validate)
+                    coefficient_arrays, parse_config, serialize_config,
+                    truncate)
 from .scattering import (ChannelWeight, GreenDiag, ScatteringMatrix,
                          channel_weight, green_diag, green_diag_grid,
                          reflection_transmission, scattering_grid,
@@ -40,8 +40,7 @@ __all__ = [
     "__version__",
     # model
     "Background", "JacobiSpec", "BoundaryPoint", "TruncatedOperator",
-    "coefficient", "coefficient_arrays", "parse_config", "serialize_config",
-    "truncate", "validate",
+    "coefficient_arrays", "parse_config", "serialize_config", "truncate",
     # bands
     "discriminant", "band_intervals", "band_edges", "in_band_mask",
     # m-functions

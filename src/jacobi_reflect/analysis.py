@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, roots_legendre
 
-from .bands import band_intervals, guard_edges
-from .errors import BandEdge
+from .bands import _near_edge, band_intervals
 from .mfunc import ac_density
-from .scattering import boundary_pieces, scattering_grid
+from .scattering import _s_entries, boundary_pieces, scattering_grid
 
 TAU_DEFAULT = 1e-8
 TAU_SUPPORT = 1e-10
@@ -76,12 +75,7 @@ def explicit_grid(spec, start, stop, step):
         # stop itself is within step/2 of the grid continuation
         points = np.append(points, stop)
     bands, margin = _margins(spec.background)
-    keep = np.ones(points.shape, dtype=bool)
-    for i, lam in enumerate(points):
-        try:
-            guard_edges(bands, lam)
-        except BandEdge:
-            keep[i] = False
+    keep = ~_near_edge(bands, points)[0]
     return EnergyGrid(points=points[keep], edge_margin=margin,
                       provenance="explicit", dropped=tuple(points[~keep]))
 
@@ -186,7 +180,7 @@ def reflectionless_report(spec, grid, n_range=tuple(range(-3, 4)), tau=TAU_DEFAU
         re_g[i] = pieces.g.real
         a_n = spec.a(n)
         specref[i] = np.abs(a_n * a_n * pieces.m_r * np.conj(pieces.m_l_next) - 1.0)
-        res = scattering_grid(spec, n, lams)
+        res = _s_entries(pieces)
         s_diag[i] = np.maximum(np.abs(res["s_ll"]), np.abs(res["s_rr"]))
 
     verdict_mt = (np.abs(re_g) <= tau).all(axis=0)

@@ -5,6 +5,12 @@ The transfer step across site ``k`` sends ``(u_k, u_{k-1})`` to
 
     T_k(lambda) = [[(lambda - b_k)/a_k, -a_{k-1}/a_k], [1, 0]]
 
+``transfer_product`` multiplies these steps with plain arithmetic, so
+one kernel serves polynomial, array and scalar energies.  It is the only
+transfer product of the package: the discriminant here, the tail
+m-functions in ``mfunc`` and through them the Jost seeds in ``jost`` are
+all read off it.
+
 The discriminant is the trace of the one-period product.  The essential
 spectrum of the unperturbed operator is ``{|Delta| <= 2}``, a finite union
 of closed bands.  Band edges are the roots of ``Delta -+ 2``.
@@ -20,6 +26,7 @@ from numpy.polynomial import Polynomial
 from .errors import BandEdge
 
 __all__ = [
+    "transfer_product",
     "discriminant",
     "band_intervals",
     "band_edges",
@@ -27,28 +34,35 @@ __all__ = [
     "guard_edges",
 ]
 
-_ZERO = Polynomial([0.0])
-_ONE = Polynomial([1.0])
+
+def transfer_product(a, b, lam):
+    """Entries ``(M11, M12, M21, M22)`` of ``T_{k+n} ... T_{k+1}``.
+
+    ``a`` holds ``a_k .. a_{k+n}`` and ``b`` holds ``b_{k+1} .. b_{k+n}``.
+    Only plain arithmetic touches ``lam``, so it may be a scalar, an array
+    or a ``Polynomial``.
+    """
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    for j in range(len(b)):
+        t11 = (lam - b[j]) / a[j + 1]
+        t12 = -a[j] / a[j + 1]
+        m11, m12, m21, m22 = t11 * m11 + t12 * m21, t11 * m12 + t12 * m22, m11, m12
+    return m11, m12, m21, m22
+
+
+def _period_product(background, first, lam):
+    """``transfer_product`` over one period of sites ``first .. first+p-1``."""
+    p = background.period
+    a = [background.value_at(k)[0] for k in range(first - 1, first + p)]
+    b = [background.value_at(k)[1] for k in range(first, first + p)]
+    return transfer_product(a, b, lam)
 
 
 @lru_cache(maxsize=None)
 def discriminant(background):
     """Trace of the one-period transfer product, as a Polynomial in lambda."""
-    p = background.period
-    # scaled step S_k = a_k T_k keeps entries polynomial; divide at the end
-    prod = [[_ONE, _ZERO], [_ZERO, _ONE]]
-    scale = 1.0
-    for k in range(p):
-        a_k, b_k = background.value_at(k)
-        a_km1 = background.value_at(k - 1)[0]
-        s = [[Polynomial([-b_k, 1.0]), Polynomial([-a_km1])],
-             [Polynomial([a_k]), _ZERO]]
-        prod = [[s[0][0] * prod[0][0] + s[0][1] * prod[1][0],
-                 s[0][0] * prod[0][1] + s[0][1] * prod[1][1]],
-                [s[1][0] * prod[0][0] + s[1][1] * prod[1][0],
-                 s[1][0] * prod[0][1] + s[1][1] * prod[1][1]]]
-        scale *= a_k
-    return (prod[0][0] + prod[1][1]) / scale
+    m11, _, _, m22 = _period_product(background, 0, Polynomial([0.0, 1.0]))
+    return m11 + m22
 
 
 def _real_roots(poly):
@@ -115,6 +129,20 @@ def in_band_mask(bands, lams):
     return mask
 
 
+def _near_edge(bands, lams, rel=1e-6):
+    """Mask of the 1-d float lams within rel * band width of an edge.
+
+    Also returns each point's nearest edge and its margin.
+    """
+    flat = np.array([e for band in bands for e in band])
+    widths = np.array([hi - lo for lo, hi in bands])
+    dist = np.abs(lams[:, None] - flat[None, :])
+    nearest = dist.argmin(axis=1)
+    margin = rel * widths[nearest // 2]
+    bad = dist[np.arange(lams.size), nearest] < margin
+    return bad, flat[nearest], margin
+
+
 def guard_edges(bands, lams, rel=1e-6):
     """Raise BandEdge if any lambda sits within rel * band width of an edge.
 
@@ -123,12 +151,7 @@ def guard_edges(bands, lams, rel=1e-6):
     accuracy.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    flat = np.array([e for band in bands for e in band])
-    widths = np.array([hi - lo for lo, hi in bands])
-    dist = np.abs(lams[:, None] - flat[None, :])
-    nearest = dist.argmin(axis=1)
-    margin = rel * widths[nearest // 2]
-    bad = dist[np.arange(lams.size), nearest] < margin
+    bad, edge, margin = _near_edge(bands, lams, rel)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise BandEdge(lams[i], flat[nearest[i]], margin[i])
+        raise BandEdge(lams[i], edge[i], margin[i])

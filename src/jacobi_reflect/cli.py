@@ -29,7 +29,7 @@ from .dynamics import dynamical_reflection
 from .errors import (JacobiReflectError, NumericalError, SchemaError)
 from .jost import alpha_beta
 from .mfunc import m_left_boundary, m_right_boundary
-from .model import parse_config, validate
+from .model import parse_config
 from .scattering import green_diag_grid, scattering_grid, unitarity_defect_grid
 
 __all__ = ["main", "run"]
@@ -104,9 +104,7 @@ def _load_spec(path):
     if path is None:
         raise SchemaError("--config", "a config file is required")
     with open(path) as fh:
-        spec = parse_config(fh.read())
-    validate(spec)
-    return spec
+        return parse_config(fh.read())
 
 
 def _grid(args, spec):
@@ -198,15 +196,19 @@ def _cmd_scatter(args):
 def _cmd_jost(args):
     spec = _load_spec(args.config)
     grid = _grid(args, spec)
-    res = scattering_grid(spec, 0, grid.points)
-    rows = []
-    for j, lam in enumerate(grid.points):
+    kept = []
+    for lam in grid.points:
         try:
-            datum = alpha_beta(spec, lam)
+            kept.append((lam, alpha_beta(spec, lam)))
         except NumericalError as exc:
             _warn(f"lambda = {_fmt(lam)} skipped: {exc}", label="warning")
-            continue
-        r_from_s = abs(res["s_rr"][j]) ** 2
+    if grid.points.size and not kept:
+        raise NumericalError("every grid point failed")
+    # s_rr only where alpha_beta succeeded: a gap pole elsewhere is no failure
+    s_rr = scattering_grid(spec, 0, [lam for lam, _ in kept])["s_rr"] if kept else []
+    rows = []
+    for (lam, datum), s in zip(kept, s_rr):
+        r_from_s = abs(s) ** 2
         rows.append({
             "lambda": lam,
             "re_alpha": datum.alpha.real, "im_alpha": datum.alpha.imag,
@@ -215,8 +217,6 @@ def _cmd_jost(args):
             "R_from_s": r_from_s,
             "residual": abs(datum.R_r - r_from_s),
         })
-    if grid.points.size and not rows:
-        raise NumericalError("every grid point failed")
     cols = ("lambda", "re_alpha", "im_alpha", "re_beta", "im_beta",
             "R_spectral", "R_from_s", "residual")
     return 0, cols, rows

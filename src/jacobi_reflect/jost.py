@@ -11,14 +11,18 @@ Both are normalized to psi_0 = 1.  Expanding psi_left over the right pair
 right reflection probability |beta/alpha|^2, which must agree with the
 scattering-matrix route and with the m-function ratio route.
 
-Tails are seeded by the Floquet eigenvector of the one-period transfer
-product; the decaying branch is selected by a probe at lambda + i*1e-8
-(in band the multiplier is unimodular and the probe breaks the tie).
+Tails are seeded by the tail m-functions, which are ratios of these same
+Weyl solutions: ``psi_{K+1} / psi_K = -a_K m_right(K)`` beyond the window
+on the right and ``psi_K / psi_{K+1} = -a_K m_left(K+1)`` on the left.  The
+branch is therefore the Herglotz branch of ``mfunc``, with no probe of its
+own.  The three-term recursion then carries each seed across one shared
+coefficient window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +33,8 @@ from .errors import (
     NormalizationPole,
     PoleHit,
 )
-from .mfunc import POLE_TOL, PROBE_IM, _m_grid, strip_once
+from .mfunc import POLE_TOL, _m_grid, strip_once, tail_m
+from .model import coefficient_arrays
 
 RECURSION_TOL = 1e-10   # residual of the three-term recursion, relative
 WRONSKIAN_TOL = 1e-12   # constancy of the Wronskian, relative
@@ -56,7 +61,6 @@ class JostSolution:
     k_min: int
     k_max: int
     values: np.ndarray
-    x: complex          # per-period amplitude ratio toward the decaying end
     spec: object = field(repr=False, default=None)
 
     def value(self, k):
@@ -75,49 +79,75 @@ class ReflectionDatum:
     R_r: float
 
 
-def _transfer(spec, k, lam):
-    a_k, b_k = spec.a(k), spec.b(k)
-    a_km1 = spec.a(k - 1)
-    return np.array([[(lam - b_k) / a_k, -a_km1 / a_k], [1.0, 0.0]],
-                    dtype=complex if isinstance(lam, complex) else float)
+class _Window(NamedTuple):
+    """Output range, seed sites and the coefficients on [k_left, k_right + 1]."""
+
+    k_lo: int
+    k_hi: int
+    k_left: int
+    k_right: int
+    a: np.ndarray
+    b: np.ndarray
 
 
-def _monodromy(spec, K, lam):
-    # product over sites K+1 .. K+p mapping (psi_{K+1}, psi_K) one period up
-    p = spec.background.period
-    M = np.eye(2, dtype=complex if isinstance(lam, complex) else float)
-    for k in range(K + 1, K + p + 1):
-        M = _transfer(spec, k, lam) @ M
-    return M
+def _window(spec, k_min=None, k_max=None):
+    # the output range covers site 0 and one bond, by default the
+    # perturbation too; each seed site has only background beyond it,
+    # bond a_K included
+    w = spec.window
+    k_lo = min(k_min if k_min is not None else min(-3, (w[0] - 2) if w else -3), 0)
+    k_hi = max(k_max if k_max is not None else max(3, (w[1] + 2) if w else 3), 1)
+    k_left = min(k_lo, w[0]) - 1 if w else k_lo - 1
+    k_right = max(k_hi, w[1] + 1) if w else k_hi
+    a, b = coefficient_arrays(spec, k_left, k_right + 1)
+    return _Window(k_lo, k_hi, k_left, k_right, a, b)
 
 
-def _multipliers(M):
-    # eigenvalues of the unit-determinant monodromy
-    tr = M[0, 0] + M[1, 1]
-    sq = np.sqrt(complex(tr * tr - 4.0))
-    return (tr + sq) / 2.0, (tr - sq) / 2.0
+def _solve(spec, side, lam, win):
+    """Decaying solution on [win.k_lo, win.k_hi], normalized to 1 at site 0."""
+    a, b, k0 = win.a, win.b, win.k_left
+    bg = spec.background
+    if side == "r":
+        K = win.k_right
+        m = tail_m(bg, K, [lam], "right", real_limit=True, guard=False)[0]
+        vals = [-a[K - k0] * m, 1.0]        # psi_{K+1}, psi_K, then downward
+        for i in range(K - k0, win.k_lo - k0, -1):
+            vals.append(((lam - b[i]) * vals[-1] - a[i] * vals[-2]) / a[i - 1])
+        vals.reverse()
+        lo = win.k_lo
+    else:
+        K = win.k_left
+        m = tail_m(bg, K + 1, [lam], "left", real_limit=True, guard=False)[0]
+        vals = [-a[K - k0] * m, 1.0]        # psi_K, psi_{K+1}, then upward
+        for i in range(K + 1 - k0, win.k_hi - k0):
+            vals.append(((lam - b[i]) * vals[-1] - a[i - 1] * vals[-2]) / a[i])
+        lo = K
+    vals = np.array(vals, dtype=complex)
+
+    scale = np.abs(vals).max()
+    psi0 = vals[-lo]
+    if abs(psi0) < 1e-12 * scale:
+        raise NormalizationPole(
+            f"psi_0 = {psi0:.3e} vanishes at lambda = {lam} ({side} side)"
+        )
+    vals = vals / psi0
+    _check_recursion(vals, lo, lam, win)
+    return JostSolution(side=side, lam=lam, k_min=win.k_lo, k_max=win.k_hi,
+                        values=vals[win.k_lo - lo: win.k_hi - lo + 1], spec=spec)
 
 
-def _pick_multiplier(spec, K, lam, decaying):
-    """Floquet multiplier continued from the upper half plane.
-
-    ``decaying=True`` picks |mu| < 1 at the probe (right tail),
-    ``decaying=False`` the reciprocal one (left tail).
-    """
-    probe = _multipliers(_monodromy(spec, K, complex(lam, PROBE_IM)))
-    target = min(probe, key=abs) if decaying else max(probe, key=abs)
-    mu1, mu2 = _multipliers(_monodromy(spec, K, lam))
-    return mu1 if abs(mu1 - target) <= abs(mu2 - target) else mu2
-
-
-def _eigvec(M, mu):
-    v1 = np.array([M[0, 1], mu - M[0, 0]])
-    v2 = np.array([mu - M[1, 1], M[1, 0]])
-    v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    nrm = np.linalg.norm(v)
-    if nrm < DEGENERATE_TOL:
-        raise DegenerateBasis("monodromy eigenvector degenerates (band edge?)")
-    return v / nrm
+def _check_recursion(vals, lo, lam, win):
+    i = lo - win.k_left
+    a = win.a[i: i + vals.size]
+    b = win.b[i: i + vals.size]
+    r = a[1:-1] * vals[2:] + a[:-2] * vals[:-2] + (b[1:-1] - lam) * vals[1:-1]
+    worst = np.abs(r).max(initial=0.0)
+    scale = np.abs(vals).max()
+    if worst > RECURSION_TOL * scale:
+        raise CrossCheckFailure(
+            f"three-term recursion residual {worst:.3e} exceeds "
+            f"{RECURSION_TOL} * {scale:.3e}"
+        )
 
 
 def jost_solution(spec, side, lam, k_min=None, k_max=None):
@@ -130,74 +160,16 @@ def jost_solution(spec, side, lam, k_min=None, k_max=None):
         raise ValueError(f"side must be 'l' or 'r', got {side!r}")
     lam = float(lam)
     guard_edges(band_intervals(spec.background), lam)
-
-    w = spec.window
-    p = spec.background.period
-    lo_default = min(-3, (w[0] - 2) if w else -3)
-    hi_default = max(3, (w[1] + 2) if w else 3)
-    k_lo = min(k_min if k_min is not None else lo_default, 0)
-    k_hi = max(k_max if k_max is not None else hi_default, 1)
-
-    if side == "r":
-        K = max(0, (w[1] + 1) if w else 0, k_hi)
-        mu = _pick_multiplier(spec, K, lam, decaying=True)
-        x = mu
-        psi_up, psi_at = _eigvec(_monodromy(spec, K, lam), mu)  # psi_{K+1}, psi_K
-    else:
-        K = min(0, (w[0] - 1 - p) if w else -p, k_lo - 1)
-        mu = _pick_multiplier(spec, K, lam, decaying=False)
-        x = 1.0 / mu
-        psi_up, psi_at = _eigvec(_monodromy(spec, K, lam), mu)
-
-    # propagate to cover [min(k_lo, K), max(k_hi, K+1)] then slice
-    lo = min(k_lo, K)
-    hi = max(k_hi, K + 1)
-    vals = np.empty(hi - lo + 1, dtype=complex)
-    vals[K - lo] = psi_at
-    vals[K + 1 - lo] = psi_up
-    for k in range(K, lo, -1):
-        # downward: psi_{k-1} = ((lam - b_k) psi_k - a_k psi_{k+1}) / a_{k-1}
-        vals[k - 1 - lo] = ((lam - spec.b(k)) * vals[k - lo]
-                            - spec.a(k) * vals[k + 1 - lo]) / spec.a(k - 1)
-    for k in range(K + 1, hi):
-        vals[k + 1 - lo] = ((lam - spec.b(k)) * vals[k - lo]
-                            - spec.a(k - 1) * vals[k - 1 - lo]) / spec.a(k)
-
-    scale = np.abs(vals).max()
-    psi0 = vals[0 - lo]
-    if abs(psi0) < 1e-12 * scale:
-        raise NormalizationPole(
-            f"psi_0 = {psi0:.3e} vanishes at lambda = {lam} ({side} side)"
-        )
-    vals = vals / psi0
-
-    sol = JostSolution(side=side, lam=lam, k_min=lo, k_max=hi,
-                       values=vals[: hi - lo + 1], x=complex(x), spec=spec)
-    _check_recursion(sol)
-    return _slice(sol, k_lo, k_hi)
+    return _solve(spec, side, lam, _window(spec, k_min, k_max))
 
 
-def _slice(sol, k_lo, k_hi):
-    i0 = k_lo - sol.k_min
-    i1 = k_hi - sol.k_min + 1
-    return JostSolution(side=sol.side, lam=sol.lam, k_min=k_lo, k_max=k_hi,
-                        values=sol.values[i0:i1], x=sol.x, spec=sol.spec)
-
-
-def _check_recursion(sol):
-    spec, lam, vals = sol.spec, sol.lam, sol.values
-    scale = np.abs(vals).max()
-    worst = 0.0
-    for k in range(sol.k_min + 1, sol.k_max):
-        i = k - sol.k_min
-        r = (spec.a(k) * vals[i + 1] + spec.a(k - 1) * vals[i - 1]
-             + (spec.b(k) - lam) * vals[i])
-        worst = max(worst, abs(r))
-    if worst > RECURSION_TOL * scale:
-        raise CrossCheckFailure(
-            f"three-term recursion residual {worst:.3e} exceeds "
-            f"{RECURSION_TOL} * {scale:.3e}"
-        )
+def _jost_pair(spec, lam, k_min=None, k_max=None):
+    """psi_right, psi_left on one range and the bonds a_k between its sites."""
+    lam = float(lam)
+    guard_edges(band_intervals(spec.background), lam)
+    win = _window(spec, k_min, k_max)
+    bonds = win.a[win.k_lo - win.k_left: win.k_hi - win.k_left]
+    return _solve(spec, "r", lam, win), _solve(spec, "l", lam, win), bonds
 
 
 def wronskian(u, v, k):
@@ -206,12 +178,10 @@ def wronskian(u, v, k):
     return a_k * (u.value(k + 1) * v.value(k) - u.value(k) * v.value(k + 1))
 
 
-def _wronskian_checked(u, v):
+def _wronskian_checked(u, v, bonds):
     """Wronskian at site 0 plus a constancy check over the shared window."""
-    k_lo = max(u.k_min, v.k_min)
-    k_hi = min(u.k_max, v.k_max) - 1
-    ws = np.array([wronskian(u, v, k) for k in range(k_lo, k_hi + 1)])
-    w0 = ws[0 - k_lo] if k_lo <= 0 <= k_hi else ws[0]
+    ws = bonds * (u.values[1:] * v.values[:-1] - u.values[:-1] * v.values[1:])
+    w0 = ws[-u.k_min]
     spread = np.abs(ws - w0).max()
     # scale by the solutions, not |W|: W = 0 is a legitimate value
     scale = max(np.abs(u.values).max() * np.abs(v.values).max(), 1e-30)
@@ -222,32 +192,22 @@ def _wronskian_checked(u, v):
     return w0
 
 
-def _conj_solution(sol):
-    return JostSolution(side=sol.side, lam=sol.lam, k_min=sol.k_min,
-                        k_max=sol.k_max, values=np.conj(sol.values),
-                        x=np.conj(sol.x), spec=sol.spec)
-
-
 def alpha_beta(spec, lam):
     """Expansion psi_left = alpha conj(psi_right) + beta psi_right at cut 0.
 
     Valid where the right channel is open (psi_right genuinely complex);
     returns the reflection probability R_r = |beta/alpha|^2 as well.
     """
-    w = spec.window
-    k_lo = min(-3, (w[0] - 2) if w else -3)
-    k_hi = max(3, (w[1] + 2) if w else 3)
-    psi_r = jost_solution(spec, "r", lam, k_lo, k_hi)
-    psi_l = jost_solution(spec, "l", lam, k_lo, k_hi)
-    psi_rbar = _conj_solution(psi_r)
+    psi_r, psi_l, bonds = _jost_pair(spec, lam)
+    psi_rbar = replace(psi_r, values=np.conj(psi_r.values))
 
-    w_rbar_r = _wronskian_checked(psi_rbar, psi_r)
+    w_rbar_r = _wronskian_checked(psi_rbar, psi_r, bonds)
     if abs(w_rbar_r) < DEGENERATE_TOL:
         raise DegenerateBasis(
             f"psi_right is (a multiple of) a real solution at lambda = {lam}"
         )
-    alpha = _wronskian_checked(psi_l, psi_r) / w_rbar_r
-    beta = _wronskian_checked(psi_l, psi_rbar) / (-w_rbar_r)
+    alpha = _wronskian_checked(psi_l, psi_r, bonds) / w_rbar_r
+    beta = _wronskian_checked(psi_l, psi_rbar, bonds) / (-w_rbar_r)
 
     recon = alpha * psi_rbar.values + beta * psi_r.values
     resid = np.abs(psi_l.values - recon).max()
@@ -292,9 +252,8 @@ def green_offdiag(spec, n, m, lam):
     """
     k_lo = min(n, m, (spec.window[0] - 2) if spec.window else -1) - 1
     k_hi = max(n, m, (spec.window[1] + 2) if spec.window else 1) + 1
-    psi_r = jost_solution(spec, "r", lam, k_lo, k_hi)
-    psi_l = jost_solution(spec, "l", lam, k_lo, k_hi)
-    w = _wronskian_checked(psi_r, psi_l)
+    psi_r, psi_l, bonds = _jost_pair(spec, lam, k_lo, k_hi)
+    w = _wronskian_checked(psi_r, psi_l, bonds)
     if abs(w) < DEGENERATE_TOL:
         raise PoleHit(f"Wronskian vanishes at lambda = {lam} (bound state)")
     return psi_l.value(min(n, m)) * psi_r.value(max(n, m)) / w

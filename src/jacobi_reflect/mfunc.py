@@ -8,11 +8,14 @@ resolvent entries at the boundary sites:
     m_left(n; z)  = <delta_{n-1}, (J_left  - z)^-1 delta_{n-1}>
 
 Both obey the stripping recursion ``m -> 1/(b - z - a^2 m)`` toward the
-cut; the tails are fixed points of the one-period Moebius map.  Real-axis
-values are boundary limits from the upper half plane: in a band the
-Herglotz branch of the fixed-point quadratic is taken directly, in a gap
-the real root is selected by a short probe at ``lambda + i * 1e-8``.
-Values at ``lambda - i0`` are conjugates of the ``+`` side ones.
+cut.  In the periodic tail m is the ratio of a Floquet solution, so it
+solves a quadratic read off the background's one-period transfer product
+(``bands.transfer_product``).  Real-axis values are boundary limits from
+the upper half plane.  In a band the two roots are complex conjugates and
+the Herglotz one (Im m > 0) is taken directly.  In a gap both roots are
+real; the one continued from the upper half plane is picked by comparing
+with the interior root at ``lambda + i * PROBE_IM``, the only probe in the
+package.  Values at ``lambda - i0`` are conjugates of the ``+`` side ones.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .bands import band_intervals, guard_edges
+from .bands import _period_product, band_intervals, guard_edges
 from .errors import NumericalError, PoleHit
 from .model import BoundaryPoint
 
@@ -70,40 +73,30 @@ def strip_once(m, a, b, z):
     return 1.0 / den
 
 
-def _mobius_step(A, B, C, D, a, w):
-    # right-multiply the running product by [[0, 1], [-a^2, w]]
-    a2 = a * a
-    return -a2 * B, A + w * B, -a2 * D, C + w * D
+def _tail_quadratic(background, cut, z, side):
+    """Coefficients ``(B, C, t)`` of the tail fixed point C m^2 + t m - B = 0.
 
-
-def _tail_product(background, cut, z, side):
-    """Entries (A, B, C, D) of the one-period product fixing the tail m.
-
-    ``side == "right"``: product over sites cut+1 .. cut+p in ascending
-    order, each factor [[0, 1], [-a_k^2, b_k - z]].
-    ``side == "left"``: product over j = cut .. cut-p+1 descending, factor
-    [[0, 1], [-a_{j-2}^2, b_{j-1} - z]].
+    The Weyl solution u of the tail is a Floquet solution of the background,
+    and m is its ratio: ``m_right(c) = -u_{c+1} / (a_c u_c)`` and
+    ``m_left(c) = -u_{c-1} / (a_{c-1} u_c)``.  Asking that the ratio come
+    back after one period turns the eigenvector equation of the one-period
+    product M into a quadratic in m.  The right tail takes M over sites
+    c+1 .. c+p with a = a_c, the left tail over c .. c+p-1 with a = a_{c-1}.
     """
     z = np.asarray(z)
-    one = np.ones_like(z)
-    zero = np.zeros_like(z)
-    A, B, C, D = one, zero, zero, one
-    p = background.period
     if side == "right":
-        for k in range(cut + 1, cut + p + 1):
-            a_k, b_k = background.value_at(k)
-            A, B, C, D = _mobius_step(A, B, C, D, a_k, b_k - z)
+        m11, m12, m21, m22 = _period_product(background, cut + 1, z)
+        a = background.value_at(cut)[0]
+        C, B = a * a * m21, m12
     else:
-        for j in range(cut, cut - p, -1):
-            a_in = background.value_at(j - 2)[0]
-            b_in = background.value_at(j - 1)[1]
-            A, B, C, D = _mobius_step(A, B, C, D, a_in, b_in - z)
-    return A, B, C, D
+        m11, m12, m21, m22 = _period_product(background, cut, z)
+        a = background.value_at(cut - 1)[0]
+        C, B = -a * a * m12, -m21
+    return np.broadcast_arrays(B, C, a * (m11 - m22))
 
 
-def _herglotz_root(A, B, C, D):
-    """Upper-half-plane root of C m^2 + (D - A) m - B = 0, elementwise."""
-    t = D - A
+def _herglotz_root(B, C, t):
+    """Upper-half-plane root of C m^2 + t m - B = 0, elementwise."""
     disc = t * t + 4.0 * B * C
     sq = np.sqrt(disc.astype(complex))
     # complex-stable quadratic: pick the larger-magnitude numerator for q
@@ -123,14 +116,12 @@ def _herglotz_root(A, B, C, D):
 
 
 def _tail_upper(background, cut, z, side):
-    A, B, C, D = _tail_product(background, cut, z, side)
-    return _herglotz_root(A, B, C, D)
+    return _herglotz_root(*_tail_quadratic(background, cut, z, side))
 
 
 def _tail_boundary(background, cut, lams, side):
     """Boundary values of the tail m on the real axis (edges pre-guarded)."""
-    A, B, C, D = _tail_product(background, cut, lams, side)
-    t = D - A
+    B, C, t = _tail_quadratic(background, cut, lams, side)
     disc = t * t + 4.0 * B * C
     m = np.empty(lams.shape, dtype=complex)
 
@@ -258,7 +249,7 @@ def m_oracle_truncated(spec, n, z, N, side="right"):
 
     Solves ``(H_N - z) x = e_boundary`` on N sites of the half line with a
     banded solver and returns the boundary component.  Independent of the
-    Moebius fixed-point route; truncation error decays exponentially in N
+    transfer-product fixed point; truncation error decays exponentially in N
     for Im z > 0.
     """
     if side == "right":

@@ -31,9 +31,7 @@ __all__ = [
     "JacobiSpec",
     "BoundaryPoint",
     "TruncatedOperator",
-    "coefficient",
     "coefficient_arrays",
-    "validate",
     "truncate",
     "parse_config",
     "serialize_config",
@@ -146,11 +144,6 @@ class JacobiSpec:
         return self.background.value_at(k)[1]
 
 
-def coefficient(spec, k):
-    """Return ``(a_k, b_k)`` for any integer site ``k``."""
-    return spec.a(k), spec.b(k)
-
-
 def coefficient_arrays(spec, k_lo, k_hi):
     """Vectors of ``a_k`` and ``b_k`` for ``k`` in ``[k_lo, k_hi]`` inclusive."""
     ks = np.arange(k_lo, k_hi + 1)
@@ -166,13 +159,6 @@ def coefficient_arrays(spec, k_lo, k_hi):
     if in_b.any():
         b[in_b] = np.asarray(spec.b_override)[j[in_b]]
     return a, b
-
-
-def validate(spec):
-    """Re-run construction checks; returns the spec (raises on violation)."""
-    Background(spec.background.a, spec.background.b, spec.background.phase)
-    JacobiSpec(spec.background, spec.offset, spec.a_override, spec.b_override)
-    return spec
 
 
 @dataclass(frozen=True)

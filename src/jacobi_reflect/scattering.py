@@ -152,14 +152,8 @@ def _clamped_densities(pieces):
     return im_l, im_r
 
 
-def scattering_grid(spec, n, lams, guard=True):
-    """Vectorized scattering entries over a real grid.
-
-    Returns a dict with s_ll, s_lr, s_rr, density_l, density_r, g arrays;
-    s_rl equals s_lr identically.  Closed channels come out as identity
-    rows automatically (the density factor is exactly zero there).
-    """
-    pieces = boundary_pieces(spec, n, lams, real_limit=True, guard=guard)
+def _s_entries(pieces):
+    # scattering_grid's dict, from an existing boundary_pieces pass
     im_l, im_r = _clamped_densities(pieces)
     a_l, a_r, g = pieces.a_l, pieces.a_r, pieces.g
     s_ll = 1.0 + 2j * a_l * a_l * g * im_l
@@ -173,6 +167,16 @@ def scattering_grid(spec, n, lams, guard=True):
         "density_r": im_r,
         "g": g,
     }
+
+
+def scattering_grid(spec, n, lams, guard=True):
+    """Vectorized scattering entries over a real grid.
+
+    Returns a dict with s_ll, s_lr, s_rr, density_l, density_r, g arrays;
+    s_rl equals s_lr identically.  Closed channels come out as identity
+    rows automatically (the density factor is exactly zero there).
+    """
+    return _s_entries(boundary_pieces(spec, n, lams, real_limit=True, guard=guard))
 
 
 def scattering_matrix(spec, n, lam):

@@ -85,6 +85,16 @@ def test_jost_skips_are_warnings_and_total_failure_is_an_error(configs, capsys):
     assert captured.err.splitlines()[-1] == "error: every grid point failed"
 
 
+def test_jost_gap_pole_does_not_fail_the_grid(configs, capsys):
+    # the stripping walk has an exact pole at lambda = 0 in the period-2 gap;
+    # the three gap points are skipped and the four band points reported
+    code = cli.main(["jost", "--config", configs["p2"], "--grid=-1:1:0.25"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert len(_csv_rows(captured.out)) == 4
+    assert sum(line.startswith("warning:") for line in captured.err.splitlines()) == 3
+
+
 def test_reflect_check_exit_codes(configs, capsys):
     assert cli.main(["reflect-check", "--config", configs["free"],
                      "--grid", "0:1:0.25"]) == 0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from jacobi_reflect import (BoundaryPoint, alpha_beta, green_diag, green_offdiag,
+from jacobi_reflect import (Background, BoundaryPoint, JacobiSpec, alpha_beta,
+                            band_intervals, green_diag, green_offdiag,
                             jost_solution, m_left, m_right, scattering_matrix,
                             spectral_reflection_mratio,
                             spectral_reflection_mratio_grid, wronskian)
@@ -120,3 +121,69 @@ def test_green_offdiag_symmetry_and_diagonal():
         g_diag = green_diag(spec, 0, BoundaryPoint.real(lam)).value
         np.testing.assert_allclose(green_offdiag(spec, 0, 0, lam), g_diag,
                                    rtol=1e-9)
+
+
+def _perturbed_periodic_spec(rng, p):
+    """Period-p background with a perturbation window of length 1..4."""
+    length = int(rng.integers(1, 5))
+    return JacobiSpec(background=Background.periodic(tuple(rng.uniform(0.6, 1.4, p)),
+                                                     tuple(rng.uniform(-0.5, 0.5, p))),
+                      offset=int(rng.integers(-3, 2)),
+                      a_override=tuple(rng.uniform(0.5, 2.0, length)),
+                      b_override=tuple(rng.uniform(-1.0, 1.0, length)))
+
+
+def _monodromy(spec, K, z):
+    # dense 2x2 product over sites K+1 .. K+p, sending (psi_{K+1}, psi_K) up a period
+    m = np.eye(2, dtype=complex)
+    for k in range(K + 1, K + spec.background.period + 1):
+        step = np.array([[(z - spec.b(k)) / spec.a(k), -spec.a(k - 1) / spec.a(k)],
+                         [1.0, 0.0]])
+        m = step @ m
+    return m
+
+
+def _floquet_ratios(spec, K, z):
+    """psi_{K+1} / psi_K of the eigenvectors, the |mu| < 1 one first."""
+    mu, vecs = np.linalg.eig(_monodromy(spec, K, z))
+    ratios = vecs[0] / vecs[1]
+    return ratios[np.argsort(np.abs(mu))]
+
+
+def _inner_band_energies(spec):
+    return [lo + f * (hi - lo) for lo, hi in band_intervals(spec.background)
+            for f in (0.2, 0.5, 0.8)]
+
+
+def test_jost_branch_on_perturbed_periodic_backgrounds():
+    # beyond the window psi_right is the Floquet solution that decays at
+    # lambda + i0, psi_left the one that grows toward +inf
+    rng = np.random.default_rng(71)
+    for p in (2, 3, 4) * 3:
+        spec = _perturbed_periodic_spec(rng, p)
+        # first sites whose one-period products see only the background
+        k_right = max(spec.window[1] + 1, 1)
+        k_left = spec.window[0] - 1 - p
+        for lam in _inner_band_energies(spec):
+            psi_r = jost_solution(spec, "r", lam, k_min=-1, k_max=k_right + 1)
+            ratio = psi_r.value(k_right + 1) / psi_r.value(k_right)
+            decaying, growing = _floquet_ratios(spec, k_right, lam + 1e-6j)
+            assert abs(ratio - decaying) <= 1e-4
+            assert abs(ratio - growing) >= 100 * abs(ratio - decaying)
+
+            psi_l = jost_solution(spec, "l", lam, k_min=k_left, k_max=1)
+            ratio = psi_l.value(k_left + 1) / psi_l.value(k_left)
+            decaying, growing = _floquet_ratios(spec, k_left, lam + 1e-6j)
+            assert abs(ratio - growing) <= 1e-4
+            assert abs(ratio - decaying) >= 100 * abs(ratio - growing)
+
+            r_s = abs(scattering_matrix(spec, 0, lam).s_rr) ** 2
+            assert abs(alpha_beta(spec, lam).R_r - r_s) <= 1e-8
+
+
+def test_closed_gap_reflection_matches_scattering():
+    # the free chain written with period 2: its gap at 0 is closed, and a
+    # branch rule that probes off the axis picks the wrong root near it
+    spec = JacobiSpec(background=Background.periodic((1.0, 1.0), (0.0, 0.0)))
+    r_s = abs(scattering_matrix(spec, 0, 1e-7).s_rr) ** 2
+    assert abs(alpha_beta(spec, 1e-7).R_r - r_s) <= 1e-8

@@ -5,8 +5,8 @@ import pytest
 
 from jacobi_reflect import (Background, BoundaryPoint, JacobiSpec, NonFiniteEntry,
                             NonPositiveCoefficient, SchemaError, WindowTooSmall,
-                            coefficient, coefficient_arrays, parse_config,
-                            serialize_config, truncate, validate)
+                            coefficient_arrays, parse_config, serialize_config,
+                            truncate)
 
 from util import random_spec
 
@@ -71,9 +71,8 @@ def test_coefficient_arrays_match_scalars():
         ks = np.arange(-12, 13)
         a, b = coefficient_arrays(spec, -12, 12)
         for i, k in enumerate(ks):
-            ak, bk = coefficient(spec, int(k))
-            assert a[i] == ak
-            assert b[i] == bk
+            assert a[i] == spec.a(int(k))
+            assert b[i] == spec.b(int(k))
 
 
 def test_truncate_shape_and_symmetry():
@@ -125,12 +124,6 @@ def test_config_rejects_bad_types():
     with pytest.raises(SchemaError):
         parse_config({"background": {"kind": "free"},
                       "perturbation": {"offset": 0.5, "b": [1.0]}})
-
-
-def test_validate_passes_for_generated_specs():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        validate(random_spec(rng))
 
 
 def test_boundary_point_rules():
