@@ -149,21 +149,17 @@ class CriteriaReport:
         r = self.criterion_residuals()
         return bool(~np.any((r > lo) & (r < hi)))
 
-    def rows(self):
-        """Per-(lambda, n) rows for the CSV report; verdicts are per lambda."""
-        for j, lam in enumerate(self.grid.points):
-            for i, n in enumerate(self.n_range):
-                yield {
-                    "lambda": lam,
-                    "n": n,
-                    "re_G": self.re_g[i, j],
-                    "specref_residual": self.specref_residual[i, j],
-                    "s_ll_mag": self.s_diag_mag[i, j],
-                    "verdict_mt": bool(self.verdict_mt[j]),
-                    "verdict_spec": bool(self.verdict_spec[j]),
-                    "verdict_stat": bool(self.verdict_stat[j]),
-                    "agree": bool(self.agree[j]),
-                }
+    def columns(self):
+        """Flat per-(lambda, n) columns, lambda-major; verdicts are per lambda."""
+        sites, lams = len(self.n_range), self.grid.points
+        cols = {"lambda": np.repeat(lams, sites),
+                "n": np.tile(np.array(self.n_range, dtype=int), lams.size),
+                "re_G": self.re_g.T.ravel(),
+                "specref_residual": self.specref_residual.T.ravel(),
+                "s_ll_mag": self.s_diag_mag.T.ravel()}
+        for name in ("verdict_mt", "verdict_spec", "verdict_stat", "agree"):
+            cols[name] = np.repeat(getattr(self, name), sites)
+        return cols
 
 
 def reflectionless_report(spec, grid, n_range=tuple(range(-3, 4)), tau=TAU_DEFAULT):

@@ -3,8 +3,8 @@
 Subcommands: describe, mfunc, green, scatter, jost, reflect-check,
 dynamics, transport.  Results go to stdout or, with --out, to a file
 written atomically (temp file + rename).  --format picks CSV (default)
-or JSON; both carry the same numbers, serialized with 17 significant
-digits so they round-trip to the exact double.
+or JSON; both carry the same numbers, as 17 significant digits in CSV and
+the shortest round-trip repr in JSON, so both parse to the exact double.
 
 Exit codes: 0 success; 2 = reflect-check found the criteria disagreeing;
 3 = bad flags or config; 4 = numerical failure on the requested points.
@@ -15,6 +15,7 @@ color on stderr diagnostics.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -70,18 +71,39 @@ def _plain(v):
     return v
 
 
-def _render(args, command, columns, rows):
-    if args.format == "json":
-        doc = {
-            "command": command,
-            "seed": args.seed,
-            "columns": list(columns),
-            "rows": [{k: _plain(r[k]) for k in columns} for r in rows],
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(r[k]) for k in columns) for r in rows)
-    return "\n".join(lines) + "\n"
+def _cells(col, json_out):
+    # (%-spec, values) for one column; lists, strings and non-finite JSON
+    # floats go through the per-cell _fmt/_plain
+    kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
+    if kind == "b":
+        return "%s", np.where(col, "true", "false").tolist()
+    if kind in "iu":
+        return "%d", col.tolist()
+    if kind == "f" and not json_out:
+        return "%.17g", col.tolist()
+    if kind == "f" and np.isfinite(col).all():
+        return "%r", col.tolist()
+    cell = (lambda v: json.dumps(_plain(v))) if json_out else _fmt
+    return "%s", [cell(v) for v in col]
+
+
+def _render(args, command, columns, data):
+    """Format whole columns: one %-template per row, one % for all rows."""
+    json_out = args.format == "json"
+    specs, cols = zip(*(_cells(data[k], json_out) for k in columns))
+    n = len(cols[0])
+    flat = tuple(itertools.chain.from_iterable(zip(*cols)))
+    if not json_out:
+        return ",".join(columns) + "\n" + ((",".join(specs) + "\n") * n) % flat
+    doc = {"command": command, "seed": args.seed, "columns": list(columns),
+           "rows": []}
+    head, tail = json.dumps(doc, indent=2).rsplit("[]", 1)
+    if not n:
+        return head + "[]" + tail + "\n"
+    keys = (json.dumps(k).replace("%", "%%") for k in columns)
+    row = ",\n".join(f"      {k}: {f}" for k, f in zip(keys, specs))
+    body = ",\n".join([f"    {{\n{row}\n    }}"] * n) % flat
+    return head + "[\n" + body + "\n  ]" + tail + "\n"
 
 
 def _write(text, path):
@@ -134,102 +156,84 @@ def _grid(args, spec):
 def _cmd_describe(args):
     spec = _load_spec(args.config)
     bg = spec.background
-    rows = [
-        {"field": "background", "value": bg.kind},
-        {"field": "period", "value": bg.period},
-        {"field": "background_a", "value": " ".join(_fmt(x) for x in bg.a)},
-        {"field": "background_b", "value": " ".join(_fmt(x) for x in bg.b)},
-        {"field": "phase", "value": bg.phase},
-        {"field": "window", "value": "none" if spec.window is None
-                                     else "%d..%d" % spec.window},
-    ]
-    for i, (lo, hi) in enumerate(band_intervals(bg)):
-        rows.append({"field": "band_%d" % i,
-                     "value": "%s %s" % (_fmt(lo), _fmt(hi))})
-    return 0, ("field", "value"), rows
+    bands = band_intervals(bg)
+    fields = ["background", "period", "background_a", "background_b", "phase",
+              "window"] + ["band_%d" % i for i in range(len(bands))]
+    values = [bg.kind, bg.period, " ".join(_fmt(x) for x in bg.a),
+              " ".join(_fmt(x) for x in bg.b), bg.phase,
+              "none" if spec.window is None else "%d..%d" % spec.window]
+    values += ["%s %s" % (_fmt(lo), _fmt(hi)) for lo, hi in bands]
+    return 0, ("field", "value"), {"field": fields, "value": values}
 
 
 def _cmd_mfunc(args):
     spec = _load_spec(args.config)
-    grid = _grid(args, spec)
-    lams = grid.points
+    lams = _grid(args, spec).points
     m_r = m_right_boundary(spec, args.n, lams)
     m_l = m_left_boundary(spec, args.n, lams)
-    rows = [{"lambda": lams[j],
-             "re_m_right": m_r[j].real, "im_m_right": m_r[j].imag,
-             "re_m_left": m_l[j].real, "im_m_left": m_l[j].imag}
-            for j in range(lams.size)]
-    cols = ("lambda", "re_m_right", "im_m_right", "re_m_left", "im_m_left")
-    return 0, cols, rows
+    data = {"lambda": lams, "re_m_right": m_r.real, "im_m_right": m_r.imag,
+            "re_m_left": m_l.real, "im_m_left": m_l.imag}
+    return 0, tuple(data), data
 
 
 def _cmd_green(args):
     spec = _load_spec(args.config)
-    grid = _grid(args, spec)
-    g = green_diag_grid(spec, args.n, grid.points)
-    rows = [{"lambda": grid.points[j], "re_G": g[j].real, "im_G": g[j].imag}
-            for j in range(grid.points.size)]
-    return 0, ("lambda", "re_G", "im_G"), rows
+    lams = _grid(args, spec).points
+    g = green_diag_grid(spec, args.n, lams)
+    data = {"lambda": lams, "re_G": g.real, "im_G": g.imag}
+    return 0, tuple(data), data
+
+
+def _sq_abs(values):
+    # the scalar abs(z) ** 2: np.abs(arr) ** 2 can differ in the last ulp
+    return np.array([abs(z) ** 2 for z in values.tolist()], dtype=float)
 
 
 def _cmd_scatter(args):
     spec = _load_spec(args.config)
-    grid = _grid(args, spec)
-    res = scattering_grid(spec, args.n, grid.points)
-    defect = unitarity_defect_grid(res)
-    rows = []
-    for j, lam in enumerate(grid.points):
-        s_ll, s_lr, s_rr = res["s_ll"][j], res["s_lr"][j], res["s_rr"][j]
-        rows.append({
-            "lambda": lam,
-            "re_sll": s_ll.real, "im_sll": s_ll.imag,
+    lams = _grid(args, spec).points
+    res = scattering_grid(spec, args.n, lams)
+    s_ll, s_lr, s_rr = res["s_ll"], res["s_lr"], res["s_rr"]
+    data = {"lambda": lams, "re_sll": s_ll.real, "im_sll": s_ll.imag,
             "re_slr": s_lr.real, "im_slr": s_lr.imag,
             "re_srr": s_rr.real, "im_srr": s_rr.imag,
-            "R": abs(s_ll) ** 2, "T": abs(s_lr) ** 2,
-            "defect": defect[j],
-        })
-    cols = ("lambda", "re_sll", "im_sll", "re_slr", "im_slr",
-            "re_srr", "im_srr", "R", "T", "defect")
-    return 0, cols, rows
+            "R": _sq_abs(s_ll), "T": _sq_abs(s_lr),
+            "defect": unitarity_defect_grid(res)}
+    return 0, tuple(data), data
 
 
 def _cmd_jost(args):
     spec = _load_spec(args.config)
     grid = _grid(args, spec)
-    kept = []
+    lams, kept = [], []
     for lam in grid.points:
         try:
-            kept.append((lam, alpha_beta(spec, lam)))
+            kept.append(alpha_beta(spec, lam))
+            lams.append(lam)
         except NumericalError as exc:
             _warn(f"lambda = {_fmt(lam)} skipped: {exc}", label="warning")
     if grid.points.size and not kept:
         raise NumericalError("every grid point failed")
     # s_rr only where alpha_beta succeeded: a gap pole elsewhere is no failure
-    s_rr = scattering_grid(spec, 0, [lam for lam, _ in kept])["s_rr"] if kept else []
-    rows = []
-    for (lam, datum), s in zip(kept, s_rr):
-        r_from_s = abs(s) ** 2
-        rows.append({
-            "lambda": lam,
-            "re_alpha": datum.alpha.real, "im_alpha": datum.alpha.imag,
-            "re_beta": datum.beta.real, "im_beta": datum.beta.imag,
-            "R_spectral": datum.R_r,
-            "R_from_s": r_from_s,
-            "residual": abs(datum.R_r - r_from_s),
-        })
-    cols = ("lambda", "re_alpha", "im_alpha", "re_beta", "im_beta",
-            "R_spectral", "R_from_s", "residual")
-    return 0, cols, rows
+    s_rr = scattering_grid(spec, 0, lams)["s_rr"]
+    alpha = np.array([d.alpha for d in kept], dtype=complex)
+    beta = np.array([d.beta for d in kept], dtype=complex)
+    r_spec = np.array([d.R_r for d in kept], dtype=float)
+    r_from_s = _sq_abs(s_rr)
+    data = {"lambda": np.array(lams, dtype=float),
+            "re_alpha": alpha.real, "im_alpha": alpha.imag,
+            "re_beta": beta.real, "im_beta": beta.imag,
+            "R_spectral": r_spec, "R_from_s": r_from_s,
+            "residual": np.abs(r_spec - r_from_s)}
+    return 0, tuple(data), data
 
 
 def _cmd_reflect_check(args):
     spec = _load_spec(args.config)
-    grid = _grid(args, spec)
-    report = reflectionless_report(spec, grid, tau=args.tol)
-    cols = ("lambda", "n", "re_G", "specref_residual", "s_ll_mag",
-            "verdict_mt", "verdict_spec", "verdict_stat", "agree")
+    report = reflectionless_report(spec, _grid(args, spec), tau=args.tol)
     code = 0 if bool(report.agree.all()) else 2
-    return code, cols, list(report.rows())
+    data = report.columns()
+    return code, tuple(data), data
 
 
 def _cmd_dynamics(args):
@@ -237,19 +241,18 @@ def _cmd_dynamics(args):
     out = dynamical_reflection(spec, args.lambda0, args.dlambda, args.N)
     cols = ("lambda0", "dlambda", "N", "t_star", "R_dyn", "T_dyn",
             "site0_mass", "R_stationary_avg", "abs_error")
-    return 0, cols, [out]
+    return 0, cols, {k: [out[k]] for k in cols}
 
 
 def _cmd_transport(args):
     spec = _load_spec(args.config)
     out = landauer_current(spec, args.beta_l, args.mu_l, args.beta_r,
                            args.mu_r, quadrature=args.quadrature)
-    row = {"beta_l": args.beta_l, "mu_l": args.mu_l,
-           "beta_r": args.beta_r, "mu_r": args.mu_r,
-           "I_charge": out["charge_current"],
-           "I_energy": out["energy_current"]}
-    cols = ("beta_l", "mu_l", "beta_r", "mu_r", "I_charge", "I_energy")
-    return 0, cols, [row]
+    data = {"beta_l": [args.beta_l], "mu_l": [args.mu_l],
+            "beta_r": [args.beta_r], "mu_r": [args.mu_r],
+            "I_charge": [out["charge_current"]],
+            "I_energy": [out["energy_current"]]}
+    return 0, tuple(data), data
 
 
 _COMMANDS = {
@@ -306,8 +309,8 @@ def _build_parser():
 
 def run(argv):
     args = _build_parser().parse_args(argv)
-    code, cols, rows = _COMMANDS[args.command](args)
-    _write(_render(args, args.command, cols, rows), args.out)
+    code, cols, data = _COMMANDS[args.command](args)
+    _write(_render(args, args.command, cols, data), args.out)
     return code
 
 

@@ -118,7 +118,7 @@ def boundary_pieces(spec, n, pts, real_limit=True, guard=True):
     g1 = -1.0 / den1
     g2 = -1.0 / den2
     scale = np.maximum(np.maximum(np.abs(g1), np.abs(g2)), 1e-300)
-    rel = np.max(np.abs(g1 - g2) / scale)
+    rel = np.max(np.abs(g1 - g2) / scale, initial=0.0)
     if rel > CROSS_TOL:
         raise CrossCheckFailure(
             f"G_nn continued-fraction forms disagree by {rel:.3e} (> {CROSS_TOL})"

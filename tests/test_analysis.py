@@ -109,9 +109,9 @@ def test_report_rows_cover_grid():
     spec = single_site_spec()
     grid = explicit_grid(spec, -0.5, 0.5, 0.5)
     report = reflectionless_report(spec, grid)
-    rows = list(report.rows())
-    assert len(rows) == len(grid.points) * 7
-    assert {r["n"] for r in rows} == set(range(-3, 4))
+    cols = report.columns()
+    assert all(len(v) == len(grid.points) * 7 for v in cols.values())
+    assert set(cols["n"].tolist()) == set(range(-3, 4))
 
 
 def test_landauer_zero_bias_is_exactly_zero():

@@ -1,19 +1,29 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from jacobi_reflect import cli
+from jacobi_reflect import (alpha_beta, band_intervals, cli, dynamical_reflection,
+                            green_diag_grid, landauer_current,
+                            reflectionless_report, scattering_grid,
+                            unitarity_defect_grid)
+from jacobi_reflect.errors import JacobiReflectError, NumericalError
+from jacobi_reflect.mfunc import m_left_boundary, m_right_boundary
 
 FREE = '{"background": {"kind": "free"}}'
 SINGLE = '{"background": {"kind": "free"}, "perturbation": {"offset": 0, "b": [1.0]}}'
 PERIOD2 = '{"background": {"kind": "periodic", "a": [1.0, 0.5], "b": [0.0, 0.0]}}'
+PERIOD4 = ('{"background": {"kind": "periodic", "a": [1.0, 0.8, 1.2, 0.9], '
+           '"b": [0.3, -0.2, 0.1, -0.4]}, '
+           '"perturbation": {"offset": -1, "a": [1.3, 0.9], "b": [0.2, -0.4]}}')
 
 
 @pytest.fixture
 def configs(tmp_path):
     paths = {}
-    for name, text in [("free", FREE), ("single", SINGLE), ("p2", PERIOD2)]:
+    for name, text in [("free", FREE), ("single", SINGLE), ("p2", PERIOD2),
+                       ("p4", PERIOD4)]:
         p = tmp_path / f"{name}.json"
         p.write_text(text)
         paths[name] = str(p)
@@ -195,3 +205,203 @@ def test_grid_flag_with_negative_start(configs, capsys):
                      "--grid=-1:1:0.5"]) == 0
     rows = _csv_rows(capsys.readouterr().out)
     assert [float(r["lambda"]) for r in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_all_dropped_grid_prints_header_only(configs, capsys, fmt):
+    # the single point 2.0 is a band edge of the free chain and is dropped
+    for command in ("mfunc", "green", "scatter", "jost", "reflect-check"):
+        code = cli.main([command, "--config", configs["free"], "--grid=2:2:1",
+                         "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 0, (command, captured.err)
+        assert captured.err == ""
+        if fmt == "csv":
+            assert captured.out.count("\n") == 1
+        else:
+            assert json.loads(captured.out)["rows"] == []
+
+
+# --- the per-cell renderer and per-row builders the CLI used to have -------
+# An independent oracle for the columnar renderer: every number is formatted
+# one cell at a time, from rows built one dict per grid point.
+
+def _oracle_fmt(v):
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return "%.17g" % float(v)
+    return str(v)
+
+
+def _oracle_plain(v):
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v)
+    return v
+
+
+def _oracle_render(fmt, command, seed, columns, rows):
+    if fmt == "json":
+        doc = {"command": command, "seed": seed, "columns": list(columns),
+               "rows": [{k: _oracle_plain(r[k]) for k in columns} for r in rows]}
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [",".join(columns)]
+    lines.extend(",".join(_oracle_fmt(r[k]) for k in columns) for r in rows)
+    return "\n".join(lines) + "\n"
+
+
+ORACLE_COLUMNS = {
+    "describe": ("field", "value"),
+    "mfunc": ("lambda", "re_m_right", "im_m_right", "re_m_left", "im_m_left"),
+    "green": ("lambda", "re_G", "im_G"),
+    "scatter": ("lambda", "re_sll", "im_sll", "re_slr", "im_slr",
+                "re_srr", "im_srr", "R", "T", "defect"),
+    "jost": ("lambda", "re_alpha", "im_alpha", "re_beta", "im_beta",
+             "R_spectral", "R_from_s", "residual"),
+    "reflect-check": ("lambda", "n", "re_G", "specref_residual", "s_ll_mag",
+                      "verdict_mt", "verdict_spec", "verdict_stat", "agree"),
+    "dynamics": ("lambda0", "dlambda", "N", "t_star", "R_dyn", "T_dyn",
+                 "site0_mass", "R_stationary_avg", "abs_error"),
+    "transport": ("beta_l", "mu_l", "beta_r", "mu_r", "I_charge", "I_energy"),
+}
+
+
+def _oracle_rows(args):
+    spec = cli._load_spec(args.config)
+    if args.command == "describe":
+        bg = spec.background
+        rows = [{"field": "background", "value": bg.kind},
+                {"field": "period", "value": bg.period},
+                {"field": "background_a", "value": " ".join(_oracle_fmt(x) for x in bg.a)},
+                {"field": "background_b", "value": " ".join(_oracle_fmt(x) for x in bg.b)},
+                {"field": "phase", "value": bg.phase},
+                {"field": "window", "value": "none" if spec.window is None
+                                             else "%d..%d" % spec.window}]
+        rows += [{"field": "band_%d" % i, "value": "%s %s" % (_oracle_fmt(lo), _oracle_fmt(hi))}
+                 for i, (lo, hi) in enumerate(band_intervals(bg))]
+        return 0, rows
+    if args.command == "dynamics":
+        return 0, [dynamical_reflection(spec, args.lambda0, args.dlambda, args.N)]
+    if args.command == "transport":
+        out = landauer_current(spec, args.beta_l, args.mu_l, args.beta_r,
+                               args.mu_r, quadrature=args.quadrature)
+        return 0, [{"beta_l": args.beta_l, "mu_l": args.mu_l,
+                    "beta_r": args.beta_r, "mu_r": args.mu_r,
+                    "I_charge": out["charge_current"],
+                    "I_energy": out["energy_current"]}]
+    grid = cli._grid(args, spec)
+    lams = grid.points
+    if args.command == "mfunc":
+        m_r = m_right_boundary(spec, args.n, lams)
+        m_l = m_left_boundary(spec, args.n, lams)
+        return 0, [{"lambda": lams[j], "re_m_right": m_r[j].real,
+                    "im_m_right": m_r[j].imag, "re_m_left": m_l[j].real,
+                    "im_m_left": m_l[j].imag} for j in range(lams.size)]
+    if args.command == "green":
+        g = green_diag_grid(spec, args.n, lams)
+        return 0, [{"lambda": lams[j], "re_G": g[j].real, "im_G": g[j].imag}
+                   for j in range(lams.size)]
+    if args.command == "scatter":
+        res = scattering_grid(spec, args.n, lams)
+        defect = unitarity_defect_grid(res)
+        return 0, [{"lambda": lam,
+                    "re_sll": res["s_ll"][j].real, "im_sll": res["s_ll"][j].imag,
+                    "re_slr": res["s_lr"][j].real, "im_slr": res["s_lr"][j].imag,
+                    "re_srr": res["s_rr"][j].real, "im_srr": res["s_rr"][j].imag,
+                    "R": abs(res["s_ll"][j]) ** 2, "T": abs(res["s_lr"][j]) ** 2,
+                    "defect": defect[j]} for j, lam in enumerate(lams)]
+    if args.command == "jost":
+        kept = []
+        for lam in lams:
+            try:
+                kept.append((lam, alpha_beta(spec, lam)))
+            except NumericalError:
+                pass
+        if lams.size and not kept:
+            raise NumericalError("every grid point failed")
+        s_rr = scattering_grid(spec, 0, [lam for lam, _ in kept])["s_rr"] if kept else []
+        return 0, [{"lambda": lam, "re_alpha": d.alpha.real, "im_alpha": d.alpha.imag,
+                    "re_beta": d.beta.real, "im_beta": d.beta.imag,
+                    "R_spectral": d.R_r, "R_from_s": abs(s) ** 2,
+                    "residual": abs(d.R_r - abs(s) ** 2)}
+                   for (lam, d), s in zip(kept, s_rr)]
+    report = reflectionless_report(spec, grid, tau=args.tol)
+    rows = [{"lambda": lam, "n": n, "re_G": report.re_g[i, j],
+             "specref_residual": report.specref_residual[i, j],
+             "s_ll_mag": report.s_diag_mag[i, j],
+             "verdict_mt": bool(report.verdict_mt[j]),
+             "verdict_spec": bool(report.verdict_spec[j]),
+             "verdict_stat": bool(report.verdict_stat[j]),
+             "agree": bool(report.agree[j])}
+            for j, lam in enumerate(lams) for i, n in enumerate(report.n_range)]
+    return (0 if report.agree.all() else 2), rows
+
+
+GOLDEN_ARGV = (
+    ["describe"],
+    ["dynamics", "--lambda0", "0.8", "--N", "300"],
+    ["transport", "--beta-l", "2", "--mu-l", "0.3", "--beta-r", "1", "--mu-r", "-0.2"],
+    ["jost", "--grid=0.4:1.2:0.2"],
+    ["jost", "--grid=-1:1:0.25"],
+    ["jost", "--lambda=0"],
+    ["reflect-check", "--lambda=0.3", "--tol", "0.3"],
+) + tuple([cmd, grid] + n for cmd in ("mfunc", "green", "scatter", "reflect-check")
+          for grid in ("--grid=-2.2:2.1:0.3", "--lambda=0.3")
+          for n in ([], ["--n", "1"]))
+
+
+@pytest.mark.parametrize("config", ["free", "single", "p2", "p4"])
+def test_output_matches_per_cell_renderer(configs, capsys, config):
+    # stdout and exit code of every subcommand, byte for byte; a grid command
+    # may fail as a whole (exit 4) only where the oracle fails too
+    for argv in GOLDEN_ARGV:
+        for fmt in ("csv", "json"):
+            full = argv + ["--config", configs[config], "--format", fmt, "--seed", "5"]
+            code = cli.main(full)
+            out = capsys.readouterr().out
+            args = cli._build_parser().parse_args(full)
+            try:
+                want_code, rows = _oracle_rows(args)
+            except JacobiReflectError:
+                assert (code, out) == (4, ""), full
+                continue
+            cols = ORACLE_COLUMNS[args.command]
+            assert code == want_code, full
+            assert out == _oracle_render(fmt, args.command, 5, cols, rows), full
+
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               0.1, 1e-300, 2.5]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [7, 0])
+def test_render_edge_cases_match_per_cell_renderer(fmt, n_rows):
+    nonfinite = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1.0, 3.0]
+    data = {
+        "finite": np.array(EDGE_FLOATS),
+        "nonfinite": np.array(nonfinite),
+        "float_list": nonfinite,
+        "np_int": np.arange(-3, 4, dtype=np.int64),
+        "np_uint": np.arange(7, dtype=np.uint8),
+        "py_int": list(range(-3, 4)),
+        "np_bool": np.array([True, False, False, True, True, False, True]),
+        "py_bool": [True, False, False, True, True, False, True],
+        "mixed": ["periodic", 2, "1 0.5", 0, "none", "-1 1", -0.0],
+        "100%": np.array(EDGE_FLOATS[::-1]),
+    }
+    data = {k: v[:n_rows] for k, v in data.items()}
+    rows = [{k: v[j] for k, v in data.items()} for j in range(n_rows)]
+    args = argparse.Namespace(format=fmt, seed=3)
+    text = cli._render(args, "edge", tuple(data), data)
+    assert text == _oracle_render(fmt, "edge", 3, tuple(data), rows)
+    if fmt == "json" and n_rows:
+        assert '"nonfinite": NaN' in text and '"nonfinite": -Infinity' in text
+        assert '"finite": -0.0' in text and '"finite": 5e-324' in text
