@@ -163,30 +163,29 @@ class CriteriaReport:
 
 
 def reflectionless_report(spec, grid, n_range=tuple(range(-3, 4)), tau=TAU_DEFAULT):
-    """Evaluate the stationary criteria at each cut site over the grid."""
+    """Evaluate the stationary criteria at each cut site over the grid.
+
+    The criteria speak about the essential support: where every channel is
+    closed, each verdict is False.
+    """
     n_range = tuple(int(n) for n in n_range)
     lams = np.asarray(grid.points, dtype=float)
     n_sites = len(n_range)
-    re_g = np.empty((n_sites, lams.size))
-    specref = np.empty((n_sites, lams.size))
-    s_diag = np.empty((n_sites, lams.size))
+    pieces = boundary_pieces(spec, n_range, lams, real_limit=True)
+    re_g = pieces.g.real
+    specref = pieces.specref
+    res = _s_entries(pieces)
+    s_diag = np.maximum(np.abs(res["s_ll"]), np.abs(res["s_rr"]))
+    support = ((pieces.density_l > 0) | (pieces.density_r > 0)).any(axis=0)
 
-    for i, n in enumerate(n_range):
-        pieces = boundary_pieces(spec, n, lams, real_limit=True)
-        re_g[i] = pieces.g.real
-        a_n = spec.a(n)
-        specref[i] = np.abs(a_n * a_n * pieces.m_r * np.conj(pieces.m_l_next) - 1.0)
-        res = _s_entries(pieces)
-        s_diag[i] = np.maximum(np.abs(res["s_ll"]), np.abs(res["s_rr"]))
-
-    verdict_mt = (np.abs(re_g) <= tau).all(axis=0)
-    verdict_spec = (specref <= tau).all(axis=0)
-    verdict_stat = (s_diag <= tau).all(axis=0)
+    verdict_mt = (np.abs(re_g) <= tau).all(axis=0) & support
+    verdict_spec = (specref <= tau).all(axis=0) & support
+    verdict_stat = (s_diag <= tau).all(axis=0) & support
     if n_sites >= 3:
         verdict_triple = np.array([
             (np.abs(re_g[i: i + 3]) <= tau).all(axis=0)
             for i in range(n_sites - 2)
-        ])
+        ]) & support
     else:
         verdict_triple = verdict_mt[None]
 

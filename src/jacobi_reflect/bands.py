@@ -52,9 +52,9 @@ def transfer_product(a, b, lam):
 
 def _period_product(background, first, lam):
     """``transfer_product`` over one period of sites ``first .. first+p-1``."""
-    p = background.period
-    a = [background.value_at(k)[0] for k in range(first - 1, first + p)]
-    b = [background.value_at(k)[1] for k in range(first, first + p)]
+    p, cell_a, cell_b = background.period, background.a, background.b
+    a = [cell_a[(k - background.phase) % p] for k in range(first - 1, first + p)]
+    b = [cell_b[(k - background.phase) % p] for k in range(first, first + p)]
     return transfer_product(a, b, lam)
 
 

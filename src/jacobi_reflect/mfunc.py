@@ -1,40 +1,54 @@
-"""Weyl m-functions of the two half-line restrictions at a cut site.
+"""Weyl solutions and the m-functions of the two half-line restrictions.
 
 Cutting the lattice at site ``n`` leaves a left operator on ``(-inf, n-1]``
 and a right operator on ``[n+1, inf)``.  Their m-functions are the corner
-resolvent entries at the boundary sites:
+resolvent entries at the boundary sites, ratios of the Weyl solutions psi_r
+and psi_l (square-summable at +inf and at -inf):
 
-    m_right(n; z) = <delta_{n+1}, (J_right - z)^-1 delta_{n+1}>
-    m_left(n; z)  = <delta_{n-1}, (J_left  - z)^-1 delta_{n-1}>
+    m_right(n) = <delta_{n+1}, (J_right - z)^-1 delta_{n+1}> = -psi_r(n+1) / (a_n psi_r(n))
+    m_left(n)  = <delta_{n-1}, (J_left - z)^-1 delta_{n-1}>  = -psi_l(n-1) / (a_{n-1} psi_l(n))
 
-Both obey the stripping recursion ``m -> 1/(b - z - a^2 m)`` toward the
-cut.  In the periodic tail m is the ratio of a Floquet solution, so it
-solves a quadratic read off the background's one-period transfer product
-(``bands.transfer_product``).  Real-axis values are boundary limits from
-the upper half plane.  In a band the two roots are complex conjugates and
-the Herglotz one (Im m > 0) is taken directly.  In a gap both roots are
-real; the one continued from the upper half plane is picked by comparing
-with the interior root at ``lambda + i * PROBE_IM``, the only probe in the
-package.  Values at ``lambda - i0`` are conjugates of the ``+`` side ones.
+``weyl_sweep`` holds a Weyl solution by its values, one pair
+``(u_{k+1}, u_k)`` per bond k with energies along the second axis, seeded
+beyond the perturbation window by an eigenvector of the background's
+one-period product ``bands.transfer_product``.  The multiplier mu follows a
+rule (Teschl, *Jacobi Operators and Completely Integrable Nonlinear
+Lattices*, ch. 7), not a probe: off the real axis and in gaps psi_r takes
+|mu| < 1 and psi_l |mu| > 1; in a band each takes the root whose m has
+Im m > 0, the boundary value at ``lambda + i0``.  Values at ``lambda - i0``
+are conjugates of the ``+`` side ones.
+
+m is infinite where u_n = 0, at a Dirichlet eigenvalue of the half line:
+the m-value routes raise PoleHit there, while the whole-line quantities read
+off the same values (``ac_density``, G_nn, the s-matrix) stay finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .bands import _period_product, band_intervals, guard_edges
-from .errors import NumericalError, PoleHit
-from .model import BoundaryPoint
+from .errors import CrossCheckFailure, NumericalError, PoleHit
+from .model import BoundaryPoint, JacobiSpec, coefficient_arrays
 
-PROBE_IM = 1e-8      # gap-branch selection offset into the upper half plane
-POLE_TOL = 1e-14     # absolute threshold on stripping denominators
-HUGE = 1e12          # |m| beyond this counts as a pole of the tail
+POLE_TOL = 1e-14     # |u_n| below this share of its pair makes m_n a pole
+# |M v - mu v| <= SEED_TOL |M| |v| (entrywise 1-norms).  The seed makes the
+# residual vanish identically (v = (mu - M22, M21) or (M12, mu - M11), both
+# sharing their square root with mu), so what is left is about 30 roundings
+# of terms bounded by |M| |v|, each up to sqrt(5) ulps in complex arithmetic.
+SEED_TOL = 64 * np.finfo(float).eps
+# A step multiplies a pair's 1-norm by at most 1 + (|z - b_k| + a_k) / a_{k-1}:
+# 16 steps between rescalings overflow only if that factor reaches 1e19.
+RESCALE_EVERY = 16
 
 __all__ = [
     "HerglotzValue",
+    "WeylSolution",
+    "weyl_sweep",
     "strip_once",
     "tail_m",
     "m_right_grid",
@@ -73,156 +87,203 @@ def strip_once(m, a, b, z):
     return 1.0 / den
 
 
-def _tail_quadratic(background, cut, z, side):
-    """Coefficients ``(B, C, t)`` of the tail fixed point C m^2 + t m - B = 0.
+class WeylSolution(NamedTuple):
+    """A Weyl solution as one pair ``(u_{k+1}, u_k)`` per bond and energy.
 
-    The Weyl solution u of the tail is a Floquet solution of the background,
-    and m is its ratio: ``m_right(c) = -u_{c+1} / (a_c u_c)`` and
-    ``m_left(c) = -u_{c-1} / (a_{c-1} u_c)``.  Asking that the ratio come
-    back after one period turns the eigenvector equation of the one-period
-    product M into a quadratic in m.  The right tail takes M over sites
-    c+1 .. c+p with a = a_c, the left tail over c .. c+p-1 with a = a_{c-1}.
+    Row i holds bond ``first + i``.  Rows are rescaled by powers of two on
+    the way; ``2**exponent`` takes a row back to the scale of the seed.  On
+    the real axis ``flux`` is ``a_k Im(u_{k+1} conj(u_k))`` on the seed's
+    scale, the same on every bond.
     """
-    z = np.asarray(z)
-    if side == "right":
-        m11, m12, m21, m22 = _period_product(background, cut + 1, z)
-        a = background.value_at(cut)[0]
-        C, B = a * a * m21, m12
+
+    first: int
+    upper: np.ndarray       # u_{k+1}, [bond, point]
+    lower: np.ndarray       # u_k
+    exponent: np.ndarray
+    flux: np.ndarray = None
+
+    def bond(self, k):
+        i = k - self.first
+        return self.upper[i], self.lower[i]
+
+    def values(self, k_lo, k_hi):
+        """u_k on sites k_lo..k_hi, [site, point], on the scale of bond k_lo."""
+        i, j = k_lo - self.first, k_hi - self.first
+        shift = np.ldexp(1.0, self.exponent[i:j] - self.exponent[i])
+        return np.concatenate([self.lower[i][None], self.upper[i:j] * shift])
+
+
+def _select(cond, x, y):
+    # np.where for arrays, a plain branch for one energy on Python scalars
+    return np.where(cond, x, y) if np.ndim(cond) else (x if cond else y)
+
+
+def _floquet_seed(m11, m12, m21, m22, side, real_limit):
+    """Pair ``(u_{K+1}, u_K)`` of one side's Floquet solution, its multiplier
+    mu, the other one nu and the band mask; M is the product over K+1..K+p.
+
+    ``disc = (M11 - M22)^2 + 4 M12 M21`` is ``Delta^2 - 4 det M`` without the
+    cancellation of ``Delta^2 - 4`` near a closed gap.
+    """
+    d, delta = m11 - m22, m11 + m22
+    disc = d * d + 4.0 * m12 * m21
+    sq = np.sqrt(disc + 0j)
+    if real_limit:
+        band = disc < 0
+        toward = delta * sq.real + m21 * sq.imag     # one of the two terms is 0
     else:
-        m11, m12, m21, m22 = _period_product(background, cut, z)
-        a = background.value_at(cut - 1)[0]
-        C, B = -a * a * m12, -m21
-    return np.broadcast_arrays(B, C, a * (m11 - m22))
+        band = np.zeros(np.shape(disc), dtype=bool)
+        toward = (np.conj(delta) * sq).real
+    ssq = np.copysign(1.0, toward) * sq
+    if side == "right":
+        ssq = -ssq
+    e, f = 0.5 * (d + ssq), 0.5 * (ssq - d)         # mu - M22, mu - M11
+    use_e = abs(e) + abs(m21) >= abs(m12) + abs(f)  # the larger candidate
+    return (_select(use_e, e, m12), _select(use_e, m21, f),
+            0.5 * (delta + ssq), 0.5 * (delta - ssq), band)
 
 
-def _herglotz_root(B, C, t):
-    """Upper-half-plane root of C m^2 + t m - B = 0, elementwise."""
-    disc = t * t + 4.0 * B * C
-    sq = np.sqrt(disc.astype(complex))
-    # complex-stable quadratic: pick the larger-magnitude numerator for q
-    flip = np.real(np.conj(t) * sq) < 0
-    sq = np.where(flip, -sq, sq)
-    q = -0.5 * (t + sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = np.where(C != 0, q / np.where(C != 0, C, 1.0), np.inf)
-        r2 = np.where(q != 0, -B / np.where(q != 0, q, 1.0), np.inf)
-    up1 = np.isfinite(r1) & (r1.imag > 0)
-    up2 = np.isfinite(r2) & (r2.imag > 0)
-    if np.any(up1 & up2):
-        raise NumericalError("tail fixed point: both roots in the upper half plane")
-    if not np.all(up1 | up2):
-        raise NumericalError("tail fixed point: no upper-half-plane root")
-    return np.where(up1, r1, r2)
+def _check_seed(M, v1, v2, mu, nu, band, side):
+    m11, m12, m21, m22 = M
+    r = abs((m11 - mu) * v1 + m12 * v2) + abs(m21 * v1 + (m22 - mu) * v2)
+    scale = (abs(m11) + abs(m12) + abs(m21) + abs(m22)) * (abs(v1) + abs(v2))
+    # Im m > 0 in a band, else |mu| < 1 on the right: |mu| < |nu| = 1/|mu|,
+    # which does not cancel in a gap; a double root leaves no other branch
+    sign = 1.0 if side == "left" else -1.0
+    on_branch = _select(band, sign * (v1 * np.conj(v2)).imag > 0,
+                        sign * (abs(mu) - abs(nu)) >= 0)
+    if np.all((r < SEED_TOL * scale) & on_branch):     # a zero seed fails too
+        return
+    rel = np.divide(r, scale, out=np.full(np.shape(r), np.inf), where=scale > 0)
+    raise CrossCheckFailure(f"Floquet seed ({side} side): residual {np.max(rel):.3e} of |M||v|"
+                            f" (bound {SEED_TOL:.3e}), on its branch: {bool(np.all(on_branch))}")
 
 
-def _tail_upper(background, cut, z, side):
-    return _herglotz_root(*_tail_quadratic(background, cut, z, side))
+def weyl_sweep(spec, side, lo, hi, pts, real_limit=True, guard=True):
+    """The ``side`` Weyl solution on bonds lo..hi and on to its seed bond, at
+    real energies (``lambda + i0``) when ``real_limit``, else at upper-half-
+    plane points; ``guard=False`` skips the band-edge margin check.
+
+    psi_r is seeded at the first bond >= hi with only background to its right
+    and swept down, psi_l at the last bond <= lo with only background to its
+    left and swept up: each toward the side where it grows.
+    """
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    z = np.atleast_1d(np.asarray(pts, dtype=float if real_limit else complex))
+    if real_limit and guard:
+        guard_edges(band_intervals(spec.background), z)
+    if not real_limit and np.any(z.imag <= 0):
+        raise ValueError("interior evaluation needs Im z > 0")
+    w = spec.window
+    if side == "right":
+        seed = max(hi, w[1] + 1) if w else hi
+        first, last = lo, seed
+    else:
+        seed = min(lo, w[0] - 1) if w else lo
+        first, last = seed, hi
+    # one energy runs on Python scalars: the kernel below is plain arithmetic
+    zz = z.item() if z.size == 1 else z
+    M = _period_product(spec.background, seed + 1, zz)
+    up, low, *roots = _floquet_seed(*M, side, real_limit)
+    _check_seed(M, up, low, *roots, side)
+
+    # index i: site first - 1 + i
+    a, b = (c.tolist() for c in coefficient_arrays(spec, first - 1, last + 1))
+    flux = a[seed - first + 1] * (up * np.conj(low)).imag if real_limit else None
+    ex = np.zeros(z.shape, dtype=int) if z.size != 1 else 0
+    rows = [(up, low, ex)]
+    # beyond the window a pair is the pair one period back times the multiplier
+    # of larger modulus (det M = 1), which is free of the recursion's rounding
+    p, per_period = spec.background.period, roots[1] if side == "right" else roots[0]
+    steps = range(seed - first + 1, 1, -1) if side == "right" else range(2, last - first + 2)
+    for count, i in enumerate(steps, 1):
+        bond = first + i - (2 if side == "right" else 1)
+        if count >= p and (not w or (bond > w[1] if side == "right" else bond < w[0])):
+            up, low, ex = rows[-p][0] * per_period, rows[-p][1] * per_period, rows[-p][2]
+        elif side == "right":
+            low, up = ((zz - b[i]) * low - a[i] * up) / a[i - 1], low
+        else:
+            up, low = ((zz - b[i]) * up - a[i - 1] * low) / a[i], up
+        if count % RESCALE_EVERY == 0:      # by a power of two: exact
+            _, e = np.frexp(abs(up) + abs(low))
+            up, low, ex = up * np.ldexp(1.0, -e), low * np.ldexp(1.0, -e), ex + e
+        rows.append((up, low, ex))
+    if side == "right":
+        rows.reverse()
+    shape = (len(rows), z.size)
+    return WeylSolution(first, *(np.array(c).reshape(shape) for c in zip(*rows)), flux)
 
 
-def _tail_boundary(background, cut, lams, side):
-    """Boundary values of the tail m on the real axis (edges pre-guarded)."""
-    B, C, t = _tail_quadratic(background, cut, lams, side)
-    disc = t * t + 4.0 * B * C
-    m = np.empty(lams.shape, dtype=complex)
+def _ratios(sol, bonds, a):
+    """u_{k+1} / u_k and u_k / u_{k+1} at the bonds, each 0 at its poles, and
+    their pole masks.  On the real axis the imaginary parts come from the
+    conserved flux: they keep their relative accuracy where they are small
+    against the ratio, as in the stripping recursion of m.
+    """
+    up, low = sol.bond(bonds)
+    mag_up, mag_low = np.abs(up), np.abs(low)
+    if sol.flux is not None:
+        flux = np.ldexp(sol.flux, -2 * sol.exponent[bonds - sol.first]) / a
+    out = []
+    for num, den, mag, sign in ((up, low, mag_low, 1.0), (low, up, mag_up, -1.0)):
+        pole = mag <= POLE_TOL * (mag_up + mag_low)
+        r = np.divide(num, den, out=np.zeros(pole.shape, complex), where=~pole)
+        if sol.flux is not None:
+            r.imag = np.divide(sign * flux, mag * mag, out=np.zeros(pole.shape), where=~pole)
+        out += [r, pole]
+    return out
 
-    inband = disc < 0
-    if inband.any():
-        # conjugate root pair; Im m = +sqrt(-disc) / (2|C|) picks Herglotz side
-        s = np.sign(C[inband])
-        m[inband] = (-t[inband] + 1j * s * np.sqrt(-disc[inband])) / (2.0 * C[inband])
 
-    gap = ~inband
-    if gap.any():
-        sq = np.sqrt(disc[gap])
-        tg = t[gap]
-        q = -0.5 * (tg + np.where(tg >= 0, sq, -sq))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = np.where(C[gap] != 0, q / np.where(C[gap] != 0, C[gap], 1.0), np.inf)
-            r2 = np.where(q != 0, -B[gap] / np.where(q != 0, q, 1.0), np.inf)
-        probe = _tail_upper(background, cut, lams[gap] + 1j * PROBE_IM, side)
-        take1 = np.abs(r1 - probe) <= np.abs(r2 - probe)
-        chosen = np.where(take1, r1, r2)
-        if not np.all(np.isfinite(chosen) & (np.abs(chosen) < HUGE)):
-            raise PoleHit("tail m has a pole at a requested gap energy")
-        m[gap] = chosen
+def _m_values(spec, n, pts, side, real_limit=True, guard=True, poles=True):
+    """m_right(n) or m_left(n) over a grid; PoleHit where it is infinite,
+    or with ``poles=False`` 0 there and the mask of the poles."""
+    bond = n if side == "right" else n - 1
+    sol = weyl_sweep(spec, side, bond, bond, pts, real_limit, guard)
+    a = spec.a(bond)
+    rho, zero, sigma, top = _ratios(sol, bond, a)
+    m, pole = (-rho / a, zero) if side == "right" else (-sigma / a, top)
+    if not poles:
+        return m, pole
+    if pole.any():
+        at = np.atleast_1d(np.asarray(pts))[np.argmax(pole)]
+        raise PoleHit(f"m_{side}({n}) has a pole at {at}: the {side} Weyl "
+                      f"solution vanishes at site {n}")
     return m
 
 
 def tail_m(background, cut, pts, side="right", real_limit=False, guard=True):
-    """m-function of the pure background tail at ``cut``.
-
-    ``side="right"`` gives the half-line ``[cut+1, inf)`` value, ``"left"``
-    the ``(-inf, cut-1]`` one.  ``pts`` is an array: real energies when
-    ``real_limit`` (interpreted as ``lambda + i0``), otherwise upper-half-
-    plane points.  ``guard=False`` skips the band-edge margin check; only
-    integration routines whose weights vanish at the edges should use it.
+    """m_right or m_left of the pure background at ``cut``, at real energies
+    (``lambda + i0``) when ``real_limit``, else at upper-half-plane points.
     """
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    if real_limit:
-        lams = np.asarray(pts, dtype=float)
-        if guard:
-            guard_edges(band_intervals(background), lams)
-        return _tail_boundary(background, cut, lams, side)
-    z = np.asarray(pts, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise ValueError("interior evaluation needs Im z > 0")
-    return _tail_upper(background, cut, z, side)
-
-
-def _strip_to_cut(spec, n, start, m, z, side):
-    if side == "right":
-        # m at start, walk the boundary site down to n using site data
-        for s in range(start, n, -1):
-            m = strip_once(m, spec.a(s), spec.b(s), z)
-    else:
-        for j in range(start + 1, n + 1):
-            m = strip_once(m, spec.a(j - 2), spec.b(j - 1), z)
-    return m
-
-
-def _start_site(spec, n, side):
-    w = spec.window
-    if w is None:
-        return n
-    return max(n, w[1]) if side == "right" else min(n, w[0])
-
-
-def _m_grid(spec, n, pts, side, real_limit, guard=True):
-    start = _start_site(spec, n, side)
-    m = tail_m(spec.background, start, pts, side=side, real_limit=real_limit,
-               guard=guard)
-    z = np.asarray(pts, dtype=float if real_limit else complex)
-    return _strip_to_cut(spec, n, start, m, z, side)
+    return _m_values(JacobiSpec(background), cut, pts, side, real_limit, guard)
 
 
 def m_right_grid(spec, n, z):
     """m of the right half-line ``[n+1, inf)`` at upper-half-plane points."""
-    return _m_grid(spec, n, z, "right", real_limit=False)
+    return _m_values(spec, n, z, "right", real_limit=False)
 
 
 def m_left_grid(spec, n, z):
     """m of the left half-line ``(-inf, n-1]`` at upper-half-plane points."""
-    return _m_grid(spec, n, z, "left", real_limit=False)
+    return _m_values(spec, n, z, "left", real_limit=False)
 
 
 def m_right_boundary(spec, n, lams):
     """Boundary values m_right(lambda + i0) on a real grid."""
-    return _m_grid(spec, n, lams, "right", real_limit=True)
+    return _m_values(spec, n, lams, "right", real_limit=True)
 
 
 def m_left_boundary(spec, n, lams):
     """Boundary values m_left(lambda + i0) on a real grid."""
-    return _m_grid(spec, n, lams, "left", real_limit=True)
+    return _m_values(spec, n, lams, "left", real_limit=True)
 
 
 def _scalar(spec, n, point, side):
-    if point.is_real_limit:
-        v = _m_grid(spec, n, np.array([point.lam]), side, True)[0]
-        if point.side == "-":
-            v = np.conj(v)
-    else:
-        v = _m_grid(spec, n, np.array([point.z]), side, False)[0]
+    real = point.is_real_limit
+    v = _m_values(spec, n, [point.lam if real else point.z], side, real)[0]
+    if real and point.side == "-":
+        v = np.conj(v)
     if point.side == "+" and v.imag < -1e-12:
         raise NumericalError(f"Herglotz value with Im = {v.imag:.3e} < 0")
     return HerglotzValue(value=complex(v), point=point)
@@ -239,9 +300,9 @@ def m_left(spec, n, point):
 
 
 def ac_density(spec, n, lams, side="right"):
-    """Boundary spectral density Im m(lambda + i0) / pi of a half-line."""
-    m = _m_grid(spec, n, np.asarray(lams, dtype=float), side, True)
-    return m.imag / np.pi
+    """Boundary spectral density Im m(lambda + i0) / pi of a half-line; a pole
+    of m on the real axis carries none."""
+    return _m_values(spec, n, lams, side, poles=False)[0].imag / np.pi
 
 
 def m_oracle_truncated(spec, n, z, N, side="right"):
@@ -249,15 +310,10 @@ def m_oracle_truncated(spec, n, z, N, side="right"):
 
     Solves ``(H_N - z) x = e_boundary`` on N sites of the half line with a
     banded solver and returns the boundary component.  Independent of the
-    transfer-product fixed point; truncation error decays exponentially in N
-    for Im z > 0.
+    Weyl sweep; truncation error decays exponentially in N for Im z > 0.
     """
-    if side == "right":
-        sites = np.arange(n + 1, n + N + 1)
-    else:
-        sites = np.arange(n - N, n)
-    a = np.array([spec.a(int(k)) for k in sites], dtype=float)
-    b = np.array([spec.b(int(k)) for k in sites], dtype=float)
+    first = n + 1 if side == "right" else n - N
+    a, b = coefficient_arrays(spec, first, first + N - 1)
     offdiag = a[:-1]
     ab = np.zeros((3, N), dtype=complex)
     ab[0, 1:] = offdiag

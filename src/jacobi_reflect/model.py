@@ -146,19 +146,16 @@ class JacobiSpec:
 
 def coefficient_arrays(spec, k_lo, k_hi):
     """Vectors of ``a_k`` and ``b_k`` for ``k`` in ``[k_lo, k_hi]`` inclusive."""
-    ks = np.arange(k_lo, k_hi + 1)
     bg = spec.background
-    idx = (ks - bg.phase) % bg.period
-    a = np.asarray(bg.a)[idx].astype(float)
-    b = np.asarray(bg.b)[idx].astype(float)
-    j = ks - spec.offset
-    in_a = (j >= 0) & (j < len(spec.a_override))
-    in_b = (j >= 0) & (j < len(spec.b_override))
-    if in_a.any():
-        a[in_a] = np.asarray(spec.a_override)[j[in_a]]
-    if in_b.any():
-        b[in_b] = np.asarray(spec.b_override)[j[in_b]]
-    return a, b
+    idx = (np.arange(k_lo, k_hi + 1) - bg.phase) % bg.period
+    out = []
+    for cell, over in ((bg.a, spec.a_override), (bg.b, spec.b_override)):
+        vals = np.array(cell)[idx]
+        lo, hi = max(spec.offset, k_lo), min(spec.offset + len(over), k_hi + 1)
+        if lo < hi:
+            vals[lo - k_lo: hi - k_lo] = over[lo - spec.offset: hi - spec.offset]
+        out.append(vals)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

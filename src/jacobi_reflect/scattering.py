@@ -1,19 +1,20 @@
 """Diagonal Green's function and the two-channel scattering matrix.
 
-Cutting the lattice at site ``n`` defines a left and a right channel.  The
-diagonal Green's function has two equivalent continued-fraction forms,
+Cutting the lattice at site ``n`` defines a left and a right channel.  Both
+quantities are read off the two Weyl solutions of ``mfunc.weyl_sweep``:
 
-    G_nn = -1 / (a_n^2 m_right(n) - 1/m_left(n+1))
-         = -1 / (a_{n-1}^2 m_left(n) - 1/m_right(n-1))
+    G_nn = psi_l(n) psi_r(n) / W,   W = a_k (psi_l(k) psi_r(k+1) - psi_l(k+1) psi_r(k))
 
-both are always computed and cross-checked.  On the real axis the 2x2
-scattering matrix of the cut is
+W is the same on every bond k.  G_nn is taken once from the pairs at bond n
+and once from those at bond n-1, and the two are cross-checked.  On the real
+axis the 2x2 scattering matrix of the cut is
 
     s_jk = delta_jk + 2i a_j a_k G_nn(lam+i0) sqrt(Im m_j Im m_k)
 
 with a_l = a_{n-1}, a_r = a_n and m_j the half-line m-functions at the
 cut.  A channel with vanishing boundary density is closed; the formula
-then degenerates to the identity on that channel by itself.
+then degenerates to the identity on that channel by itself.  A pole of
+m_j on the real axis is a closed channel too, and G_nn stays finite there.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CrossCheckFailure, NoOpenChannel, NumericalError, PoleHit
-from .mfunc import POLE_TOL, _m_grid, strip_once
-from .model import BoundaryPoint
+from .mfunc import POLE_TOL, _ratios, weyl_sweep
+from .model import BoundaryPoint, coefficient_arrays
 
-CROSS_TOL = 1e-10    # relative agreement required of the two G_nn forms
+CROSS_TOL = 1e-10    # relative agreement required of G_nn from two bonds
 SUPPORT_TOL = 1e-10  # Im m below this counts as a closed channel
 
 __all__ = [
@@ -89,72 +90,75 @@ class ChannelWeight:
 
 
 class BoundaryPieces(NamedTuple):
-    """Everything the criteria need from one m-evaluation pass at cut n."""
+    """What the criteria need at a set of cuts, as [cut, point] arrays."""
 
-    m_r: np.ndarray        # m_right(n)
-    m_l: np.ndarray        # m_left(n)
-    m_l_next: np.ndarray   # m_left(n+1)
-    m_r_prev: np.ndarray   # m_right(n-1)
     g: np.ndarray          # G_nn, cross-checked
-    a_l: float             # a_{n-1}
-    a_r: float             # a_n
+    density_l: np.ndarray  # Im m_left(n); 0 on a closed channel or at a pole
+    density_r: np.ndarray  # Im m_right(n)
+    specref: np.ndarray    # |a_n^2 m_right(n) conj(m_left(n+1)) - 1|; inf at a pole
+    a_l: np.ndarray        # a_{n-1}, [cut, 1]
+    a_r: np.ndarray        # a_n
 
 
-def boundary_pieces(spec, n, pts, real_limit=True, guard=True):
-    """Compute the m-functions at a cut and the validated G_nn in one pass."""
-    pts = np.atleast_1d(np.asarray(pts, dtype=float if real_limit else complex))
-    m_r = _m_grid(spec, n, pts, "right", real_limit, guard)
-    m_l = _m_grid(spec, n, pts, "left", real_limit, guard)
-    a_l, a_r = spec.a(n - 1), spec.a(n)
-    b_n = spec.b(n)
-    m_l_next = strip_once(m_l, a_l, b_n, pts)
-    m_r_prev = strip_once(m_r, a_r, b_n, pts)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        den1 = a_r * a_r * m_r - 1.0 / m_l_next
-        den2 = a_l * a_l * m_l - 1.0 / m_r_prev
-    if np.any(np.abs(den1) < POLE_TOL) or np.any(np.abs(den2) < POLE_TOL):
+def _green(a, r1, pole1, r2, pole2):
+    # G_kk = psi_l(k) psi_r(k) / W = 1 / (a (r1 - r2)) in the ratios of a bond
+    # at site k; a pole of a ratio is a zero of psi_l(k) or psi_r(k): G_kk = 0
+    d = a * (r1 - r2)
+    zero = pole1 | pole2
+    if np.any(~zero & (np.abs(d) <= POLE_TOL * a * (np.abs(r1) + np.abs(r2)))):
         raise PoleHit("G_nn denominator vanishes (eigenvalue hit)")
-    g1 = -1.0 / den1
-    g2 = -1.0 / den2
-    scale = np.maximum(np.maximum(np.abs(g1), np.abs(g2)), 1e-300)
-    rel = np.max(np.abs(g1 - g2) / scale, initial=0.0)
+    return np.divide(1.0, d, out=np.zeros(d.shape, complex), where=~zero)
+
+
+def boundary_pieces(spec, cuts, pts, real_limit=True, guard=True):
+    """G_nn and the channel data at every cut, read off one sweep per side."""
+    cuts = np.asarray(cuts, dtype=int)
+    lo, hi = int(cuts.min()) - 1, int(cuts.max())
+    bonds = np.arange(lo, hi + 1)
+    right = weyl_sweep(spec, "right", lo, hi, pts, real_limit, guard)
+    left = weyl_sweep(spec, "left", lo, hi, pts, real_limit, guard)
+    a = coefficient_arrays(spec, lo, hi)[0][:, None]
+    # ratios u_{k+1}/u_k (rho) and u_k/u_{k+1} (sigma) of both pairs on each bond
+    rho_r, zero_r, sig_r, top_r = _ratios(right, bonds, a)
+    rho_l, zero_l, sig_l, top_l = _ratios(left, bonds, a)
+    g = _green(a, rho_r, zero_r, rho_l, zero_l)[1:]         # G_kk from bond k
+    g_prev = _green(a, sig_l, top_l, sig_r, top_r)[:-1]     # G_kk from bond k-1
+    scale = np.maximum(np.maximum(np.abs(g), np.abs(g_prev)), 1e-300)
+    rel = np.max(np.abs(g - g_prev) / scale, initial=0.0)
     if rel > CROSS_TOL:
-        raise CrossCheckFailure(
-            f"G_nn continued-fraction forms disagree by {rel:.3e} (> {CROSS_TOL})"
-        )
-    return BoundaryPieces(m_r, m_l, m_l_next, m_r_prev, g1, a_l, a_r)
+        raise CrossCheckFailure(f"G_nn from the Wronskians at bonds n-1 and n disagrees by "
+                                f"{rel:.3e} (> {CROSS_TOL})")
+    i = cuts - lo                           # row of bond n
+    m_r, pole_r = -rho_r[i] / a[i], zero_r[i]
+    m_l, pole_l = -sig_l[i - 1] / a[i - 1], top_l[i - 1]
+    m_l_next, pole_next = -sig_l[i] / a[i], top_l[i]
+    specref = np.where(pole_r | pole_next, np.inf,
+                       np.abs(a[i] * a[i] * m_r * np.conj(m_l_next) - 1.0))
+    # a closed channel, or a pole of m, has no density
+    dens_l, dens_r = (np.where(~pole & (m.imag > SUPPORT_TOL), m.imag, 0.0)
+                      for m, pole in ((m_l, pole_l), (m_r, pole_r)))
+    return BoundaryPieces(g[i - 1], dens_l, dens_r, specref, a[i - 1], a[i])
 
 
 def green_diag_grid(spec, n, pts, real_limit=True):
     """Validated G_nn values over a grid of points."""
-    return boundary_pieces(spec, n, pts, real_limit).g
+    return boundary_pieces(spec, [n], pts, real_limit).g[0]
 
 
 def green_diag(spec, n, point):
-    """Scalar G_nn at a BoundaryPoint, cross-checked across both forms."""
-    if point.is_real_limit:
-        v = boundary_pieces(spec, n, [point.lam], True).g[0]
-        if point.side == "-":
-            v = np.conj(v)
-    else:
-        v = boundary_pieces(spec, n, [point.z], False).g[0]
-        if v.imag <= 0:
-            raise NumericalError(
-                f"G_nn at an interior point must have Im > 0, got {v.imag:.3e}"
-            )
+    """Scalar G_nn at a BoundaryPoint, cross-checked across two bonds."""
+    real = point.is_real_limit
+    v = green_diag_grid(spec, n, [point.lam if real else point.z], real)[0]
+    if real and point.side == "-":
+        v = np.conj(v)
+    if not real and v.imag <= 0:
+        raise NumericalError(f"G_nn at an interior point must have Im > 0, got {v.imag:.3e}")
     return GreenDiag(value=complex(v), n=n, point=point)
 
 
-def _clamped_densities(pieces):
-    im_l = np.where(pieces.m_l.imag > SUPPORT_TOL, pieces.m_l.imag, 0.0)
-    im_r = np.where(pieces.m_r.imag > SUPPORT_TOL, pieces.m_r.imag, 0.0)
-    return im_l, im_r
-
-
 def _s_entries(pieces):
-    # scattering_grid's dict, from an existing boundary_pieces pass
-    im_l, im_r = _clamped_densities(pieces)
+    # s-matrix entries per [cut, point], from an existing boundary_pieces pass
+    im_l, im_r = pieces.density_l, pieces.density_r
     a_l, a_r, g = pieces.a_l, pieces.a_r, pieces.g
     s_ll = 1.0 + 2j * a_l * a_l * g * im_l
     s_rr = 1.0 + 2j * a_r * a_r * g * im_r
@@ -176,7 +180,8 @@ def scattering_grid(spec, n, lams, guard=True):
     s_rl equals s_lr identically.  Closed channels come out as identity
     rows automatically (the density factor is exactly zero there).
     """
-    return _s_entries(boundary_pieces(spec, n, lams, real_limit=True, guard=guard))
+    pieces = boundary_pieces(spec, [n], lams, real_limit=True, guard=guard)
+    return {k: v[0] for k, v in _s_entries(pieces).items()}
 
 
 def scattering_matrix(spec, n, lam):
@@ -209,12 +214,11 @@ def reflection_transmission(s):
 
 def channel_weight(spec, n, lam):
     """Square roots of the boundary a.c. densities Im m / pi."""
-    pieces = boundary_pieces(spec, n, np.array([float(lam)]), real_limit=True)
-    im_l, im_r = _clamped_densities(pieces)
+    pieces = boundary_pieces(spec, [n], np.array([float(lam)]))
     return ChannelWeight(
         lam=float(lam),
-        v_l=float(np.sqrt(im_l[0] / np.pi)),
-        v_r=float(np.sqrt(im_r[0] / np.pi)),
+        v_l=float(np.sqrt(pieces.density_l[0, 0] / np.pi)),
+        v_r=float(np.sqrt(pieces.density_r[0, 0] / np.pi)),
     )
 
 

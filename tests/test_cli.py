@@ -105,6 +105,36 @@ def test_jost_gap_pole_does_not_fail_the_grid(configs, capsys):
     assert sum(line.startswith("warning:") for line in captured.err.splitlines()) == 3
 
 
+def test_period2_gap_center_grids(configs, capsys):
+    # lambda = 0 is a pole of m_right(0) and m_left(1) on the period-2
+    # operator; G_nn (0 there: the Weyl solutions live on opposite
+    # sublattices), the s-matrix and the criteria are finite
+    assert cli.main(["green", "--config", configs["p2"], "--grid=-1:1:0.25"]) == 0
+    rows = {float(r["lambda"]): r for r in _csv_rows(capsys.readouterr().out)}
+    assert float(rows[0.0]["re_G"]) == 0.0 and float(rows[0.0]["im_G"]) == 0.0
+    assert cli.main(["scatter", "--config", configs["p2"], "--grid=-0.5:0.5:0.25"]) == 0
+    rows = _csv_rows(capsys.readouterr().out)
+    assert [float(r["lambda"]) for r in rows] == [-0.25, 0.0, 0.25]
+    assert all(float(r["R"]) == 1.0 and float(r["T"]) == 0.0 for r in rows)
+    # both channels closed: every verdict is False, so the criteria agree
+    assert cli.main(["reflect-check", "--config", configs["p2"],
+                     "--grid=-1.6:1.6:0.05"]) == 0
+    rows = [r for r in _csv_rows(capsys.readouterr().out) if float(r["lambda"]) == 0.0]
+    assert len(rows) == 7 and all(float(r["re_G"]) == 0.0 for r in rows)
+    assert all(r["verdict_mt"] == r["verdict_spec"] == r["verdict_stat"] == "false"
+               for r in rows)
+
+
+def test_mfunc_pole_is_a_numerical_error(configs, capsys):
+    # on period 2 at lambda = 0, m_right(0) and m_left(1) are infinite
+    for n in ("0", "1"):
+        assert cli.main(["mfunc", "--config", configs["p2"], "--lambda", "0",
+                         "--n", n]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has a pole at 0.0" in captured.err
+
+
 def test_reflect_check_exit_codes(configs, capsys):
     assert cli.main(["reflect-check", "--config", configs["free"],
                      "--grid", "0:1:0.25"]) == 0

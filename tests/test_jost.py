@@ -111,6 +111,15 @@ def test_green_offdiag_free_closed_form():
         np.testing.assert_allclose(g, 0.5j * (-1j) ** abs(n - m), atol=1e-12)
 
 
+def test_green_offdiag_at_half_line_dirichlet_eigenvalue():
+    # period 2 at lambda = 0: the Weyl solutions live on opposite sublattices,
+    # so G vanishes between sites of equal parity; the finite section agrees
+    spec = period2_spec()
+    assert green_offdiag(spec, 0, 0, 0.0) == 0.0
+    assert green_offdiag(spec, -1, 1, 0.0) == 0.0
+    np.testing.assert_allclose(green_offdiag(spec, 0, 1, 0.0), 1.0, atol=1e-14)
+
+
 def test_green_offdiag_symmetry_and_diagonal():
     rng = np.random.default_rng(67)
     for _ in range(10):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from jacobi_reflect import (BandEdge, Background, BoundaryPoint, JacobiSpec,
-                            ac_density, m_left, m_left_boundary, m_left_grid,
-                            m_oracle_truncated, m_right, m_right_boundary,
-                            m_right_grid, strip_once, tail_m)
+                            PoleHit, ac_density, band_intervals, m_left,
+                            m_left_boundary, m_left_grid, m_oracle_truncated,
+                            m_right, m_right_boundary, m_right_grid, strip_once,
+                            tail_m)
 
-from util import free_spec, period2_spec, random_spec, single_site_spec
+from util import (free_spec, period2_spec, perturbed_period3_spec, random_spec,
+                  single_site_spec)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -87,23 +89,38 @@ def test_free_band_unimodularity():
     np.testing.assert_allclose(np.abs(m), 1.0, atol=1e-12)
 
 
-def test_stripping_consistency_grids():
+def _check_stripping_step(spec, n, pts, real_limit):
     # m at neighboring cut sites must be related by one stripping step
+    grid = {False: (m_right_grid, m_left_grid),
+            True: (m_right_boundary, m_left_boundary)}[real_limit]
+    m_n = grid[0](spec, n, pts)
+    m_prev = grid[0](spec, n - 1, pts)
+    a_n, b_n = spec.a(n), spec.b(n)
+    expect = 1.0 / (b_n - pts - a_n * a_n * m_n)
+    np.testing.assert_allclose(m_prev, expect, rtol=1e-10)
+    m_l = grid[1](spec, n, pts)
+    m_next = grid[1](spec, n + 1, pts)
+    a_prev = spec.a(n - 1)
+    expect = 1.0 / (b_n - pts - a_prev * a_prev * m_l)
+    np.testing.assert_allclose(m_next, expect, rtol=1e-10)
+
+
+def test_stripping_consistency_grids():
     rng = np.random.default_rng(29)
     zs = np.array([0.3 + 0.2j, -1.1 + 0.05j, 1.7 + 1.0j])
     for _ in range(20):
         spec = random_spec(rng)
         for n in (-2, 0, 3):
-            m_n = m_right_grid(spec, n, zs)
-            m_prev = m_right_grid(spec, n - 1, zs)
-            a_n, b_n = spec.a(n), spec.b(n)
-            expect = 1.0 / (b_n - zs - a_n * a_n * m_n)
-            np.testing.assert_allclose(m_prev, expect, rtol=1e-10)
-            m_l = m_left_grid(spec, n, zs)
-            m_next = m_left_grid(spec, n + 1, zs)
-            a_prev, b_n = spec.a(n - 1), spec.b(n)
-            expect = 1.0 / (b_n - zs - a_prev * a_prev * m_l)
-            np.testing.assert_allclose(m_next, expect, rtol=1e-10)
+            _check_stripping_step(spec, n, zs, real_limit=False)
+    # far cuts: the sweep crosses about 200 sites and stays finite
+    spec = perturbed_period3_spec()
+    (lo0, hi0), (lo1, hi1), (lo2, hi2) = band_intervals(spec.background)
+    band = np.array([0.5 * (lo0 + hi0), lo1 + 0.3 * (hi1 - lo1), 0.5 * (lo2 + hi2)])
+    # far above the bands a step grows the pair ~100 times: 1e400 over 200 sites
+    gap = np.array([0.5 * (hi0 + lo1), 0.5 * (hi1 + lo2), hi2 + 0.7, hi2 + 100.0])
+    for n in (-200, 200):
+        _check_stripping_step(spec, n, np.concatenate([band, gap]) + 0.05j, real_limit=False)
+        _check_stripping_step(spec, n, np.concatenate([band, gap]), real_limit=True)
 
 
 def test_tail_periodic_fixed_point():
@@ -131,3 +148,23 @@ def test_ac_density_positive_in_band_zero_in_gap():
     assert (rho_band > 1e-3).all()
     rho_gap = ac_density(spec, 0, np.array([0.0, 2.5, -2.5]))
     assert (np.abs(rho_gap) <= 1e-12).all()
+
+
+def test_half_line_dirichlet_eigenvalue_is_a_pole():
+    # period 2 at lambda = 0: psi_right lives on the odd sites and psi_left on
+    # the even ones, so m_right(0) and m_left(1) are infinite, m_right(1) and
+    # m_left(0) vanish; the finite-section oracle just above the axis agrees
+    spec = period2_spec()
+    assert abs(m_oracle_truncated(spec, 1, 1e-6j, 400)) <= 1e-5
+    assert abs(m_oracle_truncated(spec, 0, 1e-6j, 400, side="left")) <= 1e-5
+    assert m_right_boundary(spec, 1, np.array([0.0]))[0] == 0.0
+    assert m_left_boundary(spec, 0, np.array([0.0]))[0] == 0.0
+    assert abs(m_oracle_truncated(spec, 0, 1e-6j, 400)) >= 1e5
+    assert abs(m_oracle_truncated(spec, 1, 1e-6j, 400, side="left")) >= 1e5
+    with pytest.raises(PoleHit):
+        m_right(spec, 0, BoundaryPoint.real(0.0))
+    with pytest.raises(PoleHit):
+        m_left(spec, 1, BoundaryPoint.real(0.0))
+    # a pole carries no a.c. density
+    assert ac_density(spec, 0, np.array([0.0]))[0] == 0.0
+    assert ac_density(spec, 1, np.array([0.0]), side="left")[0] == 0.0

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from jacobi_reflect import (Background, BoundaryPoint, JacobiSpec, NoOpenChannel,
-                            PoleHit,
-                            ScatteringMatrix, channel_weight, green_diag,
+from jacobi_reflect import (Background, BoundaryPoint, CrossCheckFailure,
+                            JacobiSpec, NoOpenChannel, ScatteringMatrix,
+                            band_grid, channel_weight, green_diag,
                             green_diag_grid, reflection_transmission,
                             scattering_grid, scattering_matrix, unitarity_defect,
                             unitarity_defect_grid)
+from jacobi_reflect import mfunc, scattering
 
-from util import free_spec, period2_spec, random_spec, single_site_spec
+from util import (free_spec, period2_spec, perturbed_period3_spec, random_spec,
+                  single_site_spec)
 
 
 def test_free_green_fixtures():
@@ -77,8 +79,9 @@ def test_gap_has_no_open_channel():
         scattering_matrix(period2_spec(), 0, 0.2)
     with pytest.raises(NoOpenChannel):
         scattering_matrix(free_spec(), 0, 3.0)
-    # the gap center is an exact pole of the stripped left m-function
-    with pytest.raises(PoleHit):
+    # the gap center is a pole of m_right(0) and m_left(1); both channels
+    # are still closed there, and G_00 is finite
+    with pytest.raises(NoOpenChannel):
         scattering_matrix(period2_spec(), 0, 0.0)
 
 
@@ -115,3 +118,47 @@ def test_reflectionless_background_scattering_off_diagonal():
     res = scattering_grid(spec, 0, np.array([0.8, 1.0, -1.2]))
     np.testing.assert_allclose(np.abs(res["s_ll"]), 0.0, atol=1e-10)
     np.testing.assert_allclose(np.abs(res["s_lr"]), 1.0, atol=1e-10)
+
+
+def test_green_vanishes_between_opposite_sublattices():
+    # period 2 at lambda = 0: psi_left(n) psi_right(n) = 0 at every n
+    spec = period2_spec()
+    for n in range(-2, 3):
+        assert green_diag_grid(spec, n, np.array([0.0]))[0] == 0.0
+    res = scattering_grid(spec, 0, np.array([-0.25, 0.0, 0.25]))
+    np.testing.assert_array_equal(res["s_ll"], 1.0)
+    np.testing.assert_array_equal(res["s_lr"], 0.0)
+
+
+def test_corrupted_seed_trips_the_seed_check(monkeypatch):
+    # the m of the right seed scaled by 1.3 and shifted by 0.2i
+    seed = mfunc._floquet_seed
+
+    def corrupted(*args):
+        v1, v2, *rest = seed(*args)
+        if args[4] == "right":
+            v1 = 1.3 * v1 + 0.2j * v2
+        return (v1, v2, *rest)
+
+    spec = perturbed_period3_spec()
+    lams = band_grid(spec, 50).points
+    scattering_grid(spec, 0, lams)
+    monkeypatch.setattr(mfunc, "_floquet_seed", corrupted)
+    with pytest.raises(CrossCheckFailure):
+        scattering_grid(spec, 0, lams)
+
+
+def test_broken_recursion_trips_the_bond_check(monkeypatch):
+    # u_1 of the right solution off by 1e-6: no longer a solution at site 0
+    sweep = scattering.weyl_sweep
+
+    def broken(spec, side, *args):
+        sol = sweep(spec, side, *args)
+        if side == "right":
+            sol.upper[0 - sol.first] *= 1.0 + 1e-6
+        return sol
+
+    spec = perturbed_period3_spec()
+    monkeypatch.setattr(scattering, "weyl_sweep", broken)
+    with pytest.raises(CrossCheckFailure):
+        scattering_grid(spec, 0, band_grid(spec, 50).points)

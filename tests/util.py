@@ -18,6 +18,11 @@ def period2_spec():
     return JacobiSpec(background=Background.periodic((1.0, 0.5), (0.0, 0.0)))
 
 
+def perturbed_period3_spec():
+    return JacobiSpec(background=Background.periodic((1.0, 0.5, 0.8), (0.1, 0.0, -0.2)),
+                      offset=-1, a_override=(1.3, 0.9), b_override=(0.2, -0.4))
+
+
 def random_spec(rng):
     """Finite perturbation of the free chain, window length <= 8."""
     length = int(rng.integers(1, 9))
