@@ -156,7 +156,8 @@ def _check_seed(M, v1, v2, mu, nu, band, side):
         return
     rel = np.divide(r, scale, out=np.full(np.shape(r), np.inf), where=scale > 0)
     raise CrossCheckFailure(f"Floquet seed ({side} side): residual {np.max(rel):.3e} of |M||v|"
-                            f" (bound {SEED_TOL:.3e}), on its branch: {bool(np.all(on_branch))}")
+                            f" (bound {SEED_TOL:.3e}; inf: no seed, M = +-I), on its branch: "
+                            f"{bool(np.all(on_branch))}")
 
 
 def weyl_sweep(spec, side, lo, hi, pts, real_limit=True, guard=True):
