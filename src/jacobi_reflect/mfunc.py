@@ -138,7 +138,10 @@ def _floquet_seed(m11, m12, m21, m22, side, real_limit):
     if side == "right":
         ssq = -ssq
     e, f = 0.5 * (d + ssq), 0.5 * (ssq - d)         # mu - M22, mu - M11
-    use_e = abs(e) + abs(m21) >= abs(m12) + abs(f)  # the larger candidate
+    # the larger candidate; on a tie the one whose m at the seed divides by
+    # the exact entry M21 (right) or M12 (left)
+    larger_e = abs(e) + abs(m21) - (abs(m12) + abs(f))
+    use_e = larger_e >= 0 if side == "right" else larger_e > 0
     return (_select(use_e, e, m12), _select(use_e, m21, f),
             0.5 * (delta + ssq), 0.5 * (delta - ssq), band)
 
