@@ -19,9 +19,10 @@ from .errors import (BandEdge, CrossCheckFailure, DegenerateBasis,
                      HorizonExceeded, JacobiReflectError, NoOpenChannel,
                      NonFiniteEntry, NonPositiveCoefficient, NormalizationPole,
                      NumericalError, PoleHit, SchemaError, WindowTooSmall)
-from .jost import (JostSolution, ReflectionDatum, alpha_beta, green_offdiag,
-                   jost_solution, spectral_reflection_mratio,
-                   spectral_reflection_mratio_grid, wronskian)
+from .jost import (JostSolution, ReflectionDatum, ReflectionGrid, alpha_beta,
+                   alpha_beta_grid, green_offdiag, jost_solution,
+                   spectral_reflection_mratio, spectral_reflection_mratio_grid,
+                   wronskian)
 from .mfunc import (HerglotzValue, ac_density, m_left, m_left_boundary,
                     m_left_grid, m_oracle_truncated, m_right, m_right_boundary,
                     m_right_grid, strip_once, tail_m)
@@ -53,8 +54,8 @@ __all__ = [
     "reflection_transmission", "channel_weight", "unitarity_defect",
     "unitarity_defect_grid",
     # Jost
-    "JostSolution", "ReflectionDatum", "jost_solution", "wronskian",
-    "alpha_beta", "spectral_reflection_mratio",
+    "JostSolution", "ReflectionDatum", "ReflectionGrid", "jost_solution",
+    "wronskian", "alpha_beta", "alpha_beta_grid", "spectral_reflection_mratio",
     "spectral_reflection_mratio_grid", "green_offdiag",
     # dynamics
     "LatticeState", "PropagationPlan", "make_plan", "evolve", "wave_packet",

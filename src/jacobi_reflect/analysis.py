@@ -19,6 +19,7 @@ left to right.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit, roots_legendre
@@ -199,6 +200,14 @@ def reflectionless_report(spec, grid, n_range=tuple(range(-3, 4)), tau=TAU_DEFAU
                           agree=agree)
 
 
+@lru_cache(maxsize=8)
+def _gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per node count."""
+    x, w = roots_legendre(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _fermi(lam, beta, mu):
     return expit(-beta * (lam - mu))
 
@@ -220,7 +229,7 @@ def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=400):
     if beta_l == beta_r and mu_l == mu_r:
         return {"charge_current": 0.0, "energy_current": 0.0}
 
-    x, w = roots_legendre(int(quadrature))
+    x, w = _gauss_legendre(int(quadrature))
     theta = 0.5 * np.pi * (x + 1.0)
     w_theta = 0.5 * np.pi * w
     bands, _ = _margins(spec.background)

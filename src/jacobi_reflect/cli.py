@@ -28,8 +28,8 @@ from .analysis import (EDGE_REL, EnergyGrid, explicit_grid, landauer_current,
 from .bands import band_intervals, guard_edges
 from .dynamics import dynamical_reflection
 from .errors import (JacobiReflectError, NumericalError, SchemaError)
-from .jost import alpha_beta
-from .mfunc import m_left_boundary, m_right_boundary
+from .jost import alpha_beta_grid
+from .mfunc import _m_values, _pole_hit
 from .model import parse_config
 from .scattering import green_diag_grid, scattering_grid, unitarity_defect_grid
 
@@ -166,13 +166,30 @@ def _cmd_describe(args):
     return 0, ("field", "value"), {"field": fields, "value": values}
 
 
+def _skip(lams, refusals):
+    """Warn of each refused point; fail when every point of a grid was."""
+    for lam, exc in zip(lams, refusals):
+        if exc is not None:
+            _warn(f"lambda = {_fmt(lam)} skipped: {exc}", label="warning")
+    if lams.size and all(exc is not None for exc in refusals):
+        raise NumericalError("every grid point failed")
+
+
 def _cmd_mfunc(args):
     spec = _load_spec(args.config)
     lams = _grid(args, spec).points
-    m_r = m_right_boundary(spec, args.n, lams)
-    m_l = m_left_boundary(spec, args.n, lams)
-    data = {"lambda": lams, "re_m_right": m_r.real, "im_m_right": m_r.imag,
-            "re_m_left": m_l.real, "im_m_left": m_l.imag}
+    m_r, pole_r = _m_values(spec, args.n, lams, "right", poles=False)
+    m_l, pole_l = _m_values(spec, args.n, lams, "left", poles=False)
+    ok = ~(pole_r | pole_l)
+    refusals = [None] * lams.size
+    for j in np.flatnonzero(~ok):
+        # a pole of both m-functions is refused for the right one
+        refusals[j] = _pole_hit("right" if pole_r[j] else "left", args.n, lams[j])
+    if args.lam is not None and refusals[0] is not None:
+        raise refusals[0]       # a requested energy fails with its own message
+    _skip(lams, refusals)
+    data = {"lambda": lams[ok], "re_m_right": m_r[ok].real, "im_m_right": m_r[ok].imag,
+            "re_m_left": m_l[ok].real, "im_m_left": m_l[ok].imag}
     return 0, tuple(data), data
 
 
@@ -204,23 +221,14 @@ def _cmd_scatter(args):
 
 def _cmd_jost(args):
     spec = _load_spec(args.config)
-    grid = _grid(args, spec)
-    lams, kept = [], []
-    for lam in grid.points:
-        try:
-            kept.append(alpha_beta(spec, lam))
-            lams.append(lam)
-        except NumericalError as exc:
-            _warn(f"lambda = {_fmt(lam)} skipped: {exc}", label="warning")
-    if grid.points.size and not kept:
-        raise NumericalError("every grid point failed")
-    # s_rr only where alpha_beta succeeded: a gap pole elsewhere is no failure
-    s_rr = scattering_grid(spec, 0, lams)["s_rr"]
-    alpha = np.array([d.alpha for d in kept], dtype=complex)
-    beta = np.array([d.beta for d in kept], dtype=complex)
-    r_spec = np.array([d.R_r for d in kept], dtype=float)
-    r_from_s = _sq_abs(s_rr)
-    data = {"lambda": np.array(lams, dtype=float),
+    lams = _grid(args, spec).points
+    res = alpha_beta_grid(spec, lams)
+    _skip(lams, res.status)
+    ok = res.ok
+    # s_rr only where the Jost route succeeded: a gap pole elsewhere is no failure
+    r_from_s = _sq_abs(scattering_grid(spec, 0, lams[ok])["s_rr"])
+    alpha, beta, r_spec = res.alpha[ok], res.beta[ok], res.R_r[ok]
+    data = {"lambda": lams[ok],
             "re_alpha": alpha.real, "im_alpha": alpha.imag,
             "re_beta": beta.real, "im_beta": beta.imag,
             "R_spectral": r_spec, "R_from_s": r_from_s,

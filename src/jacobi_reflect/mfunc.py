@@ -93,7 +93,8 @@ class WeylSolution(NamedTuple):
     Row i holds bond ``first + i``.  Rows are rescaled by powers of two on
     the way; ``2**exponent`` takes a row back to the scale of the seed.  On
     the real axis ``flux`` is ``a_k Im(u_{k+1} conj(u_k))`` on the seed's
-    scale, the same on every bond.
+    scale, the same on every bond.  ``refused`` holds, per point, None or
+    the refusal of its seed, when the sweep was asked not to raise it.
     """
 
     first: int
@@ -101,6 +102,7 @@ class WeylSolution(NamedTuple):
     lower: np.ndarray       # u_k
     exponent: np.ndarray
     flux: np.ndarray = None
+    refused: list = None
 
     def bond(self, k):
         i = k - self.first
@@ -146,7 +148,9 @@ def _floquet_seed(m11, m12, m21, m22, side, real_limit):
             0.5 * (delta + ssq), 0.5 * (delta - ssq), band)
 
 
-def _check_seed(M, v1, v2, mu, nu, band, side):
+def _seed_check(M, v1, v2, mu, nu, band, side):
+    """Mask of the energies whose seed passes, and a function giving the
+    refusal of the energies at an index (by default all of them)."""
     m11, m12, m21, m22 = M
     r = abs((m11 - mu) * v1 + m12 * v2) + abs(m21 * v1 + (m22 - mu) * v2)
     scale = (abs(m11) + abs(m12) + abs(m21) + abs(m22)) * (abs(v1) + abs(v2))
@@ -155,18 +159,21 @@ def _check_seed(M, v1, v2, mu, nu, band, side):
     sign = 1.0 if side == "left" else -1.0
     on_branch = _select(band, sign * (v1 * np.conj(v2)).imag > 0,
                         sign * (abs(mu) - abs(nu)) >= 0)
-    if np.all((r < SEED_TOL * scale) & on_branch):     # a zero seed fails too
-        return
-    rel = np.divide(r, scale, out=np.full(np.shape(r), np.inf), where=scale > 0)
-    raise CrossCheckFailure(f"Floquet seed ({side} side): residual {np.max(rel):.3e} of |M||v|"
-                            f" (bound {SEED_TOL:.3e}; inf: no seed, M = +-I), on its branch: "
-                            f"{bool(np.all(on_branch))}")
+
+    def refusal(at=...):
+        r_at, scale_at = np.atleast_1d(r)[at], np.atleast_1d(scale)[at]
+        rel = np.divide(r_at, scale_at, out=np.full(np.shape(r_at), np.inf), where=scale_at > 0)
+        return CrossCheckFailure(f"Floquet seed ({side} side): residual {np.max(rel):.3e} of "
+                                 f"|M||v| (bound {SEED_TOL:.3e}; inf: no seed, M = +-I), on its "
+                                 f"branch: {bool(np.all(np.atleast_1d(on_branch)[at]))}")
+    return (r < SEED_TOL * scale) & on_branch, refusal     # a zero seed fails too
 
 
-def weyl_sweep(spec, side, lo, hi, pts, real_limit=True, guard=True):
+def weyl_sweep(spec, side, lo, hi, pts, real_limit=True, guard=True, refuse=True):
     """The ``side`` Weyl solution on bonds lo..hi and on to its seed bond, at
     real energies (``lambda + i0``) when ``real_limit``, else at upper-half-
-    plane points; ``guard=False`` skips the band-edge margin check.
+    plane points; ``guard=False`` skips the band-edge margin check, and
+    ``refuse=False`` sweeps on past failed seeds and lists their refusals.
 
     psi_r is seeded at the first bond >= hi with only background to its right
     and swept down, psi_l at the last bond <= lo with only background to its
@@ -190,7 +197,13 @@ def weyl_sweep(spec, side, lo, hi, pts, real_limit=True, guard=True):
     zz = z.item() if z.size == 1 else z
     M = _period_product(spec.background, seed + 1, zz)
     up, low, *roots = _floquet_seed(*M, side, real_limit)
-    _check_seed(M, up, low, *roots, side)
+    seeded, refusal = _seed_check(M, up, low, *roots, side)
+    refused = None if refuse else [None] * z.size
+    if not np.all(seeded):
+        if refuse:
+            raise refusal()
+        for j in np.flatnonzero(~np.atleast_1d(seeded)):
+            refused[j] = refusal(j)
 
     # index i: site first - 1 + i
     a, b = (c.tolist() for c in coefficient_arrays(spec, first - 1, last + 1))
@@ -198,13 +211,16 @@ def weyl_sweep(spec, side, lo, hi, pts, real_limit=True, guard=True):
     ex = np.zeros(z.shape, dtype=int) if z.size != 1 else 0
     rows = [(up, low, ex)]
     # beyond the window a pair is the pair one period back times the multiplier
-    # of larger modulus (det M = 1), which is free of the recursion's rounding
+    # of larger modulus (det M = 1), which is free of the recursion's rounding.
+    # np.multiply on one energy too: numpy's complex product can round apart
+    # from Python's, and a point must get the same bits alone as on a grid
     p, per_period = spec.background.period, roots[1] if side == "right" else roots[0]
     steps = range(seed - first + 1, 1, -1) if side == "right" else range(2, last - first + 2)
     for count, i in enumerate(steps, 1):
         bond = first + i - (2 if side == "right" else 1)
         if count >= p and (not w or (bond > w[1] if side == "right" else bond < w[0])):
-            up, low, ex = rows[-p][0] * per_period, rows[-p][1] * per_period, rows[-p][2]
+            up, low, ex = (np.multiply(rows[-p][0], per_period),
+                           np.multiply(rows[-p][1], per_period), rows[-p][2])
         elif side == "right":
             low, up = ((zz - b[i]) * low - a[i] * up) / a[i - 1], low
         else:
@@ -216,7 +232,8 @@ def weyl_sweep(spec, side, lo, hi, pts, real_limit=True, guard=True):
     if side == "right":
         rows.reverse()
     shape = (len(rows), z.size)
-    return WeylSolution(first, *(np.array(c).reshape(shape) for c in zip(*rows)), flux)
+    return WeylSolution(first, *(np.array(c).reshape(shape) for c in zip(*rows)), flux,
+                        refused)
 
 
 def _ratios(sol, bonds, a):
@@ -250,10 +267,14 @@ def _m_values(spec, n, pts, side, real_limit=True, guard=True, poles=True):
     if not poles:
         return m, pole
     if pole.any():
-        at = np.atleast_1d(np.asarray(pts))[np.argmax(pole)]
-        raise PoleHit(f"m_{side}({n}) has a pole at {at}: the {side} Weyl "
-                      f"solution vanishes at site {n}")
+        raise _pole_hit(side, n, np.atleast_1d(np.asarray(pts))[np.argmax(pole)])
     return m
+
+
+def _pole_hit(side, n, at):
+    """The refusal of m_right(n) or m_left(n) at a pole ``at``."""
+    return PoleHit(f"m_{side}({n}) has a pole at {at}: the {side} Weyl "
+                   f"solution vanishes at site {n}")
 
 
 def tail_m(background, cut, pts, side="right", real_limit=False, guard=True):

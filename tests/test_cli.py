@@ -135,6 +135,25 @@ def test_mfunc_pole_is_a_numerical_error(configs, capsys):
         assert "has a pole at 0.0" in captured.err
 
 
+def test_mfunc_grid_skips_poles(configs, capsys):
+    # the pole of m_right(0) at lambda = 0 is skipped with a warning and the
+    # other six points are reported; a grid of poles alone fails
+    code = cli.main(["mfunc", "--config", configs["p2"], "--grid=-1:1:0.25", "--n", "0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    rows = _csv_rows(captured.out)
+    assert [float(r["lambda"]) for r in rows] == [-1.0, -0.75, -0.25, 0.25, 0.75, 1.0]
+    assert captured.err.splitlines() == [
+        "warning: lambda = 0 skipped: m_right(0) has a pole at 0.0: the right Weyl "
+        "solution vanishes at site 0"]
+    assert cli.main(["mfunc", "--config", configs["p2"], "--grid=0:0:1", "--n", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "warning: lambda = 0 skipped: m_left(1) has a pole at 0.0: the left Weyl "
+        "solution vanishes at site 1", "error: every grid point failed"]
+
+
 def test_reflect_check_exit_codes(configs, capsys):
     assert cli.main(["reflect-check", "--config", configs["free"],
                      "--grid", "0:1:0.25"]) == 0
@@ -328,11 +347,23 @@ def _oracle_rows(args):
     grid = cli._grid(args, spec)
     lams = grid.points
     if args.command == "mfunc":
-        m_r = m_right_boundary(spec, args.n, lams)
-        m_l = m_left_boundary(spec, args.n, lams)
-        return 0, [{"lambda": lams[j], "re_m_right": m_r[j].real,
-                    "im_m_right": m_r[j].imag, "re_m_left": m_l[j].real,
-                    "im_m_left": m_l[j].imag} for j in range(lams.size)]
+        # the poles, point by point; the values, from the grid of the others
+        kept = []
+        for lam in lams:
+            try:
+                m_right_boundary(spec, args.n, [lam])
+                m_left_boundary(spec, args.n, [lam])
+                kept.append(lam)
+            except NumericalError:
+                if args.lam is not None:
+                    raise
+        if lams.size and not kept:
+            raise NumericalError("every grid point failed")
+        m_r = m_right_boundary(spec, args.n, kept)
+        m_l = m_left_boundary(spec, args.n, kept)
+        return 0, [{"lambda": lam, "re_m_right": m_r[j].real, "im_m_right": m_r[j].imag,
+                    "re_m_left": m_l[j].real, "im_m_left": m_l[j].imag}
+                   for j, lam in enumerate(kept)]
     if args.command == "green":
         g = green_diag_grid(spec, args.n, lams)
         return 0, [{"lambda": lams[j], "re_G": g[j].real, "im_G": g[j].imag}
@@ -375,6 +406,7 @@ def _oracle_rows(args):
 
 GOLDEN_ARGV = (
     ["describe"],
+    ["mfunc", "--grid=-1:1:0.25"],
     ["dynamics", "--lambda0", "0.8", "--N", "300"],
     ["transport", "--beta-l", "2", "--mu-l", "0.3", "--beta-r", "1", "--mu-r", "-0.2"],
     ["jost", "--grid=0.4:1.2:0.2"],

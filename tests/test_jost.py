@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from jacobi_reflect import (Background, BoundaryPoint, JacobiSpec, alpha_beta,
-                            band_intervals, green_diag, green_offdiag,
+                            alpha_beta_grid, band_edges, band_intervals,
+                            explicit_grid, green_diag, green_offdiag,
                             jost_solution, m_left, m_right, scattering_matrix,
                             spectral_reflection_mratio,
                             spectral_reflection_mratio_grid, wronskian)
+from jacobi_reflect.errors import CrossCheckFailure, NumericalError
 
-from util import free_spec, period2_spec, random_spec, single_site_spec
+from util import (free_spec, period2_spec, perturbed_periodic_spec, random_spec,
+                  single_site_spec)
 
 
 def test_free_jost_closed_form():
@@ -132,16 +135,6 @@ def test_green_offdiag_symmetry_and_diagonal():
                                    rtol=1e-9)
 
 
-def _perturbed_periodic_spec(rng, p):
-    """Period-p background with a perturbation window of length 1..4."""
-    length = int(rng.integers(1, 5))
-    return JacobiSpec(background=Background.periodic(tuple(rng.uniform(0.6, 1.4, p)),
-                                                     tuple(rng.uniform(-0.5, 0.5, p))),
-                      offset=int(rng.integers(-3, 2)),
-                      a_override=tuple(rng.uniform(0.5, 2.0, length)),
-                      b_override=tuple(rng.uniform(-1.0, 1.0, length)))
-
-
 def _monodromy(spec, K, z):
     # dense 2x2 product over sites K+1 .. K+p, sending (psi_{K+1}, psi_K) up a period
     m = np.eye(2, dtype=complex)
@@ -169,7 +162,7 @@ def test_jost_branch_on_perturbed_periodic_backgrounds():
     # lambda + i0, psi_left the one that grows toward +inf
     rng = np.random.default_rng(71)
     for p in (2, 3, 4) * 3:
-        spec = _perturbed_periodic_spec(rng, p)
+        spec = perturbed_periodic_spec(rng, p)
         # first sites whose one-period products see only the background
         k_right = max(spec.window[1] + 1, 1)
         k_left = spec.window[0] - 1 - p
@@ -196,3 +189,102 @@ def test_closed_gap_reflection_matches_scattering():
     spec = JacobiSpec(background=Background.periodic((1.0, 1.0), (0.0, 0.0)))
     r_s = abs(scattering_matrix(spec, 0, 1e-7).s_rr) ** 2
     assert abs(alpha_beta(spec, 1e-7).R_r - r_s) <= 1e-8
+
+
+def _bits(*values):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return tuple(float(x).hex() for v in values for x in (v.real, v.imag))
+
+
+def _one_point(spec, lam):
+    """alpha_beta at one energy: the bits of its values, or its refusal's
+    type and message."""
+    try:
+        d = alpha_beta(spec, lam)
+    except NumericalError as exc:
+        return type(exc), str(exc)
+    return _bits(d.alpha, d.beta, d.R_r)
+
+
+def _grid_point(grid, j):
+    exc = grid.status[j]
+    if exc is not None:
+        return type(exc), str(exc)
+    return _bits(grid.alpha[j], grid.beta[j], grid.R_r[j])
+
+
+def test_alpha_beta_grid_is_bitwise_the_one_point_view():
+    # perturbed backgrounds of periods 1-4, 3000 energies across the bands,
+    # the gaps, the band edges and beyond the spectrum
+    rng = np.random.default_rng(73)
+    checked = refused = 0
+    for p in (1, 2, 3, 4) * 2:
+        spec = perturbed_periodic_spec(rng, p)
+        edges = band_edges(spec.background)
+        lams = np.concatenate([rng.uniform(edges[0] - 0.2, edges[-1] + 0.2, 373),
+                               edges[[0, -1]]])
+        grid = alpha_beta_grid(spec, lams)
+        assert np.array_equal(grid.lams, lams)
+        for j, lam in enumerate(lams):
+            assert _grid_point(grid, j) == _one_point(spec, float(lam)), (p, lam)
+        checked += lams.size
+        refused += sum(exc is not None for exc in grid.status)
+    assert checked == 3000 and 0 < refused < checked / 2
+
+
+def test_alpha_beta_grid_status_on_the_period2_gap():
+    spec = period2_spec()
+    lams = explicit_grid(spec, -1.0, 1.0, 0.25).points
+    np.testing.assert_allclose(lams, [-1, -0.75, -0.25, 0, 0.25, 0.75, 1], atol=1e-15)
+    grid = alpha_beta_grid(spec, lams)
+    gap = np.abs(lams) < 0.5
+    assert list(grid.ok) == list(~gap)
+    assert np.isfinite(grid.R_r[~gap]).all() and np.isnan(grid.R_r[gap]).all()
+    for lam, exc in zip(lams[gap], np.array(grid.status, dtype=object)[gap]):
+        with pytest.raises(NumericalError) as info:
+            alpha_beta(spec, float(lam))
+        assert type(exc) is type(info.value) and str(exc) == str(info.value)
+
+
+def test_alpha_beta_grid_refusals_leave_the_other_points_alone():
+    spec = perturbed_periodic_spec(np.random.default_rng(79), 3)
+    edges = band_edges(spec.background)
+    inside = np.concatenate([np.linspace(lo, hi, 40)[1:-1]
+                             for lo, hi in band_intervals(spec.background)])
+    clean = alpha_beta_grid(spec, inside)
+    assert clean.ok.all()
+    outside = np.array([edges[0] - 0.5, edges[1], 0.5 * (edges[1] + edges[2]),
+                        edges[-1] + 0.3])
+    mixed = alpha_beta_grid(spec, np.concatenate([outside, inside])[::-1])
+    ok = mixed.ok[::-1]
+    assert not ok[:4].any() and ok[4:].all()
+    for name in ("alpha", "beta", "R_r"):
+        assert getattr(mixed, name)[::-1][4:].tobytes() == getattr(clean, name).tobytes()
+    assert alpha_beta_grid(spec, []).status == ()
+
+
+def test_a_failed_seed_refuses_its_energy_only(monkeypatch):
+    # the left seed corrupted at one energy of the grid, as in the seed test
+    # of test_scattering: that energy is refused, the others keep their bits
+    from jacobi_reflect import mfunc
+    seed = mfunc._floquet_seed
+
+    def corrupted(*args):
+        v1, v2, *rest = seed(*args)
+        if args[4] == "left" and np.ndim(v1):
+            v1 = v1.copy()
+            v1[2] = 1.3 * v1[2] + 0.2j * v2[2]
+        return (v1, v2, *rest)
+
+    spec = perturbed_periodic_spec(np.random.default_rng(83), 2)
+    lams = np.concatenate([np.linspace(lo, hi, 6)[1:-1]
+                           for lo, hi in band_intervals(spec.background)])
+    clean = alpha_beta_grid(spec, lams)
+    monkeypatch.setattr(mfunc, "_floquet_seed", corrupted)
+    grid = alpha_beta_grid(spec, lams)
+    assert list(np.flatnonzero(~grid.ok)) == [2]
+    assert type(grid.status[2]) is CrossCheckFailure
+    assert str(grid.status[2]).startswith("Floquet seed (left side): residual")
+    keep = grid.ok
+    assert grid.R_r[keep].tobytes() == clean.R_r[keep].tobytes()
+    assert grid.alpha[keep].tobytes() == clean.alpha[keep].tobytes()

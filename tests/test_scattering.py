@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from jacobi_reflect import (Background, BoundaryPoint, CrossCheckFailure,
-                            JacobiSpec, NoOpenChannel, ScatteringMatrix,
+                            EnergyGrid, JacobiSpec, NoOpenChannel, ScatteringMatrix,
                             band_grid, channel_weight, green_diag,
                             green_diag_grid, reflection_transmission,
-                            scattering_grid, scattering_matrix, unitarity_defect,
+                            reflectionless_report, scattering_grid,
+                            scattering_matrix, unitarity_defect,
                             unitarity_defect_grid)
 from jacobi_reflect import mfunc, scattering
 
-from util import (free_spec, period2_spec, perturbed_period3_spec, random_spec,
-                  single_site_spec)
+from util import (free_spec, period2_spec, perturbed_period3_spec,
+                  perturbed_periodic_spec, random_spec, single_site_spec)
 
 
 def test_free_green_fixtures():
@@ -162,3 +163,23 @@ def test_broken_recursion_trips_the_bond_check(monkeypatch):
     monkeypatch.setattr(scattering, "weyl_sweep", broken)
     with pytest.raises(CrossCheckFailure):
         scattering_grid(spec, 0, band_grid(spec, 50).points)
+
+
+def test_one_energy_gets_its_bits_on_a_grid():
+    # one energy runs the sweep on Python scalars, a grid on arrays; both
+    # round the period step alike, so a point's values do not depend on the
+    # grid it is evaluated in
+    rng = np.random.default_rng(89)
+    for p in (1, 2, 3, 4):
+        spec = perturbed_periodic_spec(rng, p)
+        lams = band_grid(spec, 25).points
+        grid = scattering_grid(spec, 0, lams)
+        report = reflectionless_report(spec, EnergyGrid(lams, 0.0, "test"))
+        for j in range(lams.size):
+            one = scattering_grid(spec, 0, lams[j:j + 1])
+            for key in ("s_ll", "s_lr", "s_rr", "g"):
+                assert one[key][0].tobytes() == grid[key][j].tobytes(), (p, lams[j], key)
+            alone = reflectionless_report(spec, EnergyGrid(lams[j:j + 1], 0.0, "test"))
+            assert alone.re_g[:, 0].tobytes() == report.re_g[:, j].tobytes()
+            assert (alone.specref_residual[:, 0].tobytes()
+                    == report.specref_residual[:, j].tobytes())

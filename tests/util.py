@@ -23,6 +23,16 @@ def perturbed_period3_spec():
                       offset=-1, a_override=(1.3, 0.9), b_override=(0.2, -0.4))
 
 
+def perturbed_periodic_spec(rng, p):
+    """Period-p background with a perturbation window of length 1..4."""
+    length = int(rng.integers(1, 5))
+    return JacobiSpec(background=Background.periodic(tuple(rng.uniform(0.6, 1.4, p)),
+                                                     tuple(rng.uniform(-0.5, 0.5, p))),
+                      offset=int(rng.integers(-3, 2)),
+                      a_override=tuple(rng.uniform(0.5, 2.0, length)),
+                      b_override=tuple(rng.uniform(-1.0, 1.0, length)))
+
+
 def random_spec(rng):
     """Finite perturbation of the free chain, window length <= 8."""
     length = int(rng.integers(1, 9))
