@@ -25,7 +25,7 @@ from .jost import (JostSolution, ReflectionDatum, ReflectionGrid, alpha_beta,
                    wronskian)
 from .mfunc import (HerglotzValue, ac_density, m_left, m_left_boundary,
                     m_left_grid, m_oracle_truncated, m_right, m_right_boundary,
-                    m_right_grid, strip_once, tail_m)
+                    m_right_grid, tail_m)
 from .model import (Background, BoundaryPoint, JacobiSpec, TruncatedOperator,
                     coefficient_arrays, parse_config, serialize_config,
                     truncate)
@@ -46,7 +46,7 @@ __all__ = [
     "discriminant", "band_intervals", "band_edges", "in_band_mask",
     # m-functions
     "HerglotzValue", "m_right", "m_left", "m_right_grid", "m_left_grid",
-    "m_right_boundary", "m_left_boundary", "tail_m", "strip_once",
+    "m_right_boundary", "m_left_boundary", "tail_m",
     "ac_density", "m_oracle_truncated",
     # scattering
     "GreenDiag", "ScatteringMatrix", "ChannelWeight", "green_diag",

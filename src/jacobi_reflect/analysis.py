@@ -24,14 +24,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit, roots_legendre
 
-from .bands import _near_edge, band_intervals
+from .bands import INSET_REL, _near_edge, band_intervals
 from .mfunc import ac_density
 from .scattering import _s_entries, boundary_pieces, scattering_grid
 
 TAU_DEFAULT = 1e-8
 TAU_SUPPORT = 1e-10
-EDGE_REL = 1e-6       # relative band-edge margin enforced on grids
-INSET_REL = 1e-5      # band-scan grids stay this far inside each band
 
 __all__ = [
     "EnergyGrid",
@@ -49,17 +47,10 @@ class EnergyGrid:
     """Sorted retained energies, all outside the band-edge margins."""
 
     points: np.ndarray
-    edge_margin: float
-    provenance: str
     dropped: tuple = ()
 
     def __len__(self):
         return len(self.points)
-
-
-def _margins(background):
-    bands = band_intervals(background)
-    return bands, max(EDGE_REL * (hi - lo) for lo, hi in bands)
 
 
 def explicit_grid(spec, start, stop, step):
@@ -75,21 +66,17 @@ def explicit_grid(spec, start, stop, step):
     if n_exact - n > 0.5 - 1e-9:
         # stop itself is within step/2 of the grid continuation
         points = np.append(points, stop)
-    bands, margin = _margins(spec.background)
-    keep = ~_near_edge(bands, points)[0]
-    return EnergyGrid(points=points[keep], edge_margin=margin,
-                      provenance="explicit", dropped=tuple(points[~keep]))
+    keep = ~_near_edge(band_intervals(spec.background), points)[0]
+    return EnergyGrid(points=points[keep], dropped=tuple(points[~keep]))
 
 
 def band_grid(spec, points_per_band):
     """Evenly spaced points per band, inset from the edges."""
-    bands, margin = _margins(spec.background)
     pieces = []
-    for lo, hi in bands:
+    for lo, hi in band_intervals(spec.background):
         inset = INSET_REL * (hi - lo)
         pieces.append(np.linspace(lo + inset, hi - inset, points_per_band))
-    return EnergyGrid(points=np.concatenate(pieces), edge_margin=margin,
-                      provenance="band-scan")
+    return EnergyGrid(points=np.concatenate(pieces))
 
 
 def essential_support(spec, grid):
@@ -232,11 +219,9 @@ def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=400):
     x, w = _gauss_legendre(int(quadrature))
     theta = 0.5 * np.pi * (x + 1.0)
     w_theta = 0.5 * np.pi * w
-    bands, _ = _margins(spec.background)
-
     charge = 0.0
     energy = 0.0
-    for lo, hi in bands:
+    for lo, hi in band_intervals(spec.background):
         mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
         lams = mid - hw * np.cos(theta)
         jac = hw * np.sin(theta)

@@ -7,13 +7,17 @@ The transfer step across site ``k`` sends ``(u_k, u_{k-1})`` to
 
 ``transfer_product`` multiplies these steps with plain arithmetic, so
 one kernel serves polynomial, array and scalar energies.  It is the only
-transfer product of the package: the discriminant here, the tail
-m-functions in ``mfunc`` and through them the Jost seeds in ``jost`` are
-all read off it.
+transfer product of the package: ``discriminant`` is the trace of the
+one-period product, and the Floquet seeds of the Weyl solutions in
+``mfunc`` (through them the Jost solutions in ``jost``) are eigenvectors
+of it.
 
-The discriminant is the trace of the one-period product.  The essential
-spectrum of the unperturbed operator is ``{|Delta| <= 2}``, a finite union
-of closed bands.  Band edges are the roots of ``Delta -+ 2``.
+The essential spectrum of the unperturbed operator is ``{|Delta| <= 2}``,
+a finite union of closed bands.  Its edges, where ``Delta = +-2``, are the
+eigenvalues of the p x p cell matrix with periodic (``+a_{p-1}``) and
+antiperiodic (``-a_{p-1}``) corners (Teschl, *Jacobi Operators and
+Completely Integrable Nonlinear Lattices*, ch. 7), read off with
+``eigvalsh`` to rounding of the coefficients' scale at any period.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import BandEdge
+
+EDGE_REL = 1e-6       # relative band-edge margin enforced on grids
+INSET_REL = 1e-5      # band-scan grids stay this far inside each band
 
 __all__ = [
     "transfer_product",
@@ -65,52 +72,30 @@ def discriminant(background):
     return m11 + m22
 
 
-def _real_roots(poly):
-    r = poly.roots()
-    scale = max(1.0, np.abs(r).max()) if r.size else 1.0
-    keep = np.abs(r.imag) < 1e-9 * scale
-    return np.sort(r[keep].real)
-
-
-def _polish(poly, x):
-    # one-dimensional Newton; harmless at machine-accurate starting points,
-    # simple roots gain a couple of digits
-    d = poly.deriv()
-    for _ in range(3):
-        g, gp = poly(x), d(x)
-        if gp == 0:
-            break
-        step = g / gp
-        if abs(step) > 1e-3:
-            break
-        x = x - step
-    return x
-
-
 @lru_cache(maxsize=None)
 def band_intervals(background):
     """Closed bands ((lo, hi), ...) in increasing order.
 
-    Touching bands (closed gaps) are merged, so the result is the list of
-    maximal intervals of essential spectrum.
+    The 2p sorted Floquet eigenvalues pair up as ``[E_0, E_1], [E_2, E_3],
+    ...``.  Touching bands (closed gaps) are merged, so the result is the
+    list of maximal intervals of essential spectrum.
     """
-    delta = discriminant(background)
-    edges = np.concatenate([_real_roots(delta - 2.0), _real_roots(delta + 2.0)])
-    edges = np.sort(np.array([_polish(delta - 2.0, x) if abs(delta(x) - 2.0) < abs(delta(x) + 2.0)
-                              else _polish(delta + 2.0, x) for x in edges]))
-    if edges.size < 2:
-        raise ValueError("discriminant produced fewer than two band edges")
+    a, b = background.a, background.b
+    edges = []
+    for sign in (1.0, -1.0):
+        floquet = np.diag(b) + np.diag(a[:-1], 1) + np.diag(a[:-1], -1)
+        # two additions: at p = 1 both land on b_0 (b_0 +- 2 a_0), at p = 2
+        # on the one bond (a_0 +- a_1)
+        floquet[0, -1] += sign * a[-1]
+        floquet[-1, 0] += sign * a[-1]
+        edges.append(np.linalg.eigvalsh(floquet))
+    edges = np.sort(np.concatenate(edges))
     bands = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 0:
-            continue
-        if abs(delta(0.5 * (lo + hi))) <= 2.0:
-            if bands and lo <= bands[-1][1] + 1e-12 * max(1.0, abs(lo)):
-                bands[-1] = (bands[-1][0], hi)
-            else:
-                bands.append((lo, hi))
-    if not bands:
-        raise ValueError("no spectral bands found")
+    for lo, hi in zip(edges[0::2], edges[1::2]):
+        if bands and lo <= bands[-1][1] + 1e-12 * max(1.0, abs(lo)):
+            bands[-1] = (bands[-1][0], hi)
+        else:
+            bands.append((lo, hi))
     return tuple(bands)
 
 
@@ -129,8 +114,8 @@ def in_band_mask(bands, lams):
     return mask
 
 
-def _near_edge(bands, lams, rel=1e-6):
-    """Mask of the 1-d float lams within rel * band width of an edge.
+def _near_edge(bands, lams):
+    """Mask of the 1-d float lams within EDGE_REL * band width of an edge.
 
     Also returns each point's nearest edge and its margin.
     """
@@ -138,20 +123,20 @@ def _near_edge(bands, lams, rel=1e-6):
     widths = np.array([hi - lo for lo, hi in bands])
     dist = np.abs(lams[:, None] - flat[None, :])
     nearest = dist.argmin(axis=1)
-    margin = rel * widths[nearest // 2]
+    margin = EDGE_REL * widths[nearest // 2]
     bad = dist[np.arange(lams.size), nearest] < margin
     return bad, flat[nearest], margin
 
 
-def guard_edges(bands, lams, rel=1e-6):
-    """Raise BandEdge if any lambda sits within rel * band width of an edge.
+def guard_edges(bands, lams):
+    """Raise BandEdge if any lambda sits within EDGE_REL * band width of an edge.
 
     Real-boundary limits degenerate like an inverse square root at band
     edges, so evaluation there is refused instead of silently losing
     accuracy.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    bad, edge, margin = _near_edge(bands, lams, rel)
+    bad, edge, margin = _near_edge(bands, lams)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise BandEdge(lams[i], edge[i], margin[i])

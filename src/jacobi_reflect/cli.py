@@ -23,7 +23,7 @@ import tempfile
 
 import numpy as np
 
-from .analysis import (EDGE_REL, EnergyGrid, explicit_grid, landauer_current,
+from .analysis import (EnergyGrid, explicit_grid, landauer_current,
                        reflectionless_report)
 from .bands import band_intervals, guard_edges
 from .dynamics import dynamical_reflection
@@ -145,11 +145,8 @@ def _grid(args, spec):
             raise SchemaError("--grid", "step must be positive")
         return explicit_grid(spec, start, stop, step)
     if args.lam is not None:
-        bands = band_intervals(spec.background)
-        guard_edges(bands, np.array([args.lam]))
-        margin = max(EDGE_REL * (hi - lo) for lo, hi in bands)
-        return EnergyGrid(points=np.array([float(args.lam)]),
-                          edge_margin=margin, provenance="point")
+        guard_edges(band_intervals(spec.background), np.array([args.lam]))
+        return EnergyGrid(points=np.array([float(args.lam)]))
     raise SchemaError("flags", "one of --grid or --lambda is required")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
-from .bands import band_intervals
+from .bands import INSET_REL, band_intervals
 from .errors import HorizonExceeded, WindowTooSmall
 from .jost import jost_solution
 from .model import JacobiSpec, truncate
@@ -194,12 +194,10 @@ def _stationary_reflection_avg(spec, lam0, dlam, nodes=21):
     """Gauss-Hermite average of the stationary R over the packet's energies."""
     x, w = np.polynomial.hermite_e.hermegauss(nodes)
     lams = lam0 + dlam * x
-    keep = np.ones(lams.shape, bool)
-    bands = band_intervals(spec.background)
-    for i, lam in enumerate(lams):
-        inside = any(lo + 1e-5 * (hi - lo) < lam < hi - 1e-5 * (hi - lo)
-                     for lo, hi in bands)
-        keep[i] = inside
+    bands = np.array(band_intervals(spec.background))
+    lo, hi = bands[:, :1], bands[:, 1:]       # [band, node] with lams
+    inset = INSET_REL * (hi - lo)
+    keep = ((lo + inset < lams) & (lams < hi - inset)).any(axis=0)
     res = scattering_grid(spec, 0, lams[keep])
     r = np.abs(res["s_ll"]) ** 2
     return float(np.sum(w[keep] * r) / np.sum(w[keep]))

@@ -58,7 +58,8 @@ class BandEdge(NumericalError):
 
 
 class PoleHit(NumericalError):
-    """Stripping denominator vanished: hit an eigenvalue of a truncated block."""
+    """A denominator vanished: the value is infinite at an eigenvalue (of a
+    half line for m, of the whole line for G_nn and the Wronskian)."""
 
 
 class CrossCheckFailure(NumericalError):

@@ -49,7 +49,6 @@ __all__ = [
     "HerglotzValue",
     "WeylSolution",
     "weyl_sweep",
-    "strip_once",
     "tail_m",
     "m_right_grid",
     "m_left_grid",
@@ -76,15 +75,6 @@ class HerglotzValue:
     @property
     def imag(self):
         return self.value.imag
-
-
-def strip_once(m, a, b, z):
-    """One stripping step ``1 / (b - z - a^2 m)``, guarding exact poles."""
-    den = b - z - (a * a) * m
-    small = np.abs(den) < POLE_TOL
-    if np.any(small):
-        raise PoleHit(f"stripping denominator {np.min(np.abs(den)):.3e} below {POLE_TOL}")
-    return 1.0 / den
 
 
 class WeylSolution(NamedTuple):
@@ -144,7 +134,9 @@ def _floquet_seed(m11, m12, m21, m22, side, real_limit):
     # the exact entry M21 (right) or M12 (left)
     larger_e = abs(e) + abs(m21) - (abs(m12) + abs(f))
     use_e = larger_e >= 0 if side == "right" else larger_e > 0
-    return (_select(use_e, e, m12), _select(use_e, m21, f),
+    # the real entry made complex as np.where makes it, so that a zero flux
+    # has the same sign for one energy as on a grid
+    return (_select(use_e, e, m12 + 0j), _select(use_e, m21 + 0j, f),
             0.5 * (delta + ssq), 0.5 * (delta - ssq), band)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from jacobi_reflect import (BandEdge, Background, band_edges, band_intervals,
                             discriminant, in_band_mask)
-from jacobi_reflect.bands import guard_edges
+from jacobi_reflect.bands import EDGE_REL, guard_edges
 
 
 def _monodromy(bg, lam):
@@ -17,9 +17,11 @@ def _monodromy(bg, lam):
 
 
 def test_free_band():
-    bands = band_intervals(Background.free())
-    assert len(bands) == 1
-    np.testing.assert_allclose(bands[0], (-2.0, 2.0), atol=1e-12)
+    # every gap of the free chain written with period p is closed
+    for p in range(1, 65):
+        bands = band_intervals(Background.periodic((1.0,) * p, (0.0,) * p))
+        assert len(bands) == 1
+        np.testing.assert_allclose(bands[0], (-2.0, 2.0), rtol=0, atol=1e-14)
 
 
 def test_constant_band_scales():
@@ -89,3 +91,41 @@ def test_bands_sorted_disjoint():
         flat = [x for band in bands for x in band]
         assert flat == sorted(flat)
         assert all(hi > lo for lo, hi in bands)
+
+
+def _floquet_edges_mp(a, b):
+    """Sorted eigenvalues of the periodic and antiperiodic cell matrices,
+    in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    p = len(a)
+    edges = []
+    with mpmath.workdps(40):
+        for sign in (1, -1):
+            m = mpmath.matrix(p, p)
+            for k in range(p):
+                m[k, k] = mpmath.mpf(b[k])
+            for k in range(p - 1):
+                m[k, k + 1] = m[k + 1, k] = mpmath.mpf(a[k])
+            m[0, p - 1] += sign * mpmath.mpf(a[-1])
+            m[p - 1, 0] += sign * mpmath.mpf(a[-1])
+            edges += list(mpmath.eigsy(m, eigvals_only=True))
+        return np.array(sorted(edges), dtype=float)
+
+
+@pytest.mark.parametrize("p", [8, 16, 32, 64])
+def test_long_period_edges_match_extended_precision(p):
+    # all gaps of a random cell are open, so it has p bands; the narrowest
+    # is 2e-6 wide at p = 32 and 7e-13 at p = 64
+    rng = np.random.default_rng((11, p))
+    a, b = rng.uniform(0.8, 1.2, p), rng.uniform(-0.3, 0.3, p)
+    bg = Background.periodic(a, b)
+    bands = band_intervals(bg)
+    assert len(bands) == p
+    exact = _floquet_edges_mp(a, b)
+    scale = np.abs(b).max() + 2.0 * a.max()
+    assert np.abs(band_edges(bg) - exact).max() <= 1e-13 * scale
+    # its margin is below the edges' rounding at p = 64, so the point is
+    # placed from the edge the guard sees
+    lo, hi = min(bands, key=lambda band: band[1] - band[0])
+    with pytest.raises(BandEdge):
+        guard_edges(bands, np.array([lo + 0.5 * EDGE_REL * (hi - lo)]))

@@ -4,8 +4,7 @@ import pytest
 from jacobi_reflect import (BandEdge, Background, BoundaryPoint, JacobiSpec,
                             PoleHit, ac_density, band_intervals, m_left,
                             m_left_boundary, m_left_grid, m_oracle_truncated,
-                            m_right, m_right_boundary, m_right_grid, strip_once,
-                            tail_m)
+                            m_right, m_right_boundary, m_right_grid, tail_m)
 
 from util import (free_spec, period2_spec, perturbed_period3_spec, random_spec,
                   single_site_spec)
@@ -38,17 +37,6 @@ def test_single_site_left_fixture():
     spec = single_site_spec()
     m = m_left(spec, 1, BoundaryPoint.real(0.0)).value
     np.testing.assert_allclose(m, (1.0 + 1j) / 2.0, atol=1e-14)
-
-
-def test_strip_once_relation():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        m = complex(rng.normal(), abs(rng.normal()) + 0.1)
-        a = rng.uniform(0.5, 2.0)
-        b = rng.uniform(-1.0, 1.0)
-        z = complex(rng.normal(), rng.uniform(0.1, 1.0))
-        out = strip_once(m, a, b, z)
-        np.testing.assert_allclose(out * (b - z - a * a * m), 1.0, atol=1e-12)
 
 
 def test_herglotz_positivity():

@@ -4,7 +4,8 @@ import pytest
 from jacobi_reflect import (Background, BoundaryPoint, CrossCheckFailure,
                             EnergyGrid, JacobiSpec, NoOpenChannel, ScatteringMatrix,
                             band_grid, channel_weight, green_diag,
-                            green_diag_grid, reflection_transmission,
+                            green_diag_grid, m_left_boundary, m_right_boundary,
+                            reflection_transmission,
                             reflectionless_report, scattering_grid,
                             scattering_matrix, unitarity_defect,
                             unitarity_defect_grid)
@@ -174,12 +175,23 @@ def test_one_energy_gets_its_bits_on_a_grid():
         spec = perturbed_periodic_spec(rng, p)
         lams = band_grid(spec, 25).points
         grid = scattering_grid(spec, 0, lams)
-        report = reflectionless_report(spec, EnergyGrid(lams, 0.0, "test"))
+        report = reflectionless_report(spec, EnergyGrid(lams))
         for j in range(lams.size):
             one = scattering_grid(spec, 0, lams[j:j + 1])
             for key in ("s_ll", "s_lr", "s_rr", "g"):
                 assert one[key][0].tobytes() == grid[key][j].tobytes(), (p, lams[j], key)
-            alone = reflectionless_report(spec, EnergyGrid(lams[j:j + 1], 0.0, "test"))
+            alone = reflectionless_report(spec, EnergyGrid(lams[j:j + 1]))
             assert alone.re_g[:, 0].tobytes() == report.re_g[:, j].tobytes()
             assert (alone.specref_residual[:, 0].tobytes()
                     == report.specref_residual[:, j].tobytes())
+    # in a gap m is real: one energy and a grid agree on the sign of its
+    # zero imaginary part, which float.hex tells apart and == does not
+    spec = period2_spec()
+    gap = np.array([-0.45, -0.25, 0.25, 0.45])
+    for n in (-1, 0, 1, 2):
+        for m_values in (m_right_boundary, m_left_boundary):
+            grid = m_values(spec, n, gap)
+            for j in range(gap.size):
+                one = m_values(spec, n, gap[j:j + 1])[0]
+                assert ([x.hex() for x in (one.real, one.imag)]
+                        == [x.hex() for x in (grid[j].real, grid[j].imag)]), (n, gap[j])
