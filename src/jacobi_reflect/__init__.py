@@ -23,16 +23,15 @@ from .jost import (JostSolution, ReflectionDatum, ReflectionGrid, alpha_beta,
                    alpha_beta_grid, green_offdiag, jost_solution,
                    spectral_reflection_mratio, spectral_reflection_mratio_grid,
                    wronskian)
-from .mfunc import (HerglotzValue, ac_density, m_left, m_left_boundary,
-                    m_left_grid, m_oracle_truncated, m_right, m_right_boundary,
-                    m_right_grid, tail_m)
+from .mfunc import (ac_density, m_left, m_left_boundary, m_left_grid,
+                    m_oracle_truncated, m_right, m_right_boundary, m_right_grid,
+                    tail_m)
 from .model import (Background, BoundaryPoint, JacobiSpec, TruncatedOperator,
                     coefficient_arrays, parse_config, serialize_config,
                     truncate)
-from .scattering import (ChannelWeight, GreenDiag, ScatteringMatrix,
-                         channel_weight, green_diag, green_diag_grid,
-                         reflection_transmission, scattering_grid,
-                         scattering_matrix, unitarity_defect,
+from .scattering import (ScatteringMatrix, channel_weight, green_diag,
+                         green_diag_grid, reflection_transmission,
+                         scattering_grid, scattering_matrix, unitarity_defect,
                          unitarity_defect_grid)
 
 __version__ = "0.1.0"
@@ -45,14 +44,13 @@ __all__ = [
     # bands
     "discriminant", "band_intervals", "band_edges", "in_band_mask",
     # m-functions
-    "HerglotzValue", "m_right", "m_left", "m_right_grid", "m_left_grid",
+    "m_right", "m_left", "m_right_grid", "m_left_grid",
     "m_right_boundary", "m_left_boundary", "tail_m",
     "ac_density", "m_oracle_truncated",
     # scattering
-    "GreenDiag", "ScatteringMatrix", "ChannelWeight", "green_diag",
-    "green_diag_grid", "scattering_matrix", "scattering_grid",
-    "reflection_transmission", "channel_weight", "unitarity_defect",
-    "unitarity_defect_grid",
+    "ScatteringMatrix", "green_diag", "green_diag_grid", "scattering_matrix",
+    "scattering_grid", "reflection_transmission", "channel_weight",
+    "unitarity_defect", "unitarity_defect_grid",
     # Jost
     "JostSolution", "ReflectionDatum", "ReflectionGrid", "jost_solution",
     "wronskian", "alpha_beta", "alpha_beta_grid", "spectral_reflection_mratio",

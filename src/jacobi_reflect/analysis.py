@@ -88,6 +88,16 @@ def essential_support(spec, grid):
     return {"left": left, "right": right, "union": union}
 
 
+def _criterion_rows(re_g, specref, s_diag):
+    """Verdict-level residuals per lambda: max|Re G_nn| over the sites, the
+    same over each three consecutive sites (over all of them when there are
+    fewer than three), the m-product residual and max(|s_ll|, |s_rr|)."""
+    abs_g = np.abs(re_g)
+    mt = abs_g.max(axis=0)
+    triples = [abs_g[i: i + 3].max(axis=0) for i in range(len(abs_g) - 2)]
+    return np.array([mt, *(triples or [mt]), specref.max(axis=0), s_diag.max(axis=0)])
+
+
 @dataclass(frozen=True)
 class CriteriaReport:
     """Residuals and verdicts of the stationary criteria on a grid.
@@ -121,16 +131,7 @@ class CriteriaReport:
 
     def criterion_residuals(self):
         """Verdict-level residuals: per-lambda maxima over the site range."""
-        mt = np.abs(self.re_g).max(axis=0)
-        triples = np.array([
-            np.abs(self.re_g[i: i + 3]).max(axis=0)
-            for i in range(max(1, len(self.n_range) - 2))
-        ]) if len(self.n_range) >= 3 else np.abs(self.re_g).max(axis=0)[None]
-        return np.concatenate([
-            mt[None], triples,
-            self.specref_residual.max(axis=0)[None],
-            self.s_diag_mag.max(axis=0)[None],
-        ])
+        return _criterion_rows(self.re_g, self.specref_residual, self.s_diag_mag)
 
     def residual_gap_ok(self, lo=1e-10, hi=1e-3):
         """No criterion residual strictly inside (lo, hi)."""
@@ -154,11 +155,11 @@ def reflectionless_report(spec, grid, n_range=tuple(range(-3, 4)), tau=TAU_DEFAU
     """Evaluate the stationary criteria at each cut site over the grid.
 
     The criteria speak about the essential support: where every channel is
-    closed, each verdict is False.
+    closed, each verdict is False.  Each verdict is its criterion residual
+    under ``tau``, and they agree where every verdict equals the first.
     """
     n_range = tuple(int(n) for n in n_range)
     lams = np.asarray(grid.points, dtype=float)
-    n_sites = len(n_range)
     pieces = boundary_pieces(spec, n_range, lams, real_limit=True)
     re_g = pieces.g.real
     specref = pieces.specref
@@ -166,25 +167,12 @@ def reflectionless_report(spec, grid, n_range=tuple(range(-3, 4)), tau=TAU_DEFAU
     s_diag = np.maximum(np.abs(res["s_ll"]), np.abs(res["s_rr"]))
     support = ((pieces.density_l > 0) | (pieces.density_r > 0)).any(axis=0)
 
-    verdict_mt = (np.abs(re_g) <= tau).all(axis=0) & support
-    verdict_spec = (specref <= tau).all(axis=0) & support
-    verdict_stat = (s_diag <= tau).all(axis=0) & support
-    if n_sites >= 3:
-        verdict_triple = np.array([
-            (np.abs(re_g[i: i + 3]) <= tau).all(axis=0)
-            for i in range(n_sites - 2)
-        ]) & support
-    else:
-        verdict_triple = verdict_mt[None]
-
-    stacked = np.vstack([verdict_mt[None], verdict_spec[None],
-                         verdict_stat[None], verdict_triple])
-    agree = np.all(stacked == stacked[0], axis=0)
+    verdicts = (_criterion_rows(re_g, specref, s_diag) <= tau) & support
     return CriteriaReport(grid=grid, n_range=n_range, tau=tau, re_g=re_g,
                           specref_residual=specref, s_diag_mag=s_diag,
-                          verdict_mt=verdict_mt, verdict_triple=verdict_triple,
-                          verdict_spec=verdict_spec, verdict_stat=verdict_stat,
-                          agree=agree)
+                          verdict_mt=verdicts[0], verdict_triple=verdicts[1:-2],
+                          verdict_spec=verdicts[-2], verdict_stat=verdicts[-1],
+                          agree=(verdicts == verdicts[0]).all(axis=0))
 
 
 @lru_cache(maxsize=8)

@@ -114,6 +114,15 @@ def in_band_mask(bands, lams):
     return mask
 
 
+def _real_energies(lams):
+    """``lams`` as a 1-d float array; complex energies are refused, since a
+    cast would drop Im z and evaluate at ``Re z + i0``."""
+    lams = np.asarray(lams)
+    if lams.dtype.kind == "c":
+        raise ValueError("real-axis evaluation takes real energies, got complex values")
+    return np.atleast_1d(lams.astype(float, copy=False))
+
+
 def _near_edge(bands, lams):
     """Mask of the 1-d float lams within EDGE_REL * band width of an edge.
 

@@ -323,16 +323,10 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return run(argv)
-    except SchemaError as exc:
+    except (OSError, ValueError) as exc:    # bad input: SchemaError, JSONDecodeError, ...
         _warn(str(exc))
         return 3
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        _warn(str(exc))
-        return 3
-    except NumericalError as exc:
-        _warn(str(exc))
-        return 4
-    except JacobiReflectError as exc:
+    except JacobiReflectError as exc:       # every other package error is a NumericalError
         _warn(str(exc))
         return 4
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bands import _near_edge, band_intervals
+from .bands import _near_edge, _real_energies, band_intervals
 from .errors import (
     BandEdge,
     CrossCheckFailure,
@@ -221,7 +221,7 @@ def alpha_beta_grid(spec, lams):
     expansion residual and R_r <= 1.  A refused energy drops out of the
     later checks, and the others get the bits they get alone.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    lams = _real_energies(lams)
     status = _Status(lams.size)
     k_lo, k_hi = _site_range(spec)
     coeffs = coefficient_arrays(spec, k_lo, k_hi)

@@ -18,6 +18,11 @@ Lattices*, ch. 7), not a probe: off the real axis and in gaps psi_r takes
 Im m > 0, the boundary value at ``lambda + i0``.  Values at ``lambda - i0``
 are conjugates of the ``+`` side ones.
 
+``m_right`` and ``m_left`` are views of the grid routes at one
+``BoundaryPoint``: the value there as a complex number.  ``_at_point``,
+which ``scattering.green_diag`` shares, takes ``lam`` or ``z`` as a
+one-point grid and conjugates on the ``-`` side.
+
 m is infinite where u_n = 0, at a Dirichlet eigenvalue of the half line:
 the m-value routes raise PoleHit there, while the whole-line quantities read
 off the same values (``ac_density``, G_nn, the s-matrix) stay finite.
@@ -25,15 +30,14 @@ off the same values (``ac_density``, G_nn, the s-matrix) stay finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .bands import _period_product, band_intervals, guard_edges
+from .bands import _period_product, _real_energies, band_intervals, guard_edges
 from .errors import CrossCheckFailure, NumericalError, PoleHit
-from .model import BoundaryPoint, JacobiSpec, coefficient_arrays
+from .model import JacobiSpec, coefficient_arrays
 
 POLE_TOL = 1e-14     # |u_n| below this share of its pair makes m_n a pole
 # |M v - mu v| <= SEED_TOL |M| |v| (entrywise 1-norms).  The seed makes the
@@ -46,7 +50,6 @@ SEED_TOL = 64 * np.finfo(float).eps
 RESCALE_EVERY = 16
 
 __all__ = [
-    "HerglotzValue",
     "WeylSolution",
     "weyl_sweep",
     "tail_m",
@@ -59,22 +62,6 @@ __all__ = [
     "ac_density",
     "m_oracle_truncated",
 ]
-
-
-@dataclass(frozen=True)
-class HerglotzValue:
-    """Value of a Herglotz function at one evaluation point."""
-
-    value: complex
-    point: BoundaryPoint
-
-    @property
-    def real(self):
-        return self.value.real
-
-    @property
-    def imag(self):
-        return self.value.imag
 
 
 class WeylSolution(NamedTuple):
@@ -173,7 +160,7 @@ def weyl_sweep(spec, side, lo, hi, pts, real_limit=True, guard=True, refuse=True
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    z = np.atleast_1d(np.asarray(pts, dtype=float if real_limit else complex))
+    z = _real_energies(pts) if real_limit else np.atleast_1d(np.asarray(pts, dtype=complex))
     if real_limit and guard:
         guard_edges(band_intervals(spec.background), z)
     if not real_limit and np.any(z.imag <= 0):
@@ -296,24 +283,29 @@ def m_left_boundary(spec, n, lams):
     return _m_values(spec, n, lams, "left", real_limit=True)
 
 
-def _scalar(spec, n, point, side):
+def _at_point(route, point):
+    """``route(pts, real_limit)`` at a BoundaryPoint, as a complex number:
+    ``lam`` or ``z`` as a one-point grid, the '-' side by conjugation."""
     real = point.is_real_limit
-    v = _m_values(spec, n, [point.lam if real else point.z], side, real)[0]
-    if real and point.side == "-":
-        v = np.conj(v)
+    v = complex(route([point.lam if real else point.z], real)[0])
+    return v.conjugate() if real and point.side == "-" else v
+
+
+def _m_at(spec, n, point, side):
+    v = _at_point(lambda pts, real: _m_values(spec, n, pts, side, real), point)
     if point.side == "+" and v.imag < -1e-12:
         raise NumericalError(f"Herglotz value with Im = {v.imag:.3e} < 0")
-    return HerglotzValue(value=complex(v), point=point)
+    return v
 
 
 def m_right(spec, n, point):
-    """Scalar m_right at a BoundaryPoint; '-' side values are conjugated."""
-    return _scalar(spec, n, point, "right")
+    """m_right at a BoundaryPoint, a complex number; '-' side values are conjugated."""
+    return _m_at(spec, n, point, "right")
 
 
 def m_left(spec, n, point):
-    """Scalar m_left at a BoundaryPoint; '-' side values are conjugated."""
-    return _scalar(spec, n, point, "left")
+    """m_left at a BoundaryPoint, a complex number; '-' side values are conjugated."""
+    return _m_at(spec, n, point, "left")
 
 
 def ac_density(spec, n, lams, side="right"):

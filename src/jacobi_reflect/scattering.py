@@ -12,9 +12,14 @@ axis the 2x2 scattering matrix of the cut is
     s_jk = delta_jk + 2i a_j a_k G_nn(lam+i0) sqrt(Im m_j Im m_k)
 
 with a_l = a_{n-1}, a_r = a_n and m_j the half-line m-functions at the
-cut.  A channel with vanishing boundary density is closed; the formula
-then degenerates to the identity on that channel by itself.  A pole of
-m_j on the real axis is a closed channel too, and G_nn stays finite there.
+cut.  A channel with vanishing boundary density is closed; its density
+factor is exactly 0, so its row of s is exactly the identity, and it adds
+nothing to the unitarity defect ``max|s s* - I|``.  A pole of m_j on the
+real axis is a closed channel too, and G_nn stays finite there.
+
+The scalar views take one energy: ``green_diag`` gives G_nn at a
+``BoundaryPoint`` as a complex number (through ``mfunc._at_point``),
+``channel_weight`` the pair ``(v_l, v_r)``.
 """
 
 from __future__ import annotations
@@ -25,16 +30,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CrossCheckFailure, NoOpenChannel, NumericalError, PoleHit
-from .mfunc import POLE_TOL, _ratios, weyl_sweep
-from .model import BoundaryPoint, coefficient_arrays
+from .mfunc import POLE_TOL, _at_point, _ratios, weyl_sweep
+from .model import coefficient_arrays
 
 CROSS_TOL = 1e-10    # relative agreement required of G_nn from two bonds
 SUPPORT_TOL = 1e-10  # Im m below this counts as a closed channel
 
 __all__ = [
-    "GreenDiag",
     "ScatteringMatrix",
-    "ChannelWeight",
     "green_diag",
     "green_diag_grid",
     "scattering_matrix",
@@ -44,15 +47,6 @@ __all__ = [
     "unitarity_defect",
     "unitarity_defect_grid",
 ]
-
-
-@dataclass(frozen=True)
-class GreenDiag:
-    """Diagonal resolvent entry at one site and evaluation point."""
-
-    value: complex
-    n: int
-    point: BoundaryPoint
 
 
 @dataclass(frozen=True)
@@ -78,15 +72,6 @@ class ScatteringMatrix:
 
     def matrix(self):
         return np.array([[self.s_ll, self.s_lr], [self.s_rl, self.s_rr]])
-
-
-@dataclass(frozen=True)
-class ChannelWeight:
-    """Square roots of the two boundary a.c. densities (Im m / pi)."""
-
-    lam: float
-    v_l: float
-    v_r: float
 
 
 class BoundaryPieces(NamedTuple):
@@ -146,14 +131,12 @@ def green_diag_grid(spec, n, pts, real_limit=True):
 
 
 def green_diag(spec, n, point):
-    """Scalar G_nn at a BoundaryPoint, cross-checked across two bonds."""
-    real = point.is_real_limit
-    v = green_diag_grid(spec, n, [point.lam if real else point.z], real)[0]
-    if real and point.side == "-":
-        v = np.conj(v)
-    if not real and v.imag <= 0:
+    """G_nn at a BoundaryPoint as a complex number, cross-checked across two
+    bonds; '-' side values are conjugated."""
+    v = _at_point(lambda pts, real: green_diag_grid(spec, n, pts, real), point)
+    if not point.is_real_limit and v.imag <= 0:
         raise NumericalError(f"G_nn at an interior point must have Im > 0, got {v.imag:.3e}")
-    return GreenDiag(value=complex(v), n=n, point=point)
+    return v
 
 
 def _s_entries(pieces):
@@ -213,47 +196,26 @@ def reflection_transmission(s):
 
 
 def channel_weight(spec, n, lam):
-    """Square roots of the boundary a.c. densities Im m / pi."""
+    """``(v_l, v_r)``: square roots of the boundary a.c. densities Im m / pi."""
     pieces = boundary_pieces(spec, [n], np.array([float(lam)]))
-    return ChannelWeight(
-        lam=float(lam),
-        v_l=float(np.sqrt(pieces.density_l[0, 0] / np.pi)),
-        v_r=float(np.sqrt(pieces.density_r[0, 0] / np.pi)),
-    )
+    return (float(np.sqrt(pieces.density_l[0, 0] / np.pi)),
+            float(np.sqrt(pieces.density_r[0, 0] / np.pi)))
 
 
-def _defect_entries(s_ll, s_lr, s_rr, open_l, open_r):
-    # s s* - I entrywise, with closed channels excluded from the norm
+def _defect_entries(s_ll, s_lr, s_rr):
+    # max |s s* - I| entrywise; a closed channel's row of s is the identity
     d11 = np.abs(s_ll) ** 2 + np.abs(s_lr) ** 2 - 1.0
     d22 = np.abs(s_lr) ** 2 + np.abs(s_rr) ** 2 - 1.0
     d12 = s_ll * np.conj(s_lr) + s_lr * np.conj(s_rr)
-    out = np.zeros(np.shape(s_ll))
-    both = open_l & open_r
-    only_l = open_l & ~open_r
-    only_r = open_r & ~open_l
-    full = np.maximum(np.maximum(np.abs(d11), np.abs(d22)), np.abs(d12))
-    out = np.where(both, full, out)
-    out = np.where(only_l, np.abs(np.abs(s_ll) ** 2 - 1.0), out)
-    out = np.where(only_r, np.abs(np.abs(s_rr) ** 2 - 1.0), out)
-    return out
+    return np.maximum(np.maximum(np.abs(d11), np.abs(d22)), np.abs(d12))
 
 
 def unitarity_defect(s):
-    """Max-norm of s s* - I restricted to the open channels."""
-    return float(
-        _defect_entries(
-            np.complex128(s.s_ll),
-            np.complex128(s.s_lr),
-            np.complex128(s.s_rr),
-            np.bool_(s.open_left),
-            np.bool_(s.open_right),
-        )
-    )
+    """Max-norm of s s* - I for a ScatteringMatrix; the identity row of a
+    closed channel adds nothing."""
+    return float(_defect_entries(*np.array([s.s_ll, s.s_lr, s.s_rr], dtype=complex)))
 
 
 def unitarity_defect_grid(res):
     """Vectorized unitarity defect from a scattering_grid result dict."""
-    return _defect_entries(
-        res["s_ll"], res["s_lr"], res["s_rr"],
-        res["density_l"] > 0, res["density_r"] > 0,
-    )
+    return _defect_entries(res["s_ll"], res["s_lr"], res["s_rr"])

@@ -169,7 +169,7 @@ def test_criterion_8_oracle_suite():
         spec = random_spec(rng)
         z = complex(rng.uniform(-2, 2), 1e-2)
         n = int(rng.integers(-3, 4))
-        exact = m_right(spec, n, BoundaryPoint.upper(z)).value
+        exact = m_right(spec, n, BoundaryPoint.upper(z))
         worst_m = max(worst_m, abs(exact - m_oracle_truncated(spec, n, z, 4000)))
     assert worst_m <= 1e-6
 

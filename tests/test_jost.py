@@ -39,8 +39,8 @@ def test_m_from_jost_relations():
         psi_r = jost_solution(spec, "r", lam, k_min=0, k_max=1)
         psi_l = jost_solution(spec, "l", lam, k_min=0, k_max=1)
         a0 = spec.a(0)
-        m_r = m_right(spec, 0, BoundaryPoint.real(lam)).value
-        m_l = m_left(spec, 1, BoundaryPoint.real(lam)).value
+        m_r = m_right(spec, 0, BoundaryPoint.real(lam))
+        m_l = m_left(spec, 1, BoundaryPoint.real(lam))
         assert abs(m_r - (-psi_r.value(1) / a0)) <= 1e-9
         assert abs(m_l - (-1.0 / (a0 * psi_l.value(1)))) <= 1e-9
 
@@ -130,7 +130,7 @@ def test_green_offdiag_symmetry_and_diagonal():
         lam = float(rng.uniform(-1.7, 1.7))
         np.testing.assert_allclose(green_offdiag(spec, -2, 3, lam),
                                    green_offdiag(spec, 3, -2, lam), rtol=1e-10)
-        g_diag = green_diag(spec, 0, BoundaryPoint.real(lam)).value
+        g_diag = green_diag(spec, 0, BoundaryPoint.real(lam))
         np.testing.assert_allclose(green_offdiag(spec, 0, 0, lam), g_diag,
                                    rtol=1e-9)
 

@@ -15,27 +15,27 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 def test_free_fixtures_upper_half_plane():
     spec = free_spec()
     # m(z) = (-z + sqrt(z^2 - 4)) / 2 with the Herglotz branch
-    m = m_right(spec, 0, BoundaryPoint.upper(1j)).value
+    m = m_right(spec, 0, BoundaryPoint.upper(1j))
     np.testing.assert_allclose(m, GOLDEN * 1j, atol=1e-14)
-    m = m_left(spec, 0, BoundaryPoint.upper(1j)).value
+    m = m_left(spec, 0, BoundaryPoint.upper(1j))
     np.testing.assert_allclose(m, GOLDEN * 1j, atol=1e-14)
 
 
 def test_free_fixtures_boundary():
     spec = free_spec()
-    m0 = m_right(spec, 0, BoundaryPoint.real(0.0)).value
+    m0 = m_right(spec, 0, BoundaryPoint.real(0.0))
     np.testing.assert_allclose(m0, 1j, atol=1e-14)
-    m1 = m_right(spec, 0, BoundaryPoint.real(1.0)).value
+    m1 = m_right(spec, 0, BoundaryPoint.real(1.0))
     np.testing.assert_allclose(m1, (-1.0 + 1j * np.sqrt(3.0)) / 2.0, atol=1e-14)
     # outside the band both roots are real; continuity picks the Herglotz one
-    m3 = m_right(spec, 0, BoundaryPoint.real(3.0)).value
+    m3 = m_right(spec, 0, BoundaryPoint.real(3.0))
     np.testing.assert_allclose(m3, -(3.0 - np.sqrt(5.0)) / 2.0, atol=1e-14)
     assert abs(m3.imag) <= 1e-14
 
 
 def test_single_site_left_fixture():
     spec = single_site_spec()
-    m = m_left(spec, 1, BoundaryPoint.real(0.0)).value
+    m = m_left(spec, 1, BoundaryPoint.real(0.0))
     np.testing.assert_allclose(m, (1.0 + 1j) / 2.0, atol=1e-14)
 
 
@@ -45,14 +45,14 @@ def test_herglotz_positivity():
         spec = random_spec(rng)
         z = complex(rng.uniform(-3, 3), rng.uniform(1e-3, 1.0))
         n = int(rng.integers(-5, 6))
-        assert m_right(spec, n, BoundaryPoint.upper(z)).value.imag > 0
-        assert m_left(spec, n, BoundaryPoint.upper(z)).value.imag > 0
+        assert m_right(spec, n, BoundaryPoint.upper(z)).imag > 0
+        assert m_left(spec, n, BoundaryPoint.upper(z)).imag > 0
 
 
 def test_reflection_principle_via_side():
     spec = single_site_spec()
-    plus = m_right(spec, 0, BoundaryPoint.real(0.5, side="+")).value
-    minus = m_right(spec, 0, BoundaryPoint.real(0.5, side="-")).value
+    plus = m_right(spec, 0, BoundaryPoint.real(0.5, side="+"))
+    minus = m_right(spec, 0, BoundaryPoint.real(0.5, side="-"))
     assert minus == np.conj(plus)
 
 
@@ -62,10 +62,10 @@ def test_truncated_oracle():
         spec = random_spec(rng)
         z = complex(rng.uniform(-2, 2), 1e-2)
         n = int(rng.integers(-3, 4))
-        exact = m_right(spec, n, BoundaryPoint.upper(z)).value
+        exact = m_right(spec, n, BoundaryPoint.upper(z))
         oracle = m_oracle_truncated(spec, n, z, 4000, side="right")
         assert abs(exact - oracle) <= 1e-6
-        exact = m_left(spec, n, BoundaryPoint.upper(z)).value
+        exact = m_left(spec, n, BoundaryPoint.upper(z))
         oracle = m_oracle_truncated(spec, n, z, 4000, side="left")
         assert abs(exact - oracle) <= 1e-6
 

@@ -3,11 +3,12 @@ import pytest
 
 from jacobi_reflect import (Background, BoundaryPoint, CrossCheckFailure,
                             EnergyGrid, JacobiSpec, NoOpenChannel, ScatteringMatrix,
-                            band_grid, channel_weight, green_diag,
-                            green_diag_grid, m_left_boundary, m_right_boundary,
-                            reflection_transmission,
-                            reflectionless_report, scattering_grid,
-                            scattering_matrix, unitarity_defect,
+                            ac_density, alpha_beta_grid, band_grid,
+                            channel_weight, green_diag, green_diag_grid,
+                            m_left_boundary, m_right_boundary,
+                            reflection_transmission, reflectionless_report,
+                            scattering_grid, scattering_matrix,
+                            spectral_reflection_mratio_grid, unitarity_defect,
                             unitarity_defect_grid)
 from jacobi_reflect import mfunc, scattering
 
@@ -17,16 +18,16 @@ from util import (free_spec, period2_spec, perturbed_period3_spec,
 
 def test_free_green_fixtures():
     spec = free_spec()
-    g = green_diag(spec, 0, BoundaryPoint.upper(1j)).value
+    g = green_diag(spec, 0, BoundaryPoint.upper(1j))
     np.testing.assert_allclose(g, 1j / np.sqrt(5.0), atol=1e-14)
-    g = green_diag(spec, 0, BoundaryPoint.real(0.0)).value
+    g = green_diag(spec, 0, BoundaryPoint.real(0.0))
     np.testing.assert_allclose(g, 0.5j, atol=1e-14)
-    g = green_diag(spec, 0, BoundaryPoint.real(1.0)).value
+    g = green_diag(spec, 0, BoundaryPoint.real(1.0))
     np.testing.assert_allclose(g, 1j / np.sqrt(3.0), atol=1e-14)
 
 
 def test_single_site_green():
-    g = green_diag(single_site_spec(), 0, BoundaryPoint.real(0.0)).value
+    g = green_diag(single_site_spec(), 0, BoundaryPoint.real(0.0))
     np.testing.assert_allclose(g, (1.0 + 2.0j) / 5.0, atol=1e-14)
 
 
@@ -88,12 +89,12 @@ def test_gap_has_no_open_channel():
 
 
 def test_channel_weight_examples():
-    w = channel_weight(free_spec(), 0, 0.0)
-    np.testing.assert_allclose(w.v_l, 1.0 / np.sqrt(np.pi), atol=1e-12)
-    np.testing.assert_allclose(w.v_r, 1.0 / np.sqrt(np.pi), atol=1e-12)
+    v_l, v_r = channel_weight(free_spec(), 0, 0.0)
+    np.testing.assert_allclose(v_l, 1.0 / np.sqrt(np.pi), atol=1e-12)
+    np.testing.assert_allclose(v_r, 1.0 / np.sqrt(np.pi), atol=1e-12)
     half = JacobiSpec(background=Background.constant(0.5, 0.0))
-    w = channel_weight(half, 0, 0.0)
-    np.testing.assert_allclose(w.v_l, np.sqrt(2.0 / np.pi), atol=1e-12)
+    v_l, _ = channel_weight(half, 0, 0.0)
+    np.testing.assert_allclose(v_l, np.sqrt(2.0 / np.pi), atol=1e-12)
 
 
 def test_closed_channel_defect_convention():
@@ -195,3 +196,41 @@ def test_one_energy_gets_its_bits_on_a_grid():
                 one = m_values(spec, n, gap[j:j + 1])[0]
                 assert ([x.hex() for x in (one.real, one.imag)]
                         == [x.hex() for x in (grid[j].real, grid[j].imag)]), (n, gap[j])
+
+
+@pytest.mark.parametrize("kind, value", [("site", 0.3), ("site", 1.0), ("site", 2.5),
+                                         ("bond", 0.3), ("bond", 0.7), ("bond", 1.6),
+                                         ("bond", 3.0)])
+def test_closed_form_transmission_over_the_band(kind, value):
+    # one site b_0 = v or one bond a_0 = t on the free chain, lambda = 2 cos(theta)
+    lams = band_grid(free_spec(), 2001).points
+    sin2 = np.sin(np.arccos(lams / 2.0)) ** 2
+    if kind == "site":
+        spec = JacobiSpec(b_override=(value,))
+        t_exact = 4.0 * sin2 / (4.0 * sin2 + value ** 2)
+    else:
+        spec = JacobiSpec(a_override=(value,))
+        t_exact = 4.0 * value ** 2 * sin2 / ((1.0 - value ** 2) ** 2 + 4.0 * value ** 2 * sin2)
+    for n in (-3, 0, 1, 4):
+        t = np.abs(scattering_grid(spec, n, lams)["s_lr"]) ** 2
+        assert np.abs(t - t_exact).max() <= 1e-13, n
+    jost = alpha_beta_grid(spec, lams)
+    assert all(status is None for status in jost.status)
+    assert np.abs(jost.R_r - (1.0 - t_exact)).max() <= 1e-13
+    r_mratio = spectral_reflection_mratio_grid(spec, lams)
+    assert np.abs(r_mratio - (1.0 - t_exact)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("route", [
+    pytest.param(lambda spec, z: green_diag_grid(spec, 0, z), id="green_diag_grid"),
+    pytest.param(lambda spec, z: m_right_boundary(spec, 0, z), id="m_right_boundary"),
+    pytest.param(lambda spec, z: m_left_boundary(spec, 0, z), id="m_left_boundary"),
+    pytest.param(lambda spec, z: ac_density(spec, 0, z), id="ac_density"),
+    pytest.param(lambda spec, z: scattering_grid(spec, 0, z), id="scattering_grid"),
+    pytest.param(alpha_beta_grid, id="alpha_beta_grid"),
+    pytest.param(spectral_reflection_mratio_grid, id="spectral_reflection_mratio_grid"),
+])
+def test_real_axis_routes_refuse_complex_energies(route):
+    # a cast to float would drop Im z: G(0.3 + i0) in place of G(0.3 + 0.1i)
+    with pytest.raises(ValueError, match="real energies"):
+        route(single_site_spec(), np.array([0.3 + 0.1j]))
