@@ -24,8 +24,7 @@ from .jost import (JostSolution, ReflectionDatum, ReflectionGrid, alpha_beta,
                    spectral_reflection_mratio, spectral_reflection_mratio_grid,
                    wronskian)
 from .mfunc import (ac_density, m_left, m_left_boundary, m_left_grid,
-                    m_oracle_truncated, m_right, m_right_boundary, m_right_grid,
-                    tail_m)
+                    m_oracle_truncated, m_right, m_right_boundary, m_right_grid)
 from .model import (Background, BoundaryPoint, JacobiSpec, TruncatedOperator,
                     coefficient_arrays, parse_config, serialize_config,
                     truncate)
@@ -45,7 +44,7 @@ __all__ = [
     "discriminant", "band_intervals", "band_edges", "in_band_mask",
     # m-functions
     "m_right", "m_left", "m_right_grid", "m_left_grid",
-    "m_right_boundary", "m_left_boundary", "tail_m",
+    "m_right_boundary", "m_left_boundary",
     "ac_density", "m_oracle_truncated",
     # scattering
     "ScatteringMatrix", "green_diag", "green_diag_grid", "scattering_matrix",

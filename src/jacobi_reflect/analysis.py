@@ -26,10 +26,11 @@ from scipy.special import expit, roots_legendre
 
 from .bands import INSET_REL, _near_edge, band_intervals
 from .mfunc import ac_density
-from .scattering import _s_entries, boundary_pieces, scattering_grid
+from .scattering import SUPPORT_TOL, _s_entries, boundary_pieces
 
 TAU_DEFAULT = 1e-8
-TAU_SUPPORT = 1e-10
+N_RANGE = tuple(range(-3, 4))   # the cut sites of reflectionless_report
+QUADRATURE_NODES = 400          # Gauss-Legendre nodes per band in landauer_current
 
 __all__ = [
     "EnergyGrid",
@@ -80,22 +81,22 @@ def band_grid(spec, points_per_band):
 
 
 def essential_support(spec, grid):
-    """Index sets where each half-line boundary density is positive."""
+    """Index sets where each half-line boundary density is positive, by the
+    open-channel threshold of the s-matrix."""
     lams = grid.points
-    left = np.flatnonzero(ac_density(spec, 0, lams, side="left") > TAU_SUPPORT)
-    right = np.flatnonzero(ac_density(spec, 0, lams, side="right") > TAU_SUPPORT)
+    left = np.flatnonzero(np.pi * ac_density(spec, 0, lams, side="left") > SUPPORT_TOL)
+    right = np.flatnonzero(np.pi * ac_density(spec, 0, lams, side="right") > SUPPORT_TOL)
     union = np.union1d(left, right)
     return {"left": left, "right": right, "union": union}
 
 
 def _criterion_rows(re_g, specref, s_diag):
     """Verdict-level residuals per lambda: max|Re G_nn| over the sites, the
-    same over each three consecutive sites (over all of them when there are
-    fewer than three), the m-product residual and max(|s_ll|, |s_rr|)."""
+    same over each three consecutive sites, the m-product residual and
+    max(|s_ll|, |s_rr|)."""
     abs_g = np.abs(re_g)
-    mt = abs_g.max(axis=0)
     triples = [abs_g[i: i + 3].max(axis=0) for i in range(len(abs_g) - 2)]
-    return np.array([mt, *(triples or [mt]), specref.max(axis=0), s_diag.max(axis=0)])
+    return np.array([abs_g.max(axis=0), *triples, specref.max(axis=0), s_diag.max(axis=0)])
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,6 @@ class CriteriaReport:
 
     grid: EnergyGrid
     n_range: tuple
-    tau: float
     re_g: np.ndarray
     specref_residual: np.ndarray
     s_diag_mag: np.ndarray
@@ -133,10 +133,10 @@ class CriteriaReport:
         """Verdict-level residuals: per-lambda maxima over the site range."""
         return _criterion_rows(self.re_g, self.specref_residual, self.s_diag_mag)
 
-    def residual_gap_ok(self, lo=1e-10, hi=1e-3):
-        """No criterion residual strictly inside (lo, hi)."""
+    def residual_gap_ok(self):
+        """No criterion residual strictly inside (1e-10, 1e-3)."""
         r = self.criterion_residuals()
-        return bool(~np.any((r > lo) & (r < hi)))
+        return bool(~np.any((r > 1e-10) & (r < 1e-3)))
 
     def columns(self):
         """Flat per-(lambda, n) columns, lambda-major; verdicts are per lambda."""
@@ -151,16 +151,15 @@ class CriteriaReport:
         return cols
 
 
-def reflectionless_report(spec, grid, n_range=tuple(range(-3, 4)), tau=TAU_DEFAULT):
-    """Evaluate the stationary criteria at each cut site over the grid.
+def reflectionless_report(spec, grid, tau=TAU_DEFAULT):
+    """Evaluate the stationary criteria at each cut site of N_RANGE over the grid.
 
     The criteria speak about the essential support: where every channel is
     closed, each verdict is False.  Each verdict is its criterion residual
     under ``tau``, and they agree where every verdict equals the first.
     """
-    n_range = tuple(int(n) for n in n_range)
     lams = np.asarray(grid.points, dtype=float)
-    pieces = boundary_pieces(spec, n_range, lams, real_limit=True)
+    pieces = boundary_pieces(spec, N_RANGE, lams, real_limit=True)
     re_g = pieces.g.real
     specref = pieces.specref
     res = _s_entries(pieces)
@@ -168,7 +167,7 @@ def reflectionless_report(spec, grid, n_range=tuple(range(-3, 4)), tau=TAU_DEFAU
     support = ((pieces.density_l > 0) | (pieces.density_r > 0)).any(axis=0)
 
     verdicts = (_criterion_rows(re_g, specref, s_diag) <= tau) & support
-    return CriteriaReport(grid=grid, n_range=n_range, tau=tau, re_g=re_g,
+    return CriteriaReport(grid=grid, n_range=N_RANGE, re_g=re_g,
                           specref_residual=specref, s_diag_mag=s_diag,
                           verdict_mt=verdicts[0], verdict_triple=verdicts[1:-2],
                           verdict_spec=verdicts[-2], verdict_stat=verdicts[-1],
@@ -187,7 +186,7 @@ def _fermi(lam, beta, mu):
     return expit(-beta * (lam - mu))
 
 
-def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=400):
+def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=QUADRATURE_NODES):
     """Steady-state charge and energy currents between two reservoirs.
 
     I_charge = (2 pi)^-1 integral T(lam) (f_l - f_r) dlam over the bands,
@@ -213,7 +212,8 @@ def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=400):
         mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
         lams = mid - hw * np.cos(theta)
         jac = hw * np.sin(theta)
-        t_coef = np.abs(scattering_grid(spec, 0, lams, guard=False)["s_lr"]) ** 2
+        s_lr = _s_entries(boundary_pieces(spec, [0], lams, guard=False))["s_lr"][0]
+        t_coef = np.abs(s_lr) ** 2
         df = _fermi(lams, beta_l, mu_l) - _fermi(lams, beta_r, mu_r)
         base = w_theta * jac * t_coef * df
         charge += base.sum()

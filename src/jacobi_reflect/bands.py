@@ -105,8 +105,9 @@ def band_edges(background):
 
 
 def in_band_mask(bands, lams):
-    """Boolean mask of which lambda lie inside a (closed) band."""
-    lams = np.asarray(lams, dtype=float)
+    """Boolean mask, of the shape of ``lams``, of which lambda lie inside a
+    (closed) band; complex energies raise ValueError."""
+    lams = _real_energies(lams).reshape(np.shape(lams))
     flat = np.array([e for band in bands for e in band])
     idx = np.searchsorted(flat, lams, side="left")
     # odd insertion index means strictly inside; catch exact endpoints too
@@ -142,9 +143,9 @@ def guard_edges(bands, lams):
 
     Real-boundary limits degenerate like an inverse square root at band
     edges, so evaluation there is refused instead of silently losing
-    accuracy.
+    accuracy.  Complex energies raise ValueError.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    lams = _real_energies(lams)
     bad, edge, margin = _near_edge(bands, lams)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])

@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: describe, mfunc, green, scatter, jost, reflect-check,
-dynamics, transport.  Results go to stdout or, with --out, to a file
-written atomically (temp file + rename).  --format picks CSV (default)
-or JSON; both carry the same numbers, as 17 significant digits in CSV and
-the shortest round-trip repr in JSON, so both parse to the exact double.
+dynamics, transport.  Each takes only the flags it reads (the table in
+``_build_parser``), spelled out in full: an abbreviated flag, or one its
+subcommand does not read, is a usage error.  ``jost`` reports cut 0 and
+``reflect-check`` the sites -3..3, so only mfunc, green and scatter take
+--n.  Results go to stdout or, with --out, to a file written atomically
+(temp file + rename).  --format picks CSV (default) or JSON; both carry
+the same numbers, as 17 significant digits in CSV and the shortest
+round-trip repr in JSON, so both parse to the exact double.
 
 Exit codes: 0 success; 2 = reflect-check found the criteria disagreeing;
 3 = bad flags or config; 4 = numerical failure on the requested points.
@@ -23,8 +27,8 @@ import tempfile
 
 import numpy as np
 
-from .analysis import (EnergyGrid, explicit_grid, landauer_current,
-                       reflectionless_report)
+from .analysis import (QUADRATURE_NODES, TAU_DEFAULT, EnergyGrid, explicit_grid,
+                       landauer_current, reflectionless_report)
 from .bands import band_intervals, guard_edges
 from .dynamics import dynamical_reflection
 from .errors import (JacobiReflectError, NumericalError, SchemaError)
@@ -272,43 +276,43 @@ _COMMANDS = {
 }
 
 
-def _add_common(sub):
-    sub.add_argument("--config", metavar="PATH", help="operator config (JSON)")
-    sub.add_argument("--grid", metavar="START:STOP:STEP",
-                     help="energy grid; stop is included when within step/2")
-    sub.add_argument("--lambda", dest="lam", type=float, metavar="VALUE",
-                     help="single energy instead of --grid")
-    sub.add_argument("--n", type=int, default=0, help="cut site (default 0)")
-    sub.add_argument("--out", metavar="PATH", help="write here instead of stdout")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--tol", type=float, default=1e-8,
-                     help="verdict tolerance (reflect-check)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="recorded in JSON output; analyses are deterministic")
-
-
 def _build_parser():
-    parser = _Parser(prog="jacobi-reflect",
+    every, grid = tuple(_COMMANDS), ("mfunc", "green", "scatter", "jost", "reflect-check")
+    # each flag, the subcommands that read it, and its add_argument keywords
+    flags = (
+        ("--config", every, dict(metavar="PATH", help="operator config (JSON)")),
+        ("--grid", grid, dict(metavar="START:STOP:STEP",
+                              help="energy grid; stop is included when within step/2")),
+        ("--lambda", grid, dict(dest="lam", type=float, metavar="VALUE",
+                                help="single energy instead of --grid")),
+        ("--n", ("mfunc", "green", "scatter"),
+         dict(type=int, default=0, help="cut site (default 0)")),
+        ("--out", every, dict(metavar="PATH", help="write here instead of stdout")),
+        ("--format", every, dict(choices=("csv", "json"), default="csv")),
+        ("--tol", ("reflect-check",),
+         dict(type=float, default=TAU_DEFAULT, help="verdict tolerance")),
+        ("--seed", every, dict(type=int, default=0,
+                               help="recorded in JSON output; analyses are deterministic")),
+        ("--lambda0", ("dynamics",), dict(type=float, required=True, help="packet center energy")),
+        ("--dlambda", ("dynamics",), dict(type=float, default=0.05, help="packet energy width")),
+        ("--N", ("dynamics",),
+         dict(type=int, default=2000, help="half-width of the truncated lattice")),
+        ("--beta-l", ("transport",), dict(type=float, required=True)),
+        ("--mu-l", ("transport",), dict(type=float, required=True)),
+        ("--beta-r", ("transport",), dict(type=float, required=True)),
+        ("--mu-r", ("transport",), dict(type=float, required=True)),
+        ("--quadrature", ("transport",),
+         dict(type=int, default=QUADRATURE_NODES, help="Gauss-Legendre nodes per band")),
+    )
+    parser = _Parser(prog="jacobi-reflect", allow_abbrev=False,
                      description="Scattering and reflectionless-criteria "
                                  "toolkit for doubly infinite Jacobi matrices.")
     subs = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        sub = subs.add_parser(name)
-        _add_common(sub)
-        if name == "dynamics":
-            sub.add_argument("--lambda0", type=float, required=True,
-                             help="packet center energy")
-            sub.add_argument("--dlambda", type=float, default=0.05,
-                             help="packet energy width")
-            sub.add_argument("--N", type=int, default=2000,
-                             help="half-width of the truncated lattice")
-        if name == "transport":
-            sub.add_argument("--beta-l", type=float, required=True)
-            sub.add_argument("--mu-l", type=float, required=True)
-            sub.add_argument("--beta-r", type=float, required=True)
-            sub.add_argument("--mu-r", type=float, required=True)
-            sub.add_argument("--quadrature", type=int, default=400,
-                             help="Gauss-Legendre nodes per band")
+        sub = subs.add_parser(name, allow_abbrev=False)
+        for flag, commands, kwargs in flags:
+            if name in commands:
+                sub.add_argument(flag, **kwargs)
     return parser
 
 

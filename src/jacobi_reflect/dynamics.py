@@ -9,9 +9,10 @@ Gaussian position envelopes riding a Bloch carrier of the background,
 oriented toward the perturbation window; the horizon t_max keeps everything
 away from the hard truncation boundary, so no absorbing layers are needed.
 
-Masses on sites <= -1 / >= +1 after the packet clears the window estimate
-the stationary reflection/transmission probabilities; the site-0 remnant
-is reported separately (it is excluded from both).
+A packet run from the left is observed at t* = T_FACTOR * t_max, after
+the packet has cleared the window: its masses on sites <= -1 / >= +1
+estimate the stationary reflection/transmission probabilities, and the
+site-0 remnant is reported separately (it is excluded from both).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .scattering import scattering_grid
 
 PACKET_CUTOFF = 5.0   # envelope support radius in units of sigma
 CHEB_TOL = 1e-18      # last Bessel coefficient kept in the Chebyshev sum
+T_FACTOR = 0.8        # packet runs are observed at T_FACTOR * t_max
 
 __all__ = [
     "LatticeState",
@@ -75,7 +77,6 @@ class PropagationPlan:
     center: float
     radius: float
     t_max: float
-    v_max: float
 
 
 def make_plan(spec, N, k_pack):
@@ -92,7 +93,7 @@ def make_plan(spec, N, k_pack):
     reach = np.append(trunc.offdiag, 0.0) + np.append(0.0, trunc.offdiag)
     lo, hi = np.min(trunc.diag - reach), np.max(trunc.diag + reach)   # Gershgorin
     return PropagationPlan(truncation=trunc, center=float(lo + hi) / 2,
-                           radius=float(hi - lo) / 2, t_max=t_max, v_max=v_max)
+                           radius=float(hi - lo) / 2, t_max=t_max)
 
 
 def _bessel_coefficients(z):
@@ -190,9 +191,9 @@ def wave_packet(spec, side, lam0, dlam, N):
     return LatticeState.from_amplitudes(N, amplitudes)
 
 
-def _stationary_reflection_avg(spec, lam0, dlam, nodes=21):
-    """Gauss-Hermite average of the stationary R over the packet's energies."""
-    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+def _stationary_reflection_avg(spec, lam0, dlam):
+    """21-node Gauss-Hermite average of the stationary R over the packet's energies."""
+    x, w = np.polynomial.hermite_e.hermegauss(21)
     lams = lam0 + dlam * x
     bands = np.array(band_intervals(spec.background))
     lo, hi = bands[:, :1], bands[:, 1:]       # [band, node] with lams
@@ -203,23 +204,23 @@ def _stationary_reflection_avg(spec, lam0, dlam, nodes=21):
     return float(np.sum(w[keep] * r) / np.sum(w[keep]))
 
 
-def _left_packet_run(spec, lam0, dlam, N, t_factor):
-    """Packet from the left, its plan and the observation time t_factor * t_max."""
+def _left_packet_run(spec, lam0, dlam, N):
+    """Packet from the left, its plan and the observation time T_FACTOR * t_max."""
     packet = wave_packet(spec, "l", lam0, dlam, N)
     occupied = np.flatnonzero(np.abs(packet.amplitudes) > 0)
     k_pack = int(max(abs(occupied[0] - N), abs(occupied[-1] - N)))
     plan = make_plan(spec, N, k_pack)
-    return packet, plan, t_factor * plan.t_max
+    return packet, plan, T_FACTOR * plan.t_max
 
 
-def dynamical_reflection(spec, lam0, dlam, N, t_factor=0.8):
+def dynamical_reflection(spec, lam0, dlam, N):
     """Packet run from the left; masses after clearing the window.
 
     Returns a dict with R_dyn (mass on sites <= -1 at t*), T_dyn (>= +1),
     the site-0 remnant, t_star, and the stationary packet-averaged
     reflection for comparison.
     """
-    packet, plan, t_star = _left_packet_run(spec, lam0, dlam, N, t_factor)
+    packet, plan, t_star = _left_packet_run(spec, lam0, dlam, N)
     out = evolve(plan, packet, t_star)
     r_dyn = out.mass(-N, -1)
     t_dyn = out.mass(1, N)
@@ -238,7 +239,7 @@ def dynamical_reflection(spec, lam0, dlam, N, t_factor=0.8):
     }
 
 
-def projection_defect(spec, lam0, dlam, N, t_factor=0.8):
+def projection_defect(spec, lam0, dlam, N):
     """Idempotency/completeness defect of the evolved side projections.
 
     Approximates the asymptotic side projection by conjugating the sharp
@@ -246,7 +247,7 @@ def projection_defect(spec, lam0, dlam, N, t_factor=0.8):
     t = t*.  Returns ||P_l^2 phi - P_l phi|| plus the defect of
     ||P_l phi||^2 + ||P_r phi||^2 + |<delta_0, e^{-itJ} phi>|^2 = 1.
     """
-    packet, plan, t_star = _left_packet_run(spec, lam0, dlam, N, t_factor)
+    packet, plan, t_star = _left_packet_run(spec, lam0, dlam, N)
 
     def mask(state, side):
         amp = state.amplitudes.copy()

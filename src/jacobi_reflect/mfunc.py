@@ -37,7 +37,7 @@ from scipy.linalg import solve_banded
 
 from .bands import _period_product, _real_energies, band_intervals, guard_edges
 from .errors import CrossCheckFailure, NumericalError, PoleHit
-from .model import JacobiSpec, coefficient_arrays
+from .model import coefficient_arrays
 
 POLE_TOL = 1e-14     # |u_n| below this share of its pair makes m_n a pole
 # |M v - mu v| <= SEED_TOL |M| |v| (entrywise 1-norms).  The seed makes the
@@ -52,7 +52,6 @@ RESCALE_EVERY = 16
 __all__ = [
     "WeylSolution",
     "weyl_sweep",
-    "tail_m",
     "m_right_grid",
     "m_left_grid",
     "m_right_boundary",
@@ -235,11 +234,11 @@ def _ratios(sol, bonds, a):
     return out
 
 
-def _m_values(spec, n, pts, side, real_limit=True, guard=True, poles=True):
+def _m_values(spec, n, pts, side, real_limit=True, poles=True):
     """m_right(n) or m_left(n) over a grid; PoleHit where it is infinite,
     or with ``poles=False`` 0 there and the mask of the poles."""
     bond = n if side == "right" else n - 1
-    sol = weyl_sweep(spec, side, bond, bond, pts, real_limit, guard)
+    sol = weyl_sweep(spec, side, bond, bond, pts, real_limit)
     a = spec.a(bond)
     rho, zero, sigma, top = _ratios(sol, bond, a)
     m, pole = (-rho / a, zero) if side == "right" else (-sigma / a, top)
@@ -254,13 +253,6 @@ def _pole_hit(side, n, at):
     """The refusal of m_right(n) or m_left(n) at a pole ``at``."""
     return PoleHit(f"m_{side}({n}) has a pole at {at}: the {side} Weyl "
                    f"solution vanishes at site {n}")
-
-
-def tail_m(background, cut, pts, side="right", real_limit=False, guard=True):
-    """m_right or m_left of the pure background at ``cut``, at real energies
-    (``lambda + i0``) when ``real_limit``, else at upper-half-plane points.
-    """
-    return _m_values(JacobiSpec(background), cut, pts, side, real_limit, guard)
 
 
 def m_right_grid(spec, n, z):

@@ -156,14 +156,14 @@ def _s_entries(pieces):
     }
 
 
-def scattering_grid(spec, n, lams, guard=True):
+def scattering_grid(spec, n, lams):
     """Vectorized scattering entries over a real grid.
 
     Returns a dict with s_ll, s_lr, s_rr, density_l, density_r, g arrays;
     s_rl equals s_lr identically.  Closed channels come out as identity
     rows automatically (the density factor is exactly zero there).
     """
-    pieces = boundary_pieces(spec, [n], lams, real_limit=True, guard=guard)
+    pieces = boundary_pieces(spec, [n], lams, real_limit=True)
     return {k: v[0] for k, v in _s_entries(pieces).items()}
 
 

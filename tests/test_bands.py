@@ -81,6 +81,18 @@ def test_guard_edges():
     guard_edges(bands, np.array([0.0, 1.9, -1.9]))
 
 
+@pytest.mark.parametrize("z", [0.3 + 5j, 2.0 + 0.5j])
+def test_complex_energies_are_refused(z):
+    # a cast to float would drop Im z and answer for Re z
+    bands = band_intervals(Background.free())
+    with pytest.raises(ValueError, match="real energies"):
+        in_band_mask(bands, np.array([z]))
+    with pytest.raises(ValueError, match="real energies"):
+        guard_edges(bands, np.array([z]))
+    # real energies keep their shape
+    assert in_band_mask(bands, np.array([[0.3, 2.5]])).tolist() == [[True, False]]
+
+
 def test_bands_sorted_disjoint():
     rng = np.random.default_rng(13)
     for _ in range(10):

@@ -8,6 +8,7 @@ from jacobi_reflect import (alpha_beta, band_intervals, cli, dynamical_reflectio
                             green_diag_grid, landauer_current,
                             reflectionless_report, scattering_grid,
                             unitarity_defect_grid)
+from jacobi_reflect.analysis import QUADRATURE_NODES, TAU_DEFAULT
 from jacobi_reflect.errors import JacobiReflectError, NumericalError
 from jacobi_reflect.mfunc import m_left_boundary, m_right_boundary
 
@@ -271,6 +272,62 @@ def test_all_dropped_grid_prints_header_only(configs, capsys, fmt):
             assert json.loads(captured.out)["rows"] == []
 
 
+COMMON_FLAGS = ("--config", "--out", "--format", "--seed")
+GRID_FLAGS = COMMON_FLAGS + ("--grid", "--lambda")
+FLAG_TABLE = {
+    "describe": COMMON_FLAGS,
+    "mfunc": GRID_FLAGS + ("--n",),
+    "green": GRID_FLAGS + ("--n",),
+    "scatter": GRID_FLAGS + ("--n",),
+    "jost": GRID_FLAGS,
+    "reflect-check": GRID_FLAGS + ("--tol",),
+    "dynamics": COMMON_FLAGS + ("--lambda0", "--dlambda", "--N"),
+    "transport": COMMON_FLAGS + ("--beta-l", "--mu-l", "--beta-r", "--mu-r", "--quadrature"),
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = cli._build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(FLAG_TABLE)
+    assert not parser.allow_abbrev
+    for name, sub in subs.choices.items():
+        flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == set(FLAG_TABLE[name]), name
+        assert not sub.allow_abbrev, name
+    assert sum(map(len, FLAG_TABLE.values())) == 54
+    assert parser.parse_args(["reflect-check"]).tol == TAU_DEFAULT
+    assert parser.parse_args(["transport", "--beta-l", "1", "--mu-l", "0", "--beta-r", "1",
+                              "--mu-r", "0"]).quadrature == QUADRATURE_NODES
+
+
+def _unread_flag_argvs(configs):
+    # a valid invocation of each subcommand plus one flag it does not read
+    base = {"describe": [], "dynamics": ["--lambda0", "0", "--N", "300"],
+            "transport": ["--beta-l", "1", "--mu-l", "0.3", "--beta-r", "1", "--mu-r", "0.3"]}
+    values = {"--grid": "--grid=0:1:0.5", "--lambda": "--lambda=0.3", "--n": "--n=1",
+              "--tol": "--tol=0.3"}
+    argvs = [[name, "--config", configs["single"]] + base.get(name, ["--lambda=0.3"])
+             + [value] for name, flags in FLAG_TABLE.items()
+             for flag, value in values.items() if flag not in flags]
+    assert len(argvs) == 18
+    return argvs + [
+        ["dynamics", "--config", configs["single"], "--lambda", "0.5", "--lambda0", "0"],
+        ["transport", "--config", configs["free"], "--beta-l", "1", "--mu-l", "0.3",
+         "--beta-r", "1", "--mu-r", "0.3", "--quad", "10"],
+    ]
+
+
+def test_unread_and_abbreviated_flags_exit_3(configs, capsys):
+    for argv in _unread_flag_argvs(configs):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 3, argv
+        assert captured.out == "", argv
+        assert "unrecognized arguments" in captured.err, argv
+
+
 # --- the per-cell renderer and per-row builders the CLI used to have -------
 # An independent oracle for the columnar renderer: every number is formatted
 # one cell at a time, from rows built one dict per grid point.
@@ -415,7 +472,7 @@ GOLDEN_ARGV = (
     ["reflect-check", "--lambda=0.3", "--tol", "0.3"],
 ) + tuple([cmd, grid] + n for cmd in ("mfunc", "green", "scatter", "reflect-check")
           for grid in ("--grid=-2.2:2.1:0.3", "--lambda=0.3")
-          for n in ([], ["--n", "1"]))
+          for n in (([],) if cmd == "reflect-check" else ([], ["--n", "1"])))
 
 
 @pytest.mark.parametrize("config", ["free", "single", "p2", "p4"])
