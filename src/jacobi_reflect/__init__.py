@@ -13,8 +13,8 @@ from .analysis import (CriteriaReport, EnergyGrid, band_grid, essential_support,
                        explicit_grid, landauer_current, reflectionless_report)
 from .bands import band_edges, band_intervals, discriminant, in_band_mask
 from .dynamics import (LatticeState, PropagationPlan, dynamical_reflection,
-                       evolve, free_propagator_kernel, group_velocity,
-                       make_plan, projection_defect, wave_packet)
+                       evolve, group_velocity, make_plan, projection_defect,
+                       wave_packet)
 from .errors import (BandEdge, CrossCheckFailure, DegenerateBasis,
                      HorizonExceeded, JacobiReflectError, NoOpenChannel,
                      NonFiniteEntry, NonPositiveCoefficient, NormalizationPole,
@@ -23,8 +23,8 @@ from .jost import (JostSolution, ReflectionDatum, ReflectionGrid, alpha_beta,
                    alpha_beta_grid, green_offdiag, jost_solution,
                    spectral_reflection_mratio, spectral_reflection_mratio_grid,
                    wronskian)
-from .mfunc import (ac_density, m_left, m_left_boundary, m_left_grid,
-                    m_oracle_truncated, m_right, m_right_boundary, m_right_grid)
+from .mfunc import (ac_density, m_left, m_left_boundary, m_left_grid, m_right,
+                    m_right_boundary, m_right_grid)
 from .model import (Background, BoundaryPoint, JacobiSpec, TruncatedOperator,
                     coefficient_arrays, parse_config, serialize_config,
                     truncate)
@@ -45,7 +45,7 @@ __all__ = [
     # m-functions
     "m_right", "m_left", "m_right_grid", "m_left_grid",
     "m_right_boundary", "m_left_boundary",
-    "ac_density", "m_oracle_truncated",
+    "ac_density",
     # scattering
     "ScatteringMatrix", "green_diag", "green_diag_grid", "scattering_matrix",
     "scattering_grid", "reflection_transmission", "channel_weight",
@@ -57,7 +57,6 @@ __all__ = [
     # dynamics
     "LatticeState", "PropagationPlan", "make_plan", "evolve", "wave_packet",
     "group_velocity", "dynamical_reflection", "projection_defect",
-    "free_propagator_kernel",
     # analysis
     "EnergyGrid", "CriteriaReport", "explicit_grid", "band_grid",
     "essential_support", "reflectionless_report", "landauer_current",

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit, roots_legendre
 
 from .bands import INSET_REL, _near_edge, band_intervals
 from .mfunc import ac_density
@@ -31,6 +30,7 @@ from .scattering import SUPPORT_TOL, _s_entries, boundary_pieces
 TAU_DEFAULT = 1e-8
 N_RANGE = tuple(range(-3, 4))   # the cut sites of reflectionless_report
 QUADRATURE_NODES = 400          # Gauss-Legendre nodes per band in landauer_current
+GRID_POINTS_MAX = 10**6         # largest point count explicit_grid builds
 
 __all__ = [
     "EnergyGrid",
@@ -59,9 +59,13 @@ def explicit_grid(spec, start, stop, step):
 
     Points inside a band-edge margin are dropped (recorded), not errors.
     """
+    if not np.isfinite([start, stop, step]).all():
+        raise ValueError(f"grid {start}:{stop}:{step} is not finite")
     if step <= 0:
         raise ValueError("step must be positive")
     n_exact = (stop - start) / step
+    if n_exact >= GRID_POINTS_MAX:
+        raise ValueError(f"grid of {n_exact:.3g} points exceeds {GRID_POINTS_MAX}")
     n = int(np.floor(n_exact + 1e-9))
     points = start + step * np.arange(n + 1)
     if n_exact - n > 0.5 - 1e-9:
@@ -177,13 +181,13 @@ def reflectionless_report(spec, grid, tau=TAU_DEFAULT):
 @lru_cache(maxsize=8)
 def _gauss_legendre(n):
     """Gauss-Legendre nodes and weights on [-1, 1], built once per node count."""
-    x, w = roots_legendre(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
 def _fermi(lam, beta, mu):
-    return expit(-beta * (lam - mu))
+    return np.exp(-np.logaddexp(0.0, beta * (lam - mu)))
 
 
 def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=QUADRATURE_NODES):

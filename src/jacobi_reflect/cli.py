@@ -149,6 +149,8 @@ def _grid(args, spec):
             raise SchemaError("--grid", "step must be positive")
         return explicit_grid(spec, start, stop, step)
     if args.lam is not None:
+        if not np.isfinite(args.lam):
+            raise SchemaError("--lambda", "must be finite")
         guard_edges(band_intervals(spec.background), np.array([args.lam]))
         return EnergyGrid(points=np.array([float(args.lam)]))
     raise SchemaError("flags", "one of --grid or --lambda is required")

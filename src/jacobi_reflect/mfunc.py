@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .bands import _period_product, _real_energies, band_intervals, guard_edges
 from .errors import CrossCheckFailure, NumericalError, PoleHit
@@ -59,7 +58,6 @@ __all__ = [
     "m_right",
     "m_left",
     "ac_density",
-    "m_oracle_truncated",
 ]
 
 
@@ -304,24 +302,3 @@ def ac_density(spec, n, lams, side="right"):
     """Boundary spectral density Im m(lambda + i0) / pi of a half-line; a pole
     of m on the real axis carries none."""
     return _m_values(spec, n, lams, side, poles=False)[0].imag / np.pi
-
-
-def m_oracle_truncated(spec, n, z, N, side="right"):
-    """Finite-section oracle for the half-line m-function.
-
-    Solves ``(H_N - z) x = e_boundary`` on N sites of the half line with a
-    banded solver and returns the boundary component.  Independent of the
-    Weyl sweep; truncation error decays exponentially in N for Im z > 0.
-    """
-    first = n + 1 if side == "right" else n - N
-    a, b = coefficient_arrays(spec, first, first + N - 1)
-    offdiag = a[:-1]
-    ab = np.zeros((3, N), dtype=complex)
-    ab[0, 1:] = offdiag
-    ab[1, :] = b - z
-    ab[2, :-1] = offdiag
-    rhs = np.zeros(N, dtype=complex)
-    idx = 0 if side == "right" else N - 1
-    rhs[idx] = 1.0
-    x = solve_banded((1, 1), ab, rhs)
-    return complex(x[idx])

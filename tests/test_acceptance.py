@@ -14,13 +14,13 @@ from scipy import integrate
 from jacobi_reflect import (alpha_beta, alpha_beta_grid, band_edges, band_grid,
                             band_intervals, discriminant, dynamical_reflection, evolve,
                             explicit_grid, jost_solution, landauer_current,
-                            m_left_boundary, m_oracle_truncated, m_right,
-                            m_right_boundary, make_plan, reflectionless_report,
-                            scattering_grid, spectral_reflection_mratio_grid,
-                            unitarity_defect_grid, wronskian, BoundaryPoint,
-                            LatticeState)
+                            m_left_boundary, m_right, m_right_boundary, make_plan,
+                            reflectionless_report, scattering_grid,
+                            spectral_reflection_mratio_grid, unitarity_defect_grid,
+                            wronskian, BoundaryPoint, LatticeState)
 
-from util import free_spec, period2_spec, random_spec, seeded_specs, single_site_spec
+from util import (free_spec, m_oracle_truncated, period2_spec, random_spec, seeded_specs,
+                  single_site_spec)
 
 SUITE_SEED = 1
 SUITE_SIZE = 100

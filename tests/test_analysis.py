@@ -25,6 +25,21 @@ def test_explicit_grid_endpoint_rule():
     np.testing.assert_allclose(grid.points[-1], 1.9, atol=1e-12)
 
 
+def test_explicit_grid_refuses_non_finite_bounds():
+    spec = free_spec()
+    for start, stop, step in [(np.nan, 1.0, 0.5), (0.0, np.inf, 0.5), (0.0, 1.0, np.inf),
+                              (0.0, 1.0, np.nan)]:
+        with pytest.raises(ValueError, match="not finite"):
+            explicit_grid(spec, start, stop, step)
+
+
+def test_explicit_grid_refuses_huge_grids_before_allocating():
+    spec = free_spec()
+    for start, stop, step in [(0.0, 1e9, 1e-9), (-1e308, 1e308, 1.0)]:
+        with pytest.raises(ValueError, match="exceeds"):
+            explicit_grid(spec, start, stop, step)
+
+
 def test_explicit_grid_drops_edge_points():
     spec = free_spec()
     grid = explicit_grid(spec, -2.0, 2.0, 0.5)

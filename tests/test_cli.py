@@ -250,6 +250,29 @@ def test_flag_validation(configs, capsys):
     assert exc.value.code == 3
 
 
+def test_non_finite_energies_exit_3(configs, capsys):
+    for argv in (["green", "--config", configs["p2"], "--lambda", "nan"],
+                 ["mfunc", "--config", configs["free"], "--lambda", "inf"],
+                 ["green", "--config", configs["free"], "--grid=0:1:inf"],
+                 ["green", "--config", configs["free"], "--grid=nan:1:0.5"]):
+        assert cli.main(argv) == 3, argv
+    err = capsys.readouterr().err
+    assert err.count("--lambda: must be finite") == 2
+    assert err.count("is not finite") == 2
+
+
+def test_huge_grid_exits_3(configs, capsys):
+    assert cli.main(["green", "--config", configs["free"], "--grid=0:1e9:1e-9"]) == 3
+    assert "exceeds" in capsys.readouterr().err
+
+
+def test_non_positive_packet_width_exits_3(configs, capsys):
+    for dlam in ("-0.05", "0", "nan"):
+        assert cli.main(["dynamics", "--config", configs["single"], "--lambda0", "0",
+                         "--dlambda", dlam, "--N", "500"]) == 3
+    assert capsys.readouterr().err.count("dlambda must be positive") == 3
+
+
 def test_grid_flag_with_negative_start(configs, capsys):
     assert cli.main(["green", "--config", configs["free"],
                      "--grid=-1:1:0.5"]) == 0

@@ -4,11 +4,12 @@ from scipy.linalg import eigh_tridiagonal
 
 from jacobi_reflect import (Background, HorizonExceeded, JacobiSpec, LatticeState,
                             WindowTooSmall, band_intervals, discriminant,
-                            dynamical_reflection, evolve, free_propagator_kernel,
-                            group_velocity, make_plan, projection_defect,
-                            truncate, wave_packet)
+                            dynamical_reflection, evolve, group_velocity,
+                            make_plan, projection_defect, truncate, wave_packet)
+from jacobi_reflect.dynamics import _bessel_coefficients
 
-from util import free_spec, period2_spec, random_spec, single_site_spec
+from util import (free_propagator_kernel, free_spec, period2_spec, random_spec,
+                  single_site_spec)
 
 
 def test_lattice_state_mass():
@@ -129,6 +130,27 @@ def test_packet_must_fit_and_stay_in_band():
         wave_packet(free_spec(), "l", 0.0, 0.05, 60)
     with pytest.raises(ValueError):
         wave_packet(free_spec(), "l", 1.99, 0.05, 800)
+
+
+def test_packet_width_must_be_positive():
+    for dlam in (-0.05, 0.0, np.nan):
+        with pytest.raises(ValueError, match="dlambda"):
+            wave_packet(single_site_spec(), "l", 0.0, dlam, 500)
+
+
+@pytest.mark.parametrize("z, terms", [(0.0, 1), (1e-9, 2), (0.5, 14), (2.404825557695773, 21),
+                                      (100.0, 156), (800.0, 909), (3000.0, 3168)])
+def test_bessel_coefficients_match_extended_precision(z, terms):
+    # terms: the first k > z with |J_k(z)| < CHEB_TOL; 2.4048... is the first
+    # zero of J_0
+    mpmath = pytest.importorskip("mpmath")
+    jk = _bessel_coefficients(z)
+    assert jk.size == terms
+    # every coefficient for small z, 16 spread over the range for large z
+    ks = np.unique(np.linspace(0, terms - 1, min(terms, 16)).round().astype(int))
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.besselj(int(k), z)) for k in ks])
+    np.testing.assert_allclose(jk[ks], exact, rtol=0, atol=1e-15)
 
 
 def test_horizon_refuses_long_times():

@@ -3,11 +3,11 @@ import pytest
 
 from jacobi_reflect import (BandEdge, Background, BoundaryPoint, JacobiSpec,
                             PoleHit, ac_density, band_intervals, m_left,
-                            m_left_boundary, m_left_grid, m_oracle_truncated,
-                            m_right, m_right_boundary, m_right_grid)
+                            m_left_boundary, m_left_grid, m_right,
+                            m_right_boundary, m_right_grid)
 
-from util import (free_spec, period2_spec, perturbed_period3_spec, random_spec,
-                  single_site_spec)
+from util import (free_spec, m_oracle_truncated, period2_spec, perturbed_period3_spec,
+                  random_spec, single_site_spec)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import jacobi_reflect
 from jacobi_reflect import (Background, BoundaryPoint, JacobiSpec, NonFiniteEntry,
                             NonPositiveCoefficient, SchemaError, WindowTooSmall,
                             coefficient_arrays, parse_config, serialize_config,
@@ -135,3 +139,13 @@ def test_boundary_point_rules():
     assert lam.is_real_limit
     assert lam.side == "+"
     assert BoundaryPoint.real(0.5, side="-").side == "-"
+
+
+def test_import_needs_numpy_only():
+    # a fresh interpreter, so modules the test run itself imported do not count
+    src = os.path.dirname(os.path.dirname(jacobi_reflect.__file__))
+    code = ("import sys, jacobi_reflect; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
