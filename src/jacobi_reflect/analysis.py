@@ -162,6 +162,8 @@ def reflectionless_report(spec, grid, tau=TAU_DEFAULT):
     closed, each verdict is False.  Each verdict is its criterion residual
     under ``tau``, and they agree where every verdict equals the first.
     """
+    if not 0.0 <= tau < np.inf:
+        raise ValueError(f"tolerance tau must be finite and non-negative, got {tau}")
     lams = np.asarray(grid.points, dtype=float)
     pieces = boundary_pieces(spec, N_RANGE, lams, real_limit=True)
     re_g = pieces.g.real
@@ -202,6 +204,8 @@ def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=QUADRATURE_NOD
     six orders of headroom at those distances and the integration weight
     of the near-edge nodes vanishes with the jacobian.
     """
+    if not np.isfinite([beta_l, mu_l, beta_r, mu_r]).all():
+        raise ValueError("inverse temperatures and chemical potentials must be finite")
     if beta_l <= 0 or beta_r <= 0:
         raise ValueError("inverse temperatures must be positive")
     if beta_l == beta_r and mu_l == mu_r:

@@ -172,3 +172,7 @@ def test_landauer_barrier_reduces_current():
 def test_landauer_rejects_bad_temperature():
     with pytest.raises(ValueError):
         landauer_current(free_spec(), -1.0, 0.0, 1.0, 0.0)
+    for bias in [(np.nan, 0.3, 1.0, 0.0), (1.0, np.nan, 1.0, 0.0),
+                 (1.0, 0.3, np.inf, 0.0), (1.0, 0.3, 1.0, -np.inf)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            landauer_current(free_spec(), *bias)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,29 @@ def test_non_finite_energies_exit_3(configs, capsys):
     err = capsys.readouterr().err
     assert err.count("--lambda: must be finite") == 2
     assert err.count("is not finite") == 2
+
+
+def test_non_finite_bias_exits_3_without_numpy_warnings(configs, capsys):
+    bias = {"--beta-l": "1", "--mu-l": "0.3", "--beta-r": "1", "--mu-r": "0"}
+    for flag in bias:
+        for bad in ("nan", "inf"):
+            argv = ["transport", "--config", configs["free"]]
+            for name, value in bias.items():
+                argv += [name, bad if name == flag else value]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(argv) == 3, argv
+    assert capsys.readouterr().err.count("must be finite") == 8
+
+
+def test_bad_verdict_tolerance_exits_3(configs, capsys):
+    for tol in ("nan", "-1", "inf"):
+        assert cli.main(["reflect-check", "--config", configs["free"],
+                         "--lambda", "0", "--tol", tol]) == 3, tol
+    assert capsys.readouterr().err.count("tolerance tau") == 3
+    # a zero tolerance is a valid, if strict, verdict threshold
+    assert cli.main(["reflect-check", "--config", configs["free"],
+                     "--lambda", "0", "--tol", "0"]) == 0
 
 
 def test_huge_grid_exits_3(configs, capsys):

@@ -6,10 +6,10 @@ from jacobi_reflect import (Background, HorizonExceeded, JacobiSpec, LatticeStat
                             WindowTooSmall, band_intervals, discriminant,
                             dynamical_reflection, evolve, group_velocity,
                             make_plan, projection_defect, truncate, wave_packet)
-from jacobi_reflect.dynamics import _bessel_coefficients
+from jacobi_reflect.dynamics import T_FACTOR, _bessel_coefficients, _left_packet_run
 
-from util import (free_propagator_kernel, free_spec, period2_spec, random_spec,
-                  single_site_spec)
+from util import (free_propagator_kernel, free_spec, full_lattice_evolve, period2_spec,
+                  perturbed_period3_spec, random_spec, single_site_spec)
 
 
 def test_lattice_state_mass():
@@ -59,6 +59,42 @@ def test_chebyshev_matches_dense_propagation():
         got = evolve(plan, state, t).amplitudes
         np.testing.assert_allclose(got, _dense_evolve(plan, state, t), rtol=0, atol=1e-12)
     assert np.array_equal(evolve(plan, state, 0.0).amplitudes, amps)
+
+
+def test_light_cone_is_bitwise_the_full_lattice_sum():
+    N = 600
+    packet, plan, t_star = _left_packet_run(single_site_spec(), 0.0, 0.05, N)
+    masked = evolve(plan, packet, t_star).amplitudes.copy()
+    masked[N:] = 0.0                      # the left mask of projection_defect
+    ends = np.zeros(2 * N + 1, dtype=complex)
+    ends[[0, 1, -1]] = 1.0, -0.3, 0.5j    # the cone is clamped on both sides at once
+    zero = np.zeros(2 * N + 1, dtype=complex)
+    p3_plan = make_plan(perturbed_period3_spec(), N, 20)   # off-center spectrum
+    rng = np.random.default_rng(12)
+    p3_amps = zero.copy()
+    p3_amps[N - 20: N + 21] = rng.normal(size=41) + 1j * rng.normal(size=41)
+    cases = [(plan, "left packet", packet.amplitudes), (plan, "masked", masked),
+             (plan, "both ends", ends), (plan, "zero", zero),
+             (p3_plan, "p3 window", p3_amps), (p3_plan, "p3 both ends", ends)]
+    for case_plan, name, amps in cases:
+        state = LatticeState.from_amplitudes(N, amps)
+        for t in (-0.5 * case_plan.t_max, 0.0, T_FACTOR * case_plan.t_max, case_plan.t_max):
+            got = evolve(case_plan, state, t).amplitudes
+            assert np.array_equal(got, full_lattice_evolve(case_plan, state, t)), (name, t)
+    assert not evolve(plan, LatticeState.from_amplitudes(N, zero), t_star).amplitudes.any()
+
+
+def test_packet_stays_inside_its_light_cone():
+    # T_k(X) phi reaches k sites past the support of phi, and the sum stops at K terms
+    N = 600
+    packet, plan, t_star = _left_packet_run(single_site_spec(), 0.0, 0.05, N)
+    terms = _bessel_coefficients(plan.radius * t_star).size
+    occupied = np.flatnonzero(packet.amplitudes)
+    sites = np.arange(2 * N + 1)
+    outside = (sites < occupied[0] - terms) | (sites > occupied[-1] + terms)
+    assert outside.sum() >= 100
+    out = evolve(plan, packet, t_star).amplitudes
+    assert not out[outside].any()
 
 
 def test_chebyshev_interval_contains_spectrum():

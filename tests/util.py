@@ -1,11 +1,13 @@
-"""Shared fixtures: canonical operators, the seeded spec generator and the
-scipy-backed oracles the tests check the library against."""
+"""Shared fixtures: canonical operators, the seeded spec generator, the
+scipy-backed oracles the tests check the library against, and the
+full-lattice Chebyshev loop the light-cone propagation must reproduce."""
 
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.special import jv
 
 from jacobi_reflect import Background, JacobiSpec, coefficient_arrays
+from jacobi_reflect.dynamics import _bessel_coefficients
 
 
 def free_spec():
@@ -75,3 +77,31 @@ def free_propagator_kernel(k, t):
     """<delta_k, e^{-itJ} delta_0> for the free operator (Bessel kernel)."""
     k = np.abs(np.asarray(k))
     return (-1j) ** k * jv(k, 2.0 * t)
+
+
+def _tridiag_apply(diag, off, v):
+    """Symmetric tridiagonal matrix (diag, off) times v."""
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out
+
+
+def full_lattice_evolve(plan, state, t):
+    """Amplitudes of e^{-itJ} phi from the Chebyshev sum stepped over every site.
+
+    The same expansion and coefficients as ``dynamics.evolve``, with each
+    step ``T_{k+1} = 2X T_k - T_{k-1}`` taken on the whole truncation.
+    """
+    trunc, c, r = plan.truncation, plan.center, plan.radius
+    diag2, off2 = 2.0 * (trunc.diag - c) / r, 2.0 * trunc.offdiag / r   # 2X
+    jk = _bessel_coefficients(r * abs(t))
+    powers = np.array([1, -1j, -1, 1j]) if t >= 0 else np.array([1, 1j, -1, -1j])
+    weights = 2.0 * jk * powers[np.arange(jk.size) % 4]
+    # T_0(X) phi and T_1(X) phi, then T_{k+1} = 2X T_k - T_{k-1}
+    prev, cur = state.amplitudes, 0.5 * _tridiag_apply(diag2, off2, state.amplitudes)
+    acc = 0.5 * weights[0] * prev
+    for w in weights[1:]:
+        acc += w * cur
+        prev, cur = cur, _tridiag_apply(diag2, off2, cur) - prev
+    return np.exp(-1j * c * t) * acc
