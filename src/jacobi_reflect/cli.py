@@ -31,7 +31,7 @@ from .analysis import (QUADRATURE_NODES, TAU_DEFAULT, EnergyGrid, explicit_grid,
                        landauer_current, reflectionless_report)
 from .bands import band_intervals, guard_edges
 from .dynamics import dynamical_reflection
-from .errors import (JacobiReflectError, NumericalError, SchemaError)
+from .errors import JacobiReflectError, NumericalError, SchemaError, first_refusals
 from .jost import alpha_beta_grid
 from .mfunc import _m_values, _pole_hit
 from .model import parse_config
@@ -183,11 +183,9 @@ def _cmd_mfunc(args):
     lams = _grid(args, spec).points
     m_r, pole_r = _m_values(spec, args.n, lams, "right", poles=False)
     m_l, pole_l = _m_values(spec, args.n, lams, "left", poles=False)
+    refusals = first_refusals([(pole_r, lambda j: _pole_hit("right", args.n, lams[j])),
+                               (pole_l, lambda j: _pole_hit("left", args.n, lams[j]))])
     ok = ~(pole_r | pole_l)
-    refusals = [None] * lams.size
-    for j in np.flatnonzero(~ok):
-        # a pole of both m-functions is refused for the right one
-        refusals[j] = _pole_hit("right" if pole_r[j] else "left", args.n, lams[j])
     if args.lam is not None and refusals[0] is not None:
         raise refusals[0]       # a requested energy fails with its own message
     _skip(lams, refusals)

@@ -6,6 +6,8 @@ failed cross-checks) derive from ``NumericalError`` so callers can drop a
 grid point and move on.
 """
 
+import numpy as np
+
 
 class JacobiReflectError(Exception):
     """Base class for all package errors."""
@@ -80,3 +82,18 @@ class DegenerateBasis(NumericalError):
 
 class HorizonExceeded(NumericalError):
     """Requested evolution time exceeds the boundary-contamination horizon."""
+
+
+def first_refusals(checks):
+    """Per energy of a grid, None or the refusal of the first check it fails.
+
+    ``checks`` are ``(mask, refusal)`` pairs in check order: a boolean mask
+    over the energies, true where the check fails, and ``refusal(i)``, the
+    exception of energy i, built only for its first failure.
+    """
+    refusals = [None] * len(checks[0][0])
+    if np.any([mask for mask, _ in checks]):
+        for mask, refusal in checks:
+            for i in np.flatnonzero(mask).tolist():
+                refusals[i] = refusals[i] or refusal(i)
+    return refusals

@@ -17,15 +17,17 @@ sites: the branch is the one of ``mfunc``, with no rule of its own.
 
 ``alpha_beta_grid`` expands a whole energy grid at once and keeps a status
 per energy: None, or the refusal of the first check the energy fails.  A
-refused energy drops out of the later checks and reads NaN; the others are
-unaffected.  ``alpha_beta`` is its one-point view and raises the refusal.
-One energy runs the sweep on Python scalars, yet gets the bits it gets on
-a grid.
+check is a mask over the grid and a refusal per energy; every check runs on
+every energy, and ``errors.first_refusals`` picks each one's first failure.
+A refused energy reads NaN; the others are unaffected.  ``alpha_beta`` is
+its one-point view and raises the refusal.  One energy runs the sweep on
+Python scalars, yet gets the bits it gets on a grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +39,7 @@ from .errors import (
     DegenerateBasis,
     NormalizationPole,
     PoleHit,
+    first_refusals,
 )
 from .mfunc import POLE_TOL, weyl_sweep
 from .model import coefficient_arrays
@@ -113,63 +116,43 @@ def _site_range(spec, k_min=None, k_max=None):
     return k_lo, k_hi
 
 
-class _Status:
-    """Per-energy refusals of a grid: each energy keeps the first check it
-    fails, and ``live`` indexes the energies that passed every check so far.
-    """
-
-    def __init__(self, n):
-        self.refusals = [None] * n
-        self.live = np.arange(n)
-
-    def refuse(self, bad, refusal):
-        """Refuse the live energies (the last axis) where a row of ``bad``
-        holds, the i-th live one with ``refusal(i, row)`` of its first such
-        row; returns an index of the energies kept."""
-        if not bad.any():
-            return slice(None)
-        rows = bad.reshape(-1, bad.shape[-1])
-        hit = rows.any(axis=0)
-        for i in np.flatnonzero(hit):
-            self.refusals[self.live[i]] = refusal(i, np.argmax(rows[:, i]))
-        self.live = self.live[~hit]
-        return ~hit
+def _rows(mask, refusal):
+    """One check per row of ``mask`` [row, energy], as ``(mask, refusal)``
+    pairs for ``first_refusals``; ``refusal(row, i)`` is energy i's."""
+    return [(m, partial(refusal, j)) for j, m in enumerate(mask)]
 
 
-def _jost_values(spec, lams, k_lo, k_hi, sides, coeffs, status):
+def _jost_values(spec, lams, k_lo, k_hi, sides, coeffs):
     """Weyl solutions ``sides`` ('r', 'l') on sites k_lo..k_hi, 1 at site 0,
-    as [side, site, energy], at the energies that pass the edge guard, the
-    seed checks, the normalization and the recursion residual; ``status``
-    keeps the refusals of the others.  ``coeffs`` are the sites' coefficient
-    arrays.
+    as [side, site, energy], and their checks in order: the edge guard, then
+    the seeds, the normalization and the recursion residual of each side.
+    ``coeffs`` are the sites' coefficient arrays.  Callers hold
+    ``np.errstate(all="ignore")``, as in ``alpha_beta_grid``.
     """
     near, edge, margin = _near_edge(band_intervals(spec.background), lams)
-    lams = lams[status.refuse(near, lambda i, _: BandEdge(lams[i], edge[i], margin[i]))]
+    checks = [(near, lambda i: BandEdge(lams[i], edge[i], margin[i]))]
     sols = [weyl_sweep(spec, "right" if side == "r" else "left", k_lo, k_hi - 1,
                        lams, guard=False, refuse=False) for side in sides]
-    seed_bad = np.array([[s is not None for s in sol.refused] for sol in sols], dtype=bool)
-    keep = status.refuse(seed_bad, lambda i, side: sols[side].refused[i])
-    vals = np.array([sol.values(k_lo, k_hi) for sol in sols])[..., keep]
-    lams = lams[keep]
+    checks += [sol.unseeded for sol in sols]
+    vals = np.array([sol.values(k_lo, k_hi) for sol in sols])
 
     psi0 = vals[:, -k_lo]
     # + 0 prints an exact zero as 0, whatever sign the sweep gave it
-    keep = status.refuse(np.abs(psi0) < 1e-12 * np.abs(vals).max(axis=1),
-                         lambda i, side: NormalizationPole(
-                             f"psi_0 = {psi0[side, i] + 0:.3e} vanishes at lambda = "
-                             f"{lams[i]} ({sides[side]} side)"))
-    vals = vals[..., keep] / psi0[:, None, keep]
-    lams = lams[keep]
+    checks += _rows(np.abs(psi0) < 1e-12 * np.abs(vals).max(axis=1),
+                    lambda j, i: NormalizationPole(
+                        f"psi_0 = {psi0[j, i] + 0:.3e} vanishes at lambda = "
+                        f"{lams[i]} ({sides[j]} side)"))
+    vals = vals / psi0[:, None]
 
     a, b = coeffs
     r = (a[1:-1, None] * vals[:, 2:] + a[:-2, None] * vals[:, :-2]
          + (b[1:-1, None] - lams) * vals[:, 1:-1])
     worst = np.abs(r).max(axis=1, initial=0.0)
     scale = np.abs(vals).max(axis=1)
-    keep = status.refuse(worst > RECURSION_TOL * scale, lambda i, side: CrossCheckFailure(
-        f"three-term recursion residual {worst[side, i]:.3e} exceeds "
-        f"{RECURSION_TOL} * {scale[side, i]:.3e}"))
-    return vals[..., keep]
+    checks += _rows(worst > RECURSION_TOL * scale, lambda j, i: CrossCheckFailure(
+        f"three-term recursion residual {worst[j, i]:.3e} exceeds "
+        f"{RECURSION_TOL} * {scale[j, i]:.3e}"))
+    return vals, checks
 
 
 def jost_solution(spec, side, lam, k_min=None, k_max=None):
@@ -181,11 +164,12 @@ def jost_solution(spec, side, lam, k_min=None, k_max=None):
     if side not in ("l", "r"):
         raise ValueError(f"side must be 'l' or 'r', got {side!r}")
     k_lo, k_hi = _site_range(spec, k_min, k_max)
-    status = _Status(1)
-    vals = _jost_values(spec, np.array([float(lam)]), k_lo, k_hi, side,
-                        coefficient_arrays(spec, k_lo, k_hi), status)
-    if status.refusals[0] is not None:
-        raise status.refusals[0]
+    with np.errstate(all="ignore"):
+        vals, checks = _jost_values(spec, np.array([float(lam)]), k_lo, k_hi, side,
+                                    coefficient_arrays(spec, k_lo, k_hi))
+    refusal = first_refusals(checks)[0]
+    if refusal is not None:
+        raise refusal
     return JostSolution(side=side, lam=float(lam), k_min=k_lo, k_max=k_hi,
                         values=vals[0, :, 0], spec=spec)
 
@@ -215,51 +199,45 @@ def alpha_beta_grid(spec, lams):
     """The expansion psi_left = alpha conj(psi_right) + beta psi_right at cut 0
     and R_r = |beta/alpha|^2 over a grid of energies, with a status per energy.
 
-    Each energy is checked as ``alpha_beta`` checks it, in the same order:
-    the band-edge guard, the Floquet seeds, ``NormalizationPole`` at psi_0,
-    the recursion residual, Wronskian constancy, ``DegenerateBasis``, the
-    expansion residual and R_r <= 1.  A refused energy drops out of the
-    later checks, and the others get the bits they get alone.
+    The checks run in this order, each on every energy: the band-edge guard,
+    the Floquet seeds, ``NormalizationPole`` at psi_0 and the recursion
+    residual (right, then left), Wronskian constancy, ``DegenerateBasis``,
+    the expansion residual and R_r <= 1.  An energy's status is the refusal
+    of the first it fails; it then reads NaN, and the others get the bits
+    they get alone.
     """
     lams = _real_energies(lams)
-    status = _Status(lams.size)
     k_lo, k_hi = _site_range(spec)
     coeffs = coefficient_arrays(spec, k_lo, k_hi)
-    psi_r, psi_l = _jost_values(spec, lams, k_lo, k_hi, "rl", coeffs, status)
+    # a refused energy runs on through the later checks, where it may divide
+    # by zero or overflow: its values are replaced by NaN, so nothing warns
+    with np.errstate(all="ignore"):
+        (psi_r, psi_l), checks = _jost_values(spec, lams, k_lo, k_hi, "rl", coeffs)
+        psi_rbar = np.conj(psi_r)
+        w, bad, spread = _wronskian_spread(
+            np.array([psi_rbar, psi_l, psi_l]), np.array([psi_r, psi_r, psi_rbar]),
+            coeffs[0][:-1, None], -k_lo)
+        checks += _rows(bad, lambda j, i: _wronskian_refusal(spread[j, i], w[j, i]))
+        w_rbar_r, w_l_r, w_l_rbar = w
+        checks.append((np.abs(w_rbar_r) < DEGENERATE_TOL, lambda i: DegenerateBasis(
+            f"psi_right is (a multiple of) a real solution at lambda = {lams[i]}")))
+        alpha, beta = w_l_r / w_rbar_r, w_l_rbar / (-w_rbar_r)
+        resid = np.abs(psi_l - (alpha * psi_rbar + beta * psi_r)).max(axis=0)
+        bad = resid > 1e-9 * np.maximum(1.0, np.abs(psi_l).max(axis=0))
+        checks.append((bad, lambda i: CrossCheckFailure(
+            f"basis expansion residual {resid[i]:.3e} at lambda = {lams[i]}")))
+        # the scalar abs(z) ** 2: np.abs(arr) ** 2 can differ in the last ulp
+        r_r = np.array([abs(x) ** 2 for x in (beta / alpha).tolist()])
+        checks.append((r_r > 1.0 + 1e-8, lambda i: CrossCheckFailure(
+            f"reflection probability {r_r[i]} exceeds 1")))
+        out = alpha, beta, np.minimum(r_r, 1.0)
 
-    psi_rbar = np.conj(psi_r)
-    w, bad, spread = _wronskian_spread(
-        np.array([psi_rbar, psi_l, psi_l]), np.array([psi_r, psi_r, psi_rbar]),
-        coeffs[0][:-1, None], -k_lo)
-    keep = status.refuse(bad, lambda i, which: _wronskian_refusal(spread[which, i],
-                                                                  w[which, i]))
-    (w_rbar_r, w_l_r, w_l_rbar), psi_rbar, psi_r, psi_l = (
-        x[..., keep] for x in (w, psi_rbar, psi_r, psi_l))
-
-    keep = status.refuse(np.abs(w_rbar_r) < DEGENERATE_TOL, lambda i, _: DegenerateBasis(
-        f"psi_right is (a multiple of) a real solution at lambda = {lams[status.live[i]]}"))
-    alpha = w_l_r[keep] / w_rbar_r[keep]
-    beta = w_l_rbar[keep] / (-w_rbar_r[keep])
-    psi_rbar, psi_r, psi_l = (x[..., keep] for x in (psi_rbar, psi_r, psi_l))
-
-    resid = np.abs(psi_l - (alpha * psi_rbar + beta * psi_r)).max(axis=0)
-    bad = resid > 1e-9 * np.maximum(1.0, np.abs(psi_l).max(axis=0))
-    keep = status.refuse(bad, lambda i, _: CrossCheckFailure(
-        f"basis expansion residual {resid[i]:.3e} at lambda = {lams[status.live[i]]}"))
-    alpha, beta = alpha[keep], beta[keep]
-
-    # the scalar abs(z) ** 2: np.abs(arr) ** 2 can differ in the last ulp
-    r_r = np.array([abs(x) ** 2 for x in (beta / alpha).tolist()])
-    keep = status.refuse(r_r > 1.0 + 1e-8, lambda i, _: CrossCheckFailure(
-        f"reflection probability {r_r[i]} exceeds 1"))
-
-    out = alpha[keep], beta[keep], np.minimum(r_r[keep], 1.0)
-    if status.live.size < lams.size:
-        full = [np.full(lams.shape, np.nan, dtype=x.dtype) for x in out]
-        for arr, x in zip(full, out):
-            arr[status.live] = x
-        out = full
-    return ReflectionGrid(lams, *out, tuple(status.refusals))
+    status = first_refusals(checks)
+    refused = np.array([s is not None for s in status], dtype=bool)
+    if refused.any():
+        for x in out:
+            x[refused] = np.nan
+    return ReflectionGrid(lams, *out, tuple(status))
 
 
 def alpha_beta(spec, lam):
@@ -306,8 +284,8 @@ def green_offdiag(spec, n, m, lam):
     """
     lo, hi = min(n, m), max(n, m)
     lams = np.array([float(lam)])
-    k_lo = min(lo, (spec.window[0] - 2) if spec.window else -1) - 1
-    k_hi = max(hi, (spec.window[1] + 2) if spec.window else 1) + 1
+    k_lo, k_hi = _site_range(spec)
+    k_lo, k_hi = min(k_lo, lo - 1), max(k_hi, hi + 1)
     # both solutions on the scale of their pairs at bond k_lo
     psi_r = weyl_sweep(spec, "right", k_lo, k_hi - 1, lams).values(k_lo, k_hi)
     psi_l = weyl_sweep(spec, "left", k_lo, k_hi - 1, lams).values(k_lo, k_hi)

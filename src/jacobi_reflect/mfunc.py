@@ -67,8 +67,9 @@ class WeylSolution(NamedTuple):
     Row i holds bond ``first + i``.  Rows are rescaled by powers of two on
     the way; ``2**exponent`` takes a row back to the scale of the seed.  On
     the real axis ``flux`` is ``a_k Im(u_{k+1} conj(u_k))`` on the seed's
-    scale, the same on every bond.  ``refused`` holds, per point, None or
-    the refusal of its seed, when the sweep was asked not to raise it.
+    scale, the same on every bond.  ``unseeded`` is the seed check as
+    ``(mask, refusal)``: the mask of the points whose seed failed, set only
+    when the sweep was asked not to raise, and ``refusal(i)`` of point i.
     """
 
     first: int
@@ -76,7 +77,7 @@ class WeylSolution(NamedTuple):
     lower: np.ndarray       # u_k
     exponent: np.ndarray
     flux: np.ndarray = None
-    refused: list = None
+    unseeded: tuple = None
 
     def bond(self, k):
         i = k - self.first
@@ -125,7 +126,7 @@ def _floquet_seed(m11, m12, m21, m22, side, real_limit):
 
 
 def _seed_check(M, v1, v2, mu, nu, band, side):
-    """Mask of the energies whose seed passes, and a function giving the
+    """Mask of the energies whose seed fails, and a function giving the
     refusal of the energies at an index (by default all of them)."""
     m11, m12, m21, m22 = M
     r = abs((m11 - mu) * v1 + m12 * v2) + abs(m21 * v1 + (m22 - mu) * v2)
@@ -142,14 +143,15 @@ def _seed_check(M, v1, v2, mu, nu, band, side):
         return CrossCheckFailure(f"Floquet seed ({side} side): residual {np.max(rel):.3e} of "
                                  f"|M||v| (bound {SEED_TOL:.3e}; inf: no seed, M = +-I), on its "
                                  f"branch: {bool(np.all(np.atleast_1d(on_branch)[at]))}")
-    return (r < SEED_TOL * scale) & on_branch, refusal     # a zero seed fails too
+    return ~np.atleast_1d((r < SEED_TOL * scale) & on_branch), refusal  # a zero seed fails too
 
 
 def weyl_sweep(spec, side, lo, hi, pts, real_limit=True, guard=True, refuse=True):
     """The ``side`` Weyl solution on bonds lo..hi and on to its seed bond, at
     real energies (``lambda + i0``) when ``real_limit``, else at upper-half-
     plane points; ``guard=False`` skips the band-edge margin check, and
-    ``refuse=False`` sweeps on past failed seeds and lists their refusals.
+    ``refuse=False`` sweeps on past failed seeds and leaves their refusals
+    to ``unseeded``.
 
     psi_r is seeded at the first bond >= hi with only background to its right
     and swept down, psi_l at the last bond <= lo with only background to its
@@ -173,13 +175,9 @@ def weyl_sweep(spec, side, lo, hi, pts, real_limit=True, guard=True, refuse=True
     zz = z.item() if z.size == 1 else z
     M = _period_product(spec.background, seed + 1, zz)
     up, low, *roots = _floquet_seed(*M, side, real_limit)
-    seeded, refusal = _seed_check(M, up, low, *roots, side)
-    refused = None if refuse else [None] * z.size
-    if not np.all(seeded):
-        if refuse:
-            raise refusal()
-        for j in np.flatnonzero(~np.atleast_1d(seeded)):
-            refused[j] = refusal(j)
+    unseeded = _seed_check(M, up, low, *roots, side)
+    if refuse and unseeded[0].any():
+        raise unseeded[1]()
 
     # index i: site first - 1 + i
     a, b = (c.tolist() for c in coefficient_arrays(spec, first - 1, last + 1))
@@ -209,7 +207,7 @@ def weyl_sweep(spec, side, lo, hi, pts, real_limit=True, guard=True, refuse=True
         rows.reverse()
     shape = (len(rows), z.size)
     return WeylSolution(first, *(np.array(c).reshape(shape) for c in zip(*rows)), flux,
-                        refused)
+                        unseeded)
 
 
 def _ratios(sol, bonds, a):

@@ -223,7 +223,7 @@ def truncate(spec, N):
     w = spec.window
     if w is not None and not (-N + 1 <= w[0] and w[1] <= N - 1):
         raise WindowTooSmall(
-            f"perturbation window {w} does not fit in [-{N - 1}, {N - 1}]"
+            f"perturbation window {w} does not fit in [{-(N - 1)}, {N - 1}]"
         )
     a, b = coefficient_arrays(spec, -N, N)
     return TruncatedOperator(N=N, diag=b, offdiag=a[:-1])

@@ -7,9 +7,11 @@ from jacobi_reflect import (Background, BoundaryPoint, JacobiSpec, alpha_beta,
                             jost_solution, m_left, m_right, scattering_matrix,
                             spectral_reflection_mratio,
                             spectral_reflection_mratio_grid, wronskian)
-from jacobi_reflect.errors import CrossCheckFailure, NumericalError
+from jacobi_reflect.errors import (BandEdge, CrossCheckFailure, DegenerateBasis,
+                                   NumericalError)
 
-from util import (free_spec, period2_spec, perturbed_periodic_spec, random_spec,
+from util import (free_spec, period2_spec, perturbed_period3_spec,
+                  perturbed_periodic_spec, random_spec,
                   single_site_spec)
 
 
@@ -261,6 +263,45 @@ def test_alpha_beta_grid_refusals_leave_the_other_points_alone():
     for name in ("alpha", "beta", "R_r"):
         assert getattr(mixed, name)[::-1][4:].tobytes() == getattr(clean, name).tobytes()
     assert alpha_beta_grid(spec, []).status == ()
+
+
+def test_first_refusals_keeps_each_energys_first_failed_check():
+    from jacobi_reflect.errors import first_refusals
+    built = []
+
+    def refusal(name):
+        def build(i):
+            built.append((name, i))
+            return NumericalError(f"{name} at {i}")
+        return build
+
+    status = first_refusals([(np.array([False, True, False, True]), refusal("a")),
+                             (np.array([True, True, False, False]), refusal("b"))])
+    assert [s if s is None else str(s) for s in status] == ["b at 0", "a at 1", None, "a at 3"]
+    assert sorted(built) == [("a", 1), ("a", 3), ("b", 0)]   # none for a later failure
+    assert first_refusals([(np.zeros(3, dtype=bool), refusal("c"))]) == [None] * 3
+
+
+def test_a_band_edge_is_refused_before_the_later_checks(monkeypatch):
+    # at an exact band edge psi_right is a real solution, so DegenerateBasis
+    # or the expansion residual refuse most edges as well: the status names
+    # the edge guard, the first check
+    from jacobi_reflect import bands
+    for spec in (period2_spec(), perturbed_period3_spec()):
+        edges = band_edges(spec.background)
+        widths = np.repeat([hi - lo for lo, hi in band_intervals(spec.background)], 2)
+        grid = alpha_beta_grid(spec, edges)
+        for lam, width, exc in zip(edges, widths, grid.status):
+            assert type(exc) is BandEdge
+            assert str(exc) == str(BandEdge(lam, lam, bands.EDGE_REL * width))
+        with monkeypatch.context() as m:
+            m.setattr(bands, "EDGE_REL", 0.0)
+            unguarded = alpha_beta_grid(spec, edges).status
+        later = [exc for exc in unguarded if exc is not None]
+        assert len(later) >= 4
+        for exc in later:
+            assert (type(exc) is DegenerateBasis
+                    or str(exc).startswith("basis expansion residual")), exc
 
 
 def test_a_failed_seed_refuses_its_energy_only(monkeypatch):

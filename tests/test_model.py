@@ -96,6 +96,17 @@ def test_truncate_window_must_fit():
     truncate(spec, 5)
 
 
+def test_truncate_refusal_prints_no_negative_zero():
+    spec = JacobiSpec(offset=-2, b_override=(0.5, -0.5, 0.2))
+    assert spec.window == (-2, 0)
+    with pytest.raises(WindowTooSmall) as info:
+        truncate(spec, 1)
+    assert str(info.value) == "perturbation window (-2, 0) does not fit in [0, 0]"
+    with pytest.raises(WindowTooSmall) as info:
+        truncate(spec, 2)
+    assert str(info.value) == "perturbation window (-2, 0) does not fit in [-1, 1]"
+
+
 def test_config_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(20):
