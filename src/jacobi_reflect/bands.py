@@ -125,9 +125,11 @@ def _real_energies(lams):
 
 
 def _near_edge(bands, lams):
-    """Mask of the 1-d float lams within EDGE_REL * band width of an edge.
+    """The band-edge check of the 1-d float lams, as ``(mask, refusal)``.
 
-    Also returns each point's nearest edge and its margin.
+    ``mask`` is true where a point lies within EDGE_REL * band width of its
+    nearest edge, and ``refusal(i)`` is point i's ``BandEdge``: the form
+    ``errors.first_refusals`` takes.
     """
     flat = np.array([e for band in bands for e in band])
     widths = np.array([hi - lo for lo, hi in bands])
@@ -135,18 +137,18 @@ def _near_edge(bands, lams):
     nearest = dist.argmin(axis=1)
     margin = EDGE_REL * widths[nearest // 2]
     bad = dist[np.arange(lams.size), nearest] < margin
-    return bad, flat[nearest], margin
+    return bad, lambda i: BandEdge(lams[i], flat[nearest[i]], margin[i])
 
 
 def guard_edges(bands, lams):
-    """Raise BandEdge if any lambda sits within EDGE_REL * band width of an edge.
+    """Raise the first lambda's refusal of the ``_near_edge`` check: a
+    BandEdge if any lambda sits within EDGE_REL * band width of an edge.
 
     Real-boundary limits degenerate like an inverse square root at band
     edges, so evaluation there is refused instead of silently losing
     accuracy.  Complex energies raise ValueError.
     """
     lams = _real_energies(lams)
-    bad, edge, margin = _near_edge(bands, lams)
+    bad, refusal = _near_edge(bands, lams)
     if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise BandEdge(lams[i], edge[i], margin[i])
+        raise refusal(int(np.flatnonzero(bad)[0]))

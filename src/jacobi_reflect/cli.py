@@ -32,7 +32,7 @@ from .analysis import (QUADRATURE_NODES, TAU_DEFAULT, EnergyGrid, explicit_grid,
 from .bands import band_intervals, guard_edges
 from .dynamics import dynamical_reflection
 from .errors import JacobiReflectError, NumericalError, SchemaError, first_refusals
-from .jost import alpha_beta_grid
+from .jost import _sq_abs, alpha_beta_grid
 from .mfunc import _m_values, _pole_hit
 from .model import parse_config
 from .scattering import green_diag_grid, scattering_grid, unitarity_defect_grid
@@ -65,19 +65,9 @@ def _fmt(v):
     return str(v)
 
 
-def _plain(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return v
-
-
 def _cells(col, json_out):
     # (%-spec, values) for one column; lists, strings and non-finite JSON
-    # floats go through the per-cell _fmt/_plain
+    # floats go cell by cell through _fmt or json.dumps
     kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
     if kind == "b":
         return "%s", np.where(col, "true", "false").tolist()
@@ -87,8 +77,7 @@ def _cells(col, json_out):
         return "%.17g", col.tolist()
     if kind == "f" and np.isfinite(col).all():
         return "%r", col.tolist()
-    cell = (lambda v: json.dumps(_plain(v))) if json_out else _fmt
-    return "%s", [cell(v) for v in col]
+    return "%s", [json.dumps(v) if json_out else _fmt(v) for v in col]
 
 
 def _render(args, command, columns, data):
@@ -145,8 +134,6 @@ def _grid(args, spec):
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise SchemaError("--grid", "start, stop, step must be numbers")
-        if step <= 0:
-            raise SchemaError("--grid", "step must be positive")
         return explicit_grid(spec, start, stop, step)
     if args.lam is not None:
         if not np.isfinite(args.lam):
@@ -156,8 +143,7 @@ def _grid(args, spec):
     raise SchemaError("flags", "one of --grid or --lambda is required")
 
 
-def _cmd_describe(args):
-    spec = _load_spec(args.config)
+def _cmd_describe(args, spec, grid):
     bg = spec.background
     bands = band_intervals(bg)
     fields = ["background", "period", "background_a", "background_b", "phase",
@@ -166,7 +152,7 @@ def _cmd_describe(args):
               " ".join(_fmt(x) for x in bg.b), bg.phase,
               "none" if spec.window is None else "%d..%d" % spec.window]
     values += ["%s %s" % (_fmt(lo), _fmt(hi)) for lo, hi in bands]
-    return 0, ("field", "value"), {"field": fields, "value": values}
+    return 0, {"field": fields, "value": values}
 
 
 def _skip(lams, refusals):
@@ -178,9 +164,8 @@ def _skip(lams, refusals):
         raise NumericalError("every grid point failed")
 
 
-def _cmd_mfunc(args):
-    spec = _load_spec(args.config)
-    lams = _grid(args, spec).points
+def _cmd_mfunc(args, spec, grid):
+    lams = grid.points
     m_r, pole_r = _m_values(spec, args.n, lams, "right", poles=False)
     m_l, pole_l = _m_values(spec, args.n, lams, "left", poles=False)
     refusals = first_refusals([(pole_r, lambda j: _pole_hit("right", args.n, lams[j])),
@@ -189,79 +174,61 @@ def _cmd_mfunc(args):
     if args.lam is not None and refusals[0] is not None:
         raise refusals[0]       # a requested energy fails with its own message
     _skip(lams, refusals)
-    data = {"lambda": lams[ok], "re_m_right": m_r[ok].real, "im_m_right": m_r[ok].imag,
-            "re_m_left": m_l[ok].real, "im_m_left": m_l[ok].imag}
-    return 0, tuple(data), data
+    return 0, {"lambda": lams[ok], "re_m_right": m_r[ok].real, "im_m_right": m_r[ok].imag,
+               "re_m_left": m_l[ok].real, "im_m_left": m_l[ok].imag}
 
 
-def _cmd_green(args):
-    spec = _load_spec(args.config)
-    lams = _grid(args, spec).points
+def _cmd_green(args, spec, grid):
+    lams = grid.points
     g = green_diag_grid(spec, args.n, lams)
-    data = {"lambda": lams, "re_G": g.real, "im_G": g.imag}
-    return 0, tuple(data), data
+    return 0, {"lambda": lams, "re_G": g.real, "im_G": g.imag}
 
 
-def _sq_abs(values):
-    # the scalar abs(z) ** 2: np.abs(arr) ** 2 can differ in the last ulp
-    return np.array([abs(z) ** 2 for z in values.tolist()], dtype=float)
-
-
-def _cmd_scatter(args):
-    spec = _load_spec(args.config)
-    lams = _grid(args, spec).points
+def _cmd_scatter(args, spec, grid):
+    lams = grid.points
     res = scattering_grid(spec, args.n, lams)
     s_ll, s_lr, s_rr = res["s_ll"], res["s_lr"], res["s_rr"]
-    data = {"lambda": lams, "re_sll": s_ll.real, "im_sll": s_ll.imag,
-            "re_slr": s_lr.real, "im_slr": s_lr.imag,
-            "re_srr": s_rr.real, "im_srr": s_rr.imag,
-            "R": _sq_abs(s_ll), "T": _sq_abs(s_lr),
-            "defect": unitarity_defect_grid(res)}
-    return 0, tuple(data), data
+    return 0, {"lambda": lams, "re_sll": s_ll.real, "im_sll": s_ll.imag,
+               "re_slr": s_lr.real, "im_slr": s_lr.imag,
+               "re_srr": s_rr.real, "im_srr": s_rr.imag,
+               "R": _sq_abs(s_ll), "T": _sq_abs(s_lr),
+               "defect": unitarity_defect_grid(res)}
 
 
-def _cmd_jost(args):
-    spec = _load_spec(args.config)
-    lams = _grid(args, spec).points
+def _cmd_jost(args, spec, grid):
+    lams = grid.points
     res = alpha_beta_grid(spec, lams)
     _skip(lams, res.status)
     ok = res.ok
     # s_rr only where the Jost route succeeded: a gap pole elsewhere is no failure
     r_from_s = _sq_abs(scattering_grid(spec, 0, lams[ok])["s_rr"])
     alpha, beta, r_spec = res.alpha[ok], res.beta[ok], res.R_r[ok]
-    data = {"lambda": lams[ok],
-            "re_alpha": alpha.real, "im_alpha": alpha.imag,
-            "re_beta": beta.real, "im_beta": beta.imag,
-            "R_spectral": r_spec, "R_from_s": r_from_s,
-            "residual": np.abs(r_spec - r_from_s)}
-    return 0, tuple(data), data
+    return 0, {"lambda": lams[ok],
+               "re_alpha": alpha.real, "im_alpha": alpha.imag,
+               "re_beta": beta.real, "im_beta": beta.imag,
+               "R_spectral": r_spec, "R_from_s": r_from_s,
+               "residual": np.abs(r_spec - r_from_s)}
 
 
-def _cmd_reflect_check(args):
-    spec = _load_spec(args.config)
-    report = reflectionless_report(spec, _grid(args, spec), tau=args.tol)
-    code = 0 if bool(report.agree.all()) else 2
-    data = report.columns()
-    return code, tuple(data), data
+def _cmd_reflect_check(args, spec, grid):
+    report = reflectionless_report(spec, grid, tau=args.tol)
+    return (0 if bool(report.agree.all()) else 2), report.columns()
 
 
-def _cmd_dynamics(args):
-    spec = _load_spec(args.config)
+def _cmd_dynamics(args, spec, grid):
     out = dynamical_reflection(spec, args.lambda0, args.dlambda, args.N)
     cols = ("lambda0", "dlambda", "N", "t_star", "R_dyn", "T_dyn",
             "site0_mass", "R_stationary_avg", "abs_error")
-    return 0, cols, {k: [out[k]] for k in cols}
+    return 0, {k: [out[k]] for k in cols}
 
 
-def _cmd_transport(args):
-    spec = _load_spec(args.config)
+def _cmd_transport(args, spec, grid):
     out = landauer_current(spec, args.beta_l, args.mu_l, args.beta_r,
                            args.mu_r, quadrature=args.quadrature)
-    data = {"beta_l": [args.beta_l], "mu_l": [args.mu_l],
-            "beta_r": [args.beta_r], "mu_r": [args.mu_r],
-            "I_charge": [out["charge_current"]],
-            "I_energy": [out["energy_current"]]}
-    return 0, tuple(data), data
+    return 0, {"beta_l": [args.beta_l], "mu_l": [args.mu_l],
+               "beta_r": [args.beta_r], "mu_r": [args.mu_r],
+               "I_charge": [out["charge_current"]],
+               "I_energy": [out["energy_current"]]}
 
 
 _COMMANDS = {
@@ -318,8 +285,12 @@ def _build_parser():
 
 def run(argv):
     args = _build_parser().parse_args(argv)
-    code, cols, data = _COMMANDS[args.command](args)
-    _write(_render(args, args.command, cols, data), args.out)
+    # the one place flags become inputs: the config, then the energy grid of
+    # the subcommands that read --grid/--lambda, then the route
+    spec = _load_spec(args.config)
+    grid = _grid(args, spec) if "grid" in args else None
+    code, data = _COMMANDS[args.command](args, spec, grid)
+    _write(_render(args, args.command, tuple(data), data), args.out)
     return code
 
 

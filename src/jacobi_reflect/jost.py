@@ -34,7 +34,6 @@ import numpy as np
 
 from .bands import _near_edge, _real_energies, band_intervals
 from .errors import (
-    BandEdge,
     CrossCheckFailure,
     DegenerateBasis,
     NormalizationPole,
@@ -116,6 +115,11 @@ def _site_range(spec, k_min=None, k_max=None):
     return k_lo, k_hi
 
 
+def _sq_abs(values):
+    # the scalar abs(z) ** 2: np.abs(arr) ** 2 can differ in the last ulp
+    return np.array([abs(z) ** 2 for z in values.tolist()], dtype=float)
+
+
 def _rows(mask, refusal):
     """One check per row of ``mask`` [row, energy], as ``(mask, refusal)``
     pairs for ``first_refusals``; ``refusal(row, i)`` is energy i's."""
@@ -129,8 +133,7 @@ def _jost_values(spec, lams, k_lo, k_hi, sides, coeffs):
     ``coeffs`` are the sites' coefficient arrays.  Callers hold
     ``np.errstate(all="ignore")``, as in ``alpha_beta_grid``.
     """
-    near, edge, margin = _near_edge(band_intervals(spec.background), lams)
-    checks = [(near, lambda i: BandEdge(lams[i], edge[i], margin[i]))]
+    checks = [_near_edge(band_intervals(spec.background), lams)]
     sols = [weyl_sweep(spec, "right" if side == "r" else "left", k_lo, k_hi - 1,
                        lams, guard=False, refuse=False) for side in sides]
     checks += [sol.unseeded for sol in sols]
@@ -226,8 +229,7 @@ def alpha_beta_grid(spec, lams):
         bad = resid > 1e-9 * np.maximum(1.0, np.abs(psi_l).max(axis=0))
         checks.append((bad, lambda i: CrossCheckFailure(
             f"basis expansion residual {resid[i]:.3e} at lambda = {lams[i]}")))
-        # the scalar abs(z) ** 2: np.abs(arr) ** 2 can differ in the last ulp
-        r_r = np.array([abs(x) ** 2 for x in (beta / alpha).tolist()])
+        r_r = _sq_abs(beta / alpha)
         checks.append((r_r > 1.0 + 1e-8, lambda i: CrossCheckFailure(
             f"reflection probability {r_r[i]} exceeds 1")))
         out = alpha, beta, np.minimum(r_r, 1.0)

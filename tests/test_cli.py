@@ -244,6 +244,10 @@ def test_flag_validation(configs, capsys):
     assert cli.main(["green", "--config", configs["free"], "--grid", "0:1"]) == 3
     assert cli.main(["green", "--config", configs["free"], "--grid", "0:1:0",
                      ]) == 3
+    capsys.readouterr()
+    # a negative step is refused by explicit_grid itself
+    assert cli.main(["green", "--config", configs["free"], "--grid=1:0:-0.5"]) == 3
+    assert "step must be positive" in capsys.readouterr().err
     assert cli.main(["green", "--config", configs["free"], "--grid", "0:1:0.5",
                      "--lambda", "0"]) == 3
     with pytest.raises(SystemExit) as exc:
