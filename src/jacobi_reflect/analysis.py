@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bands import INSET_REL, _near_edge, band_intervals
+from .errors import raise_first
 from .mfunc import ac_density
 from .scattering import SUPPORT_TOL, _s_entries, boundary_pieces
 
@@ -165,7 +166,8 @@ def reflectionless_report(spec, grid, tau=TAU_DEFAULT):
     if not 0.0 <= tau < np.inf:
         raise ValueError(f"tolerance tau must be finite and non-negative, got {tau}")
     lams = np.asarray(grid.points, dtype=float)
-    pieces = boundary_pieces(spec, N_RANGE, lams, real_limit=True)
+    pieces = boundary_pieces(spec, N_RANGE, lams)
+    raise_first(pieces.checks)
     re_g = pieces.g.real
     specref = pieces.specref
     res = _s_entries(pieces)
@@ -220,8 +222,9 @@ def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=QUADRATURE_NOD
         mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
         lams = mid - hw * np.cos(theta)
         jac = hw * np.sin(theta)
-        s_lr = _s_entries(boundary_pieces(spec, [0], lams, guard=False))["s_lr"][0]
-        t_coef = np.abs(s_lr) ** 2
+        pieces = boundary_pieces(spec, [0], lams)
+        raise_first(pieces.checks[1:])     # all but the band edge, as said above
+        t_coef = np.abs(_s_entries(pieces)["s_lr"][0]) ** 2
         df = _fermi(lams, beta_l, mu_l) - _fermi(lams, beta_r, mu_r)
         base = w_theta * jac * t_coef * df
         charge += base.sum()

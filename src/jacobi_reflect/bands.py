@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import BandEdge
+from .errors import BandEdge, raise_first
 
 EDGE_REL = 1e-6       # relative band-edge margin enforced on grids
 INSET_REL = 1e-5      # band-scan grids stay this far inside each band
@@ -125,12 +125,13 @@ def _real_energies(lams):
 
 
 def _near_edge(bands, lams):
-    """The band-edge check of the 1-d float lams, as ``(mask, refusal)``.
+    """The band-edge check of the real energies lams, as ``(mask, refusal)``.
 
     ``mask`` is true where a point lies within EDGE_REL * band width of its
     nearest edge, and ``refusal(i)`` is point i's ``BandEdge``: the form
-    ``errors.first_refusals`` takes.
+    ``errors.first_refusals`` and ``errors.raise_first`` take.
     """
+    lams = _real_energies(lams)
     flat = np.array([e for band in bands for e in band])
     widths = np.array([hi - lo for lo, hi in bands])
     dist = np.abs(lams[:, None] - flat[None, :])
@@ -148,7 +149,4 @@ def guard_edges(bands, lams):
     edges, so evaluation there is refused instead of silently losing
     accuracy.  Complex energies raise ValueError.
     """
-    lams = _real_energies(lams)
-    bad, refusal = _near_edge(bands, lams)
-    if bad.any():
-        raise refusal(int(np.flatnonzero(bad)[0]))
+    raise_first([_near_edge(bands, lams)])

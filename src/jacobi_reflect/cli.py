@@ -11,7 +11,8 @@ the same numbers, as 17 significant digits in CSV and the shortest
 round-trip repr in JSON, so both parse to the exact double.
 
 Exit codes: 0 success; 2 = reflect-check found the criteria disagreeing;
-3 = bad flags or config; 4 = numerical failure on the requested points.
+3 = bad flags or config; 4 = numerical failure (mfunc, green, scatter and
+jost skip refused points with a warning; --lambda is a one-point grid).
 
 Output is deterministic for fixed flags: no wall clock, no locale.  The
 only environment variable consulted is NO_COLOR, which disables the
@@ -29,13 +30,13 @@ import numpy as np
 
 from .analysis import (QUADRATURE_NODES, TAU_DEFAULT, EnergyGrid, explicit_grid,
                        landauer_current, reflectionless_report)
-from .bands import band_intervals, guard_edges
+from .bands import band_intervals
 from .dynamics import dynamical_reflection
 from .errors import JacobiReflectError, NumericalError, SchemaError, first_refusals
 from .jost import _sq_abs, alpha_beta_grid
-from .mfunc import _m_values, _pole_hit
+from .mfunc import _m_values
 from .model import parse_config
-from .scattering import green_diag_grid, scattering_grid, unitarity_defect_grid
+from .scattering import _s_entries, boundary_pieces, scattering_grid, unitarity_defect_grid
 
 __all__ = ["main", "run"]
 
@@ -138,7 +139,6 @@ def _grid(args, spec):
     if args.lam is not None:
         if not np.isfinite(args.lam):
             raise SchemaError("--lambda", "must be finite")
-        guard_edges(band_intervals(spec.background), np.array([args.lam]))
         return EnergyGrid(points=np.array([float(args.lam)]))
     raise SchemaError("flags", "one of --grid or --lambda is required")
 
@@ -156,39 +156,38 @@ def _cmd_describe(args, spec, grid):
 
 
 def _skip(lams, refusals):
-    """Warn of each refused point; fail when every point of a grid was."""
+    """Warn of each refused point; fail when every point was; the kept ones' mask."""
     for lam, exc in zip(lams, refusals):
         if exc is not None:
             _warn(f"lambda = {_fmt(lam)} skipped: {exc}", label="warning")
-    if lams.size and all(exc is not None for exc in refusals):
+    ok = np.array([exc is None for exc in refusals], dtype=bool)
+    if lams.size and not ok.any():
         raise NumericalError("every grid point failed")
+    return ok
 
 
 def _cmd_mfunc(args, spec, grid):
     lams = grid.points
-    m_r, pole_r = _m_values(spec, args.n, lams, "right", poles=False)
-    m_l, pole_l = _m_values(spec, args.n, lams, "left", poles=False)
-    refusals = first_refusals([(pole_r, lambda j: _pole_hit("right", args.n, lams[j])),
-                               (pole_l, lambda j: _pole_hit("left", args.n, lams[j]))])
-    ok = ~(pole_r | pole_l)
-    if args.lam is not None and refusals[0] is not None:
-        raise refusals[0]       # a requested energy fails with its own message
-    _skip(lams, refusals)
+    m_r, checks_r = _m_values(spec, args.n, lams, "right")
+    m_l, checks_l = _m_values(spec, args.n, lams, "left")
+    ok = _skip(lams, first_refusals(checks_r + checks_l))
     return 0, {"lambda": lams[ok], "re_m_right": m_r[ok].real, "im_m_right": m_r[ok].imag,
                "re_m_left": m_l[ok].real, "im_m_left": m_l[ok].imag}
 
 
 def _cmd_green(args, spec, grid):
-    lams = grid.points
-    g = green_diag_grid(spec, args.n, lams)
-    return 0, {"lambda": lams, "re_G": g.real, "im_G": g.imag}
+    pieces = boundary_pieces(spec, [args.n], grid.points)
+    ok = _skip(grid.points, first_refusals(pieces.checks))
+    g = pieces.g[0, ok]
+    return 0, {"lambda": grid.points[ok], "re_G": g.real, "im_G": g.imag}
 
 
 def _cmd_scatter(args, spec, grid):
-    lams = grid.points
-    res = scattering_grid(spec, args.n, lams)
+    pieces = boundary_pieces(spec, [args.n], grid.points)
+    ok = _skip(grid.points, first_refusals(pieces.checks))
+    res = {k: v[0, ok] for k, v in _s_entries(pieces).items()}
     s_ll, s_lr, s_rr = res["s_ll"], res["s_lr"], res["s_rr"]
-    return 0, {"lambda": lams, "re_sll": s_ll.real, "im_sll": s_ll.imag,
+    return 0, {"lambda": grid.points[ok], "re_sll": s_ll.real, "im_sll": s_ll.imag,
                "re_slr": s_lr.real, "im_slr": s_lr.imag,
                "re_srr": s_rr.real, "im_srr": s_rr.imag,
                "R": _sq_abs(s_ll), "T": _sq_abs(s_lr),
@@ -198,8 +197,7 @@ def _cmd_scatter(args, spec, grid):
 def _cmd_jost(args, spec, grid):
     lams = grid.points
     res = alpha_beta_grid(spec, lams)
-    _skip(lams, res.status)
-    ok = res.ok
+    ok = _skip(lams, res.status)
     # s_rr only where the Jost route succeeded: a gap pole elsewhere is no failure
     r_from_s = _sq_abs(scattering_grid(spec, 0, lams[ok])["s_rr"])
     alpha, beta, r_spec = res.alpha[ok], res.beta[ok], res.R_r[ok]
@@ -283,8 +281,11 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def run(argv):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     # the one place flags become inputs: the config, then the energy grid of
     # the subcommands that read --grid/--lambda, then the route
     spec = _load_spec(args.config)

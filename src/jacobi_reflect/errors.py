@@ -97,3 +97,10 @@ def first_refusals(checks):
             for i in np.flatnonzero(mask).tolist():
                 refusals[i] = refusals[i] or refusal(i)
     return refusals
+
+
+def raise_first(checks):
+    """Raise the refusal of the first check that fails, at its first failing energy."""
+    for mask, refusal in checks:
+        if np.any(mask):
+            raise refusal(int(np.flatnonzero(mask)[0]))

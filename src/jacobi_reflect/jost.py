@@ -21,7 +21,8 @@ check is a mask over the grid and a refusal per energy; every check runs on
 every energy, and ``errors.first_refusals`` picks each one's first failure.
 A refused energy reads NaN; the others are unaffected.  ``alpha_beta`` is
 its one-point view and raises the refusal.  One energy runs the sweep on
-Python scalars, yet gets the bits it gets on a grid.
+Python scalars, yet gets the bits it gets on a grid.  The other routes
+raise the first check their energies fail with ``errors.raise_first``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .errors import (
     NormalizationPole,
     PoleHit,
     first_refusals,
+    raise_first,
 )
 from .mfunc import POLE_TOL, weyl_sweep
 from .model import coefficient_arrays
@@ -134,8 +136,8 @@ def _jost_values(spec, lams, k_lo, k_hi, sides, coeffs):
     ``np.errstate(all="ignore")``, as in ``alpha_beta_grid``.
     """
     checks = [_near_edge(band_intervals(spec.background), lams)]
-    sols = [weyl_sweep(spec, "right" if side == "r" else "left", k_lo, k_hi - 1,
-                       lams, guard=False, refuse=False) for side in sides]
+    sols = [weyl_sweep(spec, "right" if side == "r" else "left", k_lo, k_hi - 1, lams)
+            for side in sides]
     checks += [sol.unseeded for sol in sols]
     vals = np.array([sol.values(k_lo, k_hi) for sol in sols])
 
@@ -170,9 +172,7 @@ def jost_solution(spec, side, lam, k_min=None, k_max=None):
     with np.errstate(all="ignore"):
         vals, checks = _jost_values(spec, np.array([float(lam)]), k_lo, k_hi, side,
                                     coefficient_arrays(spec, k_lo, k_hi))
-    refusal = first_refusals(checks)[0]
-    if refusal is not None:
-        raise refusal
+    raise_first(checks)
     return JostSolution(side=side, lam=float(lam), k_min=k_lo, k_max=k_hi,
                         values=vals[0, :, 0], spec=spec)
 
@@ -264,12 +264,13 @@ def spectral_reflection_mratio_grid(spec, lams):
 
     read off the Weyl pairs at bond 0 (finite at poles of m).
     """
-    ru, rl = weyl_sweep(spec, "right", 0, 0, lams).bond(0)
-    lu, ll = weyl_sweep(spec, "left", 0, 0, lams).bond(0)
+    sols = [weyl_sweep(spec, side, 0, 0, lams) for side in ("right", "left")]
+    (ru, rl), (lu, ll) = (sol.bond(0) for sol in sols)
     num = np.conj(ru) * ll - np.conj(rl) * lu
     den = ru * ll - rl * lu
-    if np.any(np.abs(den) < POLE_TOL * (np.abs(ru) + np.abs(rl)) * (np.abs(lu) + np.abs(ll))):
-        raise PoleHit("m-ratio denominator vanishes")
+    vanish = np.abs(den) < POLE_TOL * (np.abs(ru) + np.abs(rl)) * (np.abs(lu) + np.abs(ll))
+    raise_first([_near_edge(band_intervals(spec.background), lams), *(s.unseeded for s in sols),
+                 (vanish, lambda i: PoleHit("m-ratio denominator vanishes"))])
     return np.abs(num / den) ** 2
 
 
@@ -288,13 +289,13 @@ def green_offdiag(spec, n, m, lam):
     lams = np.array([float(lam)])
     k_lo, k_hi = _site_range(spec)
     k_lo, k_hi = min(k_lo, lo - 1), max(k_hi, hi + 1)
-    # both solutions on the scale of their pairs at bond k_lo
-    psi_r = weyl_sweep(spec, "right", k_lo, k_hi - 1, lams).values(k_lo, k_hi)
-    psi_l = weyl_sweep(spec, "left", k_lo, k_hi - 1, lams).values(k_lo, k_hi)
+    sols = [weyl_sweep(spec, side, k_lo, k_hi - 1, lams) for side in ("right", "left")]
+    psi_r, psi_l = (sol.values(k_lo, k_hi) for sol in sols)    # on the scale of bond k_lo
     bonds = coefficient_arrays(spec, k_lo, k_hi - 1)[0][:, None]
-    w, bad, spread = (x[0] for x in _wronskian_spread(psi_r, psi_l, bonds, 0))
-    if bad:
-        raise _wronskian_refusal(spread, w)
-    if abs(w) < DEGENERATE_TOL * np.abs(psi_r[:2]).sum() * np.abs(psi_l[:2]).sum():
-        raise PoleHit(f"Wronskian vanishes at lambda = {lam} (bound state)")
-    return psi_l[lo - k_lo, 0] * psi_r[hi - k_lo, 0] / w
+    w, bad, spread = _wronskian_spread(psi_r, psi_l, bonds, 0)
+    tol = DEGENERATE_TOL * np.abs(psi_r[:2]).sum(axis=0) * np.abs(psi_l[:2]).sum(axis=0)
+    raise_first([_near_edge(band_intervals(spec.background), lams), *(s.unseeded for s in sols),
+                 (bad, lambda i: _wronskian_refusal(spread[i], w[i])),
+                 (np.abs(w) < tol, lambda i: PoleHit(
+                     f"Wronskian vanishes at lambda = {lam} (bound state)"))])
+    return psi_l[lo - k_lo, 0] * psi_r[hi - k_lo, 0] / w[0]

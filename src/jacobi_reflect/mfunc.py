@@ -25,7 +25,8 @@ one-point grid and conjugates on the ``-`` side.
 
 m is infinite where u_n = 0, at a Dirichlet eigenvalue of the half line:
 the m-value routes raise PoleHit there, while the whole-line quantities read
-off the same values (``ac_density``, G_nn, the s-matrix) stay finite.
+off the same values (``ac_density``, G_nn, the s-matrix) stay finite.  The
+sweep and ``_m_values`` raise no refusal: they return ``(mask, refusal)`` checks.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bands import _period_product, _real_energies, band_intervals, guard_edges
-from .errors import CrossCheckFailure, NumericalError, PoleHit
+from .bands import _near_edge, _period_product, _real_energies, band_intervals
+from .errors import CrossCheckFailure, NumericalError, PoleHit, raise_first
 from .model import coefficient_arrays
 
 POLE_TOL = 1e-14     # |u_n| below this share of its pair makes m_n a pole
@@ -68,8 +69,8 @@ class WeylSolution(NamedTuple):
     the way; ``2**exponent`` takes a row back to the scale of the seed.  On
     the real axis ``flux`` is ``a_k Im(u_{k+1} conj(u_k))`` on the seed's
     scale, the same on every bond.  ``unseeded`` is the seed check as
-    ``(mask, refusal)``: the mask of the points whose seed failed, set only
-    when the sweep was asked not to raise, and ``refusal(i)`` of point i.
+    ``(mask, refusal)``: the mask of the points whose seed failed, which the
+    sweep ran on past, and ``refusal(i)`` of point i.
     """
 
     first: int
@@ -126,8 +127,8 @@ def _floquet_seed(m11, m12, m21, m22, side, real_limit):
 
 
 def _seed_check(M, v1, v2, mu, nu, band, side):
-    """Mask of the energies whose seed fails, and a function giving the
-    refusal of the energies at an index (by default all of them)."""
+    """The seed check as ``(mask, refusal)``: the mask of the energies whose
+    seed fails, a zero seed too, and ``refusal(i)`` of energy i."""
     m11, m12, m21, m22 = M
     r = abs((m11 - mu) * v1 + m12 * v2) + abs(m21 * v1 + (m22 - mu) * v2)
     scale = (abs(m11) + abs(m12) + abs(m21) + abs(m22)) * (abs(v1) + abs(v2))
@@ -137,21 +138,21 @@ def _seed_check(M, v1, v2, mu, nu, band, side):
     on_branch = _select(band, sign * (v1 * np.conj(v2)).imag > 0,
                         sign * (abs(mu) - abs(nu)) >= 0)
 
-    def refusal(at=...):
-        r_at, scale_at = np.atleast_1d(r)[at], np.atleast_1d(scale)[at]
-        rel = np.divide(r_at, scale_at, out=np.full(np.shape(r_at), np.inf), where=scale_at > 0)
-        return CrossCheckFailure(f"Floquet seed ({side} side): residual {np.max(rel):.3e} of "
+    def refusal(i):
+        r_i, scale_i = np.atleast_1d(r)[i], np.atleast_1d(scale)[i]
+        rel = r_i / scale_i if scale_i > 0 else np.inf
+        return CrossCheckFailure(f"Floquet seed ({side} side): residual {rel:.3e} of "
                                  f"|M||v| (bound {SEED_TOL:.3e}; inf: no seed, M = +-I), on its "
-                                 f"branch: {bool(np.all(np.atleast_1d(on_branch)[at]))}")
-    return ~np.atleast_1d((r < SEED_TOL * scale) & on_branch), refusal  # a zero seed fails too
+                                 f"branch: {bool(np.atleast_1d(on_branch)[i])}")
+    return ~np.atleast_1d((r < SEED_TOL * scale) & on_branch), refusal
 
 
-def weyl_sweep(spec, side, lo, hi, pts, real_limit=True, guard=True, refuse=True):
+def weyl_sweep(spec, side, lo, hi, pts, real_limit=True):
     """The ``side`` Weyl solution on bonds lo..hi and on to its seed bond, at
     real energies (``lambda + i0``) when ``real_limit``, else at upper-half-
-    plane points; ``guard=False`` skips the band-edge margin check, and
-    ``refuse=False`` sweeps on past failed seeds and leaves their refusals
-    to ``unseeded``.
+    plane points.  It raises no refusal: a point whose seed fails is swept
+    on and flagged in ``unseeded``, and the band-edge margin is left to the
+    caller's checks.
 
     psi_r is seeded at the first bond >= hi with only background to its right
     and swept down, psi_l at the last bond <= lo with only background to its
@@ -160,8 +161,6 @@ def weyl_sweep(spec, side, lo, hi, pts, real_limit=True, guard=True, refuse=True
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     z = _real_energies(pts) if real_limit else np.atleast_1d(np.asarray(pts, dtype=complex))
-    if real_limit and guard:
-        guard_edges(band_intervals(spec.background), z)
     if not real_limit and np.any(z.imag <= 0):
         raise ValueError("interior evaluation needs Im z > 0")
     w = spec.window
@@ -176,8 +175,6 @@ def weyl_sweep(spec, side, lo, hi, pts, real_limit=True, guard=True, refuse=True
     M = _period_product(spec.background, seed + 1, zz)
     up, low, *roots = _floquet_seed(*M, side, real_limit)
     unseeded = _seed_check(M, up, low, *roots, side)
-    if refuse and unseeded[0].any():
-        raise unseeded[1]()
 
     # index i: site first - 1 + i
     a, b = (c.tolist() for c in coefficient_arrays(spec, first - 1, last + 1))
@@ -230,45 +227,44 @@ def _ratios(sol, bonds, a):
     return out
 
 
-def _m_values(spec, n, pts, side, real_limit=True, poles=True):
-    """m_right(n) or m_left(n) over a grid; PoleHit where it is infinite,
-    or with ``poles=False`` 0 there and the mask of the poles."""
+def _m_values(spec, n, pts, side, real_limit=True):
+    """m_right(n) or m_left(n) over a grid, 0 at a pole, and its checks in
+    order: the band edge (real axis only), the seed and the pole."""
     bond = n if side == "right" else n - 1
     sol = weyl_sweep(spec, side, bond, bond, pts, real_limit)
     a = spec.a(bond)
     rho, zero, sigma, top = _ratios(sol, bond, a)
     m, pole = (-rho / a, zero) if side == "right" else (-sigma / a, top)
-    if not poles:
-        return m, pole
-    if pole.any():
-        raise _pole_hit(side, n, np.atleast_1d(np.asarray(pts))[np.argmax(pole)])
+    edge = [_near_edge(band_intervals(spec.background), pts)] if real_limit else []
+    return m, edge + [sol.unseeded, (pole, lambda i: PoleHit(
+        f"m_{side}({n}) has a pole at {np.atleast_1d(pts)[i]}: the {side} Weyl "
+        f"solution vanishes at site {n}"))]
+
+
+def _m_raising(spec, n, pts, side, real_limit):
+    m, checks = _m_values(spec, n, pts, side, real_limit)
+    raise_first(checks)
     return m
-
-
-def _pole_hit(side, n, at):
-    """The refusal of m_right(n) or m_left(n) at a pole ``at``."""
-    return PoleHit(f"m_{side}({n}) has a pole at {at}: the {side} Weyl "
-                   f"solution vanishes at site {n}")
 
 
 def m_right_grid(spec, n, z):
     """m of the right half-line ``[n+1, inf)`` at upper-half-plane points."""
-    return _m_values(spec, n, z, "right", real_limit=False)
+    return _m_raising(spec, n, z, "right", False)
 
 
 def m_left_grid(spec, n, z):
     """m of the left half-line ``(-inf, n-1]`` at upper-half-plane points."""
-    return _m_values(spec, n, z, "left", real_limit=False)
+    return _m_raising(spec, n, z, "left", False)
 
 
 def m_right_boundary(spec, n, lams):
     """Boundary values m_right(lambda + i0) on a real grid."""
-    return _m_values(spec, n, lams, "right", real_limit=True)
+    return _m_raising(spec, n, lams, "right", True)
 
 
 def m_left_boundary(spec, n, lams):
     """Boundary values m_left(lambda + i0) on a real grid."""
-    return _m_values(spec, n, lams, "left", real_limit=True)
+    return _m_raising(spec, n, lams, "left", True)
 
 
 def _at_point(route, point):
@@ -280,7 +276,7 @@ def _at_point(route, point):
 
 
 def _m_at(spec, n, point, side):
-    v = _at_point(lambda pts, real: _m_values(spec, n, pts, side, real), point)
+    v = _at_point(lambda pts, real: _m_raising(spec, n, pts, side, real), point)
     if point.side == "+" and v.imag < -1e-12:
         raise NumericalError(f"Herglotz value with Im = {v.imag:.3e} < 0")
     return v
@@ -298,5 +294,7 @@ def m_left(spec, n, point):
 
 def ac_density(spec, n, lams, side="right"):
     """Boundary spectral density Im m(lambda + i0) / pi of a half-line; a pole
-    of m on the real axis carries none."""
-    return _m_values(spec, n, lams, side, poles=False)[0].imag / np.pi
+    of m on the real axis carries none, so its check is not raised."""
+    m, checks = _m_values(spec, n, lams, side)
+    raise_first(checks[:-1])
+    return m.imag / np.pi

@@ -16,6 +16,8 @@ cut.  A channel with vanishing boundary density is closed; its density
 factor is exactly 0, so its row of s is exactly the identity, and it adds
 nothing to the unitarity defect ``max|s s* - I|``.  A pole of m_j on the
 real axis is a closed channel too, and G_nn stays finite there.
+``boundary_pieces`` raises no refusal: it carries each point's checks (band
+edge, both seeds, a vanishing G_nn denominator, the G_nn cross-check).
 
 The scalar views take one energy: ``green_diag`` gives G_nn at a
 ``BoundaryPoint`` as a complex number (through ``mfunc._at_point``),
@@ -29,7 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CrossCheckFailure, NoOpenChannel, NumericalError, PoleHit
+from .bands import _near_edge, band_intervals
+from .errors import CrossCheckFailure, NoOpenChannel, NumericalError, PoleHit, raise_first
 from .mfunc import POLE_TOL, _at_point, _ratios, weyl_sweep
 from .model import coefficient_arrays
 
@@ -83,36 +86,40 @@ class BoundaryPieces(NamedTuple):
     specref: np.ndarray    # |a_n^2 m_right(n) conj(m_left(n+1)) - 1|; inf at a pole
     a_l: np.ndarray        # a_{n-1}, [cut, 1]
     a_r: np.ndarray        # a_n
+    checks: list           # (mask, refusal) per check, masks over the points
 
 
 def _green(a, r1, pole1, r2, pole2):
-    # G_kk = psi_l(k) psi_r(k) / W = 1 / (a (r1 - r2)) in the ratios of a bond
-    # at site k; a pole of a ratio is a zero of psi_l(k) or psi_r(k): G_kk = 0
+    # G_kk = psi_l(k) psi_r(k) / W = 1 / (a (r1 - r2)) in the ratios of a bond at site k;
+    # 0 at a pole of a ratio (psi_l(k) or psi_r(k) is 0) and at a flagged zero denominator
     d = a * (r1 - r2)
     zero = pole1 | pole2
-    if np.any(~zero & (np.abs(d) <= POLE_TOL * a * (np.abs(r1) + np.abs(r2)))):
-        raise PoleHit("G_nn denominator vanishes (eigenvalue hit)")
-    return np.divide(1.0, d, out=np.zeros(d.shape, complex), where=~zero)
+    bad = ~zero & (np.abs(d) <= POLE_TOL * a * (np.abs(r1) + np.abs(r2)))
+    return np.divide(1.0, d, out=np.zeros(d.shape, complex), where=~(zero | bad)), bad.any(axis=0)
 
 
-def boundary_pieces(spec, cuts, pts, real_limit=True, guard=True):
-    """G_nn and the channel data at every cut, read off one sweep per side."""
+def boundary_pieces(spec, cuts, pts, real_limit=True):
+    """G_nn, the channel data and the checks at every cut, read off one sweep per side."""
     cuts = np.asarray(cuts, dtype=int)
     lo, hi = int(cuts.min()) - 1, int(cuts.max())
     bonds = np.arange(lo, hi + 1)
-    right = weyl_sweep(spec, "right", lo, hi, pts, real_limit, guard)
-    left = weyl_sweep(spec, "left", lo, hi, pts, real_limit, guard)
+    right = weyl_sweep(spec, "right", lo, hi, pts, real_limit)
+    left = weyl_sweep(spec, "left", lo, hi, pts, real_limit)
     a = coefficient_arrays(spec, lo, hi)[0][:, None]
     # ratios u_{k+1}/u_k (rho) and u_k/u_{k+1} (sigma) of both pairs on each bond
     rho_r, zero_r, sig_r, top_r = _ratios(right, bonds, a)
     rho_l, zero_l, sig_l, top_l = _ratios(left, bonds, a)
-    g = _green(a, rho_r, zero_r, rho_l, zero_l)[1:]         # G_kk from bond k
-    g_prev = _green(a, sig_l, top_l, sig_r, top_r)[:-1]     # G_kk from bond k-1
+    g, pole = _green(a, rho_r, zero_r, rho_l, zero_l)
+    g_prev, pole_prev = _green(a, sig_l, top_l, sig_r, top_r)
+    g, g_prev = g[1:], g_prev[:-1]          # G_kk from bond k and from bond k-1
     scale = np.maximum(np.maximum(np.abs(g), np.abs(g_prev)), 1e-300)
-    rel = np.max(np.abs(g - g_prev) / scale, initial=0.0)
-    if rel > CROSS_TOL:
-        raise CrossCheckFailure(f"G_nn from the Wronskians at bonds n-1 and n disagrees by "
-                                f"{rel:.3e} (> {CROSS_TOL})")
+    rel = np.max(np.abs(g - g_prev) / scale, axis=0, initial=0.0)
+    checks = [_near_edge(band_intervals(spec.background), pts)] if real_limit else []
+    checks += [right.unseeded, left.unseeded,
+               (pole | pole_prev, lambda j: PoleHit("G_nn denominator vanishes (eigenvalue hit)")),
+               (rel > CROSS_TOL, lambda j: CrossCheckFailure(
+                   f"G_nn from the Wronskians at bonds n-1 and n disagrees by "
+                   f"{rel[j]:.3e} (> {CROSS_TOL})"))]
     i = cuts - lo                           # row of bond n
     m_r, pole_r = -rho_r[i] / a[i], zero_r[i]
     m_l, pole_l = -sig_l[i - 1] / a[i - 1], top_l[i - 1]
@@ -122,12 +129,14 @@ def boundary_pieces(spec, cuts, pts, real_limit=True, guard=True):
     # a closed channel, or a pole of m, has no density
     dens_l, dens_r = (np.where(~pole & (m.imag > SUPPORT_TOL), m.imag, 0.0)
                       for m, pole in ((m_l, pole_l), (m_r, pole_r)))
-    return BoundaryPieces(g[i - 1], dens_l, dens_r, specref, a[i - 1], a[i])
+    return BoundaryPieces(g[i - 1], dens_l, dens_r, specref, a[i - 1], a[i], checks)
 
 
 def green_diag_grid(spec, n, pts, real_limit=True):
     """Validated G_nn values over a grid of points."""
-    return boundary_pieces(spec, [n], pts, real_limit).g[0]
+    pieces = boundary_pieces(spec, [n], pts, real_limit)
+    raise_first(pieces.checks)
+    return pieces.g[0]
 
 
 def green_diag(spec, n, point):
@@ -163,7 +172,8 @@ def scattering_grid(spec, n, lams):
     s_rl equals s_lr identically.  Closed channels come out as identity
     rows automatically (the density factor is exactly zero there).
     """
-    pieces = boundary_pieces(spec, [n], lams, real_limit=True)
+    pieces = boundary_pieces(spec, [n], lams)
+    raise_first(pieces.checks)
     return {k: v[0] for k, v in _s_entries(pieces).items()}
 
 
@@ -197,9 +207,9 @@ def reflection_transmission(s):
 
 def channel_weight(spec, n, lam):
     """``(v_l, v_r)``: square roots of the boundary a.c. densities Im m / pi."""
-    pieces = boundary_pieces(spec, [n], np.array([float(lam)]))
-    return (float(np.sqrt(pieces.density_l[0, 0] / np.pi)),
-            float(np.sqrt(pieces.density_r[0, 0] / np.pi)))
+    res = scattering_grid(spec, n, np.array([float(lam)]))
+    return (float(np.sqrt(res["density_l"][0] / np.pi)),
+            float(np.sqrt(res["density_r"][0] / np.pi)))
 
 
 def _defect_entries(s_ll, s_lr, s_rr):

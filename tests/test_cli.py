@@ -16,6 +16,7 @@ from jacobi_reflect.mfunc import m_left_boundary, m_right_boundary
 FREE = '{"background": {"kind": "free"}}'
 SINGLE = '{"background": {"kind": "free"}, "perturbation": {"offset": 0, "b": [1.0]}}'
 PERIOD2 = '{"background": {"kind": "periodic", "a": [1.0, 0.5], "b": [0.0, 0.0]}}'
+CLOSED_GAP = '{"background": {"kind": "periodic", "a": [1.0, 1.0], "b": [0.0, 0.0]}}'
 PERIOD4 = ('{"background": {"kind": "periodic", "a": [1.0, 0.8, 1.2, 0.9], '
            '"b": [0.3, -0.2, 0.1, -0.4]}, '
            '"perturbation": {"offset": -1, "a": [1.3, 0.9], "b": [0.2, -0.4]}}')
@@ -125,6 +126,37 @@ def test_period2_gap_center_grids(configs, capsys):
     assert len(rows) == 7 and all(float(r["re_G"]) == 0.0 for r in rows)
     assert all(r["verdict_mt"] == r["verdict_spec"] == r["verdict_stat"] == "false"
                for r in rows)
+
+
+@pytest.mark.parametrize("command", ["green", "scatter", "mfunc"])
+def test_a_point_that_cannot_be_seeded_is_skipped(tmp_path, capsys, command):
+    # lambda = 0 on the closed-gap period 2 has no Floquet seed (M = -I); it
+    # costs that point only, as for jost
+    config = tmp_path / "closed.json"
+    config.write_text(CLOSED_GAP)
+    code = cli.main([command, "--config", str(config), "--grid=-0.5:0.5:0.25"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert [float(r["lambda"]) for r in _csv_rows(captured.out)] == [-0.5, -0.25, 0.25, 0.5]
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: lambda = 0 skipped: Floquet seed (right side)")
+    # a report speaks for the whole grid: it still refuses
+    assert cli.main(["reflect-check", "--config", str(config), "--grid=-0.5:0.5:0.25"]) == 4
+
+
+def test_run_reuses_one_parser_without_carrying_flags_over(configs, monkeypatch):
+    seen = []
+
+    def report(spec, grid, tau):
+        seen.append(tau)
+        return reflectionless_report(spec, grid, tau)
+
+    monkeypatch.setattr(cli, "reflectionless_report", report)
+    argv = ["reflect-check", "--config", configs["free"], "--lambda", "0.3"]
+    assert cli.main(argv + ["--tol", "0.5"]) == 0
+    assert cli.main(argv) == 0
+    assert seen == [0.5, TAU_DEFAULT]
 
 
 def test_mfunc_pole_is_a_numerical_error(configs, capsys):

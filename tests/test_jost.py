@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jacobi_reflect import (Background, BoundaryPoint, JacobiSpec, alpha_beta,
-                            alpha_beta_grid, band_edges, band_intervals,
+                            alpha_beta_grid, band_edges, band_grid, band_intervals,
                             explicit_grid, green_diag, green_offdiag,
                             jost_solution, m_left, m_right, scattering_matrix,
                             spectral_reflection_mratio,
@@ -11,7 +11,7 @@ from jacobi_reflect.errors import (BandEdge, CrossCheckFailure, DegenerateBasis,
                                    NumericalError)
 
 from util import (free_spec, period2_spec, perturbed_period3_spec,
-                  perturbed_periodic_spec, random_spec,
+                  perturbed_periodic_spec, random_spec, reflection_oracle,
                   single_site_spec)
 
 
@@ -329,3 +329,17 @@ def test_a_failed_seed_refuses_its_energy_only(monkeypatch):
     keep = grid.ok
     assert grid.R_r[keep].tobytes() == clean.R_r[keep].tobytes()
     assert grid.alpha[keep].tobytes() == clean.alpha[keep].tobytes()
+
+
+def test_jost_reflection_matches_the_dense_transfer_matrix_oracle():
+    # R from dense 2x2 step matrices and current-signed Bloch waves, which
+    # share nothing with the Weyl sweep, against criterion 6's bound
+    specs = [perturbed_period3_spec()] + [perturbed_periodic_spec(np.random.default_rng(s), p)
+                                          for s, p in ((1, 2), (2, 4), (3, 5))]
+    for spec in specs:
+        lams = band_grid(spec, 200).points
+        grid = alpha_beta_grid(spec, lams)
+        assert grid.ok.all()
+        oracle = np.array([reflection_oracle(spec, lam) for lam in lams])
+        assert np.abs(grid.R_r - oracle).max() <= 1e-8
+        assert 0.0 < oracle.max() and oracle.min() < 1.0

@@ -11,8 +11,9 @@ from jacobi_reflect import (Background, BoundaryPoint, CrossCheckFailure,
                             spectral_reflection_mratio_grid, unitarity_defect,
                             unitarity_defect_grid)
 from jacobi_reflect import mfunc, scattering
+from jacobi_reflect.errors import first_refusals
 
-from util import (free_spec, period2_spec, perturbed_period3_spec,
+from util import (closed_gap_spec, free_spec, period2_spec, perturbed_period3_spec,
                   perturbed_periodic_spec, random_spec, single_site_spec)
 
 
@@ -165,6 +166,23 @@ def test_broken_recursion_trips_the_bond_check(monkeypatch):
     monkeypatch.setattr(scattering, "weyl_sweep", broken)
     with pytest.raises(CrossCheckFailure):
         scattering_grid(spec, 0, band_grid(spec, 50).points)
+
+
+def test_a_point_that_cannot_be_seeded_is_flagged_not_raised():
+    # the free chain written as period 2: at lambda = 0 the one-period product
+    # is -I, so neither seed exists; that point alone is flagged
+    spec = closed_gap_spec()
+    lams = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
+    pieces = scattering.boundary_pieces(spec, [0], lams)
+    failed = np.any([mask for mask, _ in pieces.checks], axis=0)
+    assert list(np.flatnonzero(failed)) == [2]
+    status = first_refusals(pieces.checks)
+    assert str(status[2]).startswith("Floquet seed (right side): residual inf")
+    keep = np.arange(lams.size) != 2
+    alone = scattering.boundary_pieces(spec, [0], lams[keep])
+    assert pieces.g[:, keep].tobytes() == alone.g.tobytes()
+    with pytest.raises(CrossCheckFailure, match="Floquet seed"):
+        green_diag_grid(spec, 0, lams)
 
 
 def test_one_energy_gets_its_bits_on_a_grid():

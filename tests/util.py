@@ -23,6 +23,11 @@ def period2_spec():
     return JacobiSpec(background=Background.periodic((1.0, 0.5), (0.0, 0.0)))
 
 
+def closed_gap_spec():
+    # the free chain written as period 2: its gap at lambda = 0 is closed
+    return JacobiSpec(background=Background.periodic((1.0, 1.0), (0.0, 0.0)))
+
+
 def perturbed_period3_spec():
     return JacobiSpec(background=Background.periodic((1.0, 0.5, 0.8), (0.1, 0.0, -0.2)),
                       offset=-1, a_override=(1.3, 0.9), b_override=(0.2, -0.4))
@@ -71,6 +76,46 @@ def m_oracle_truncated(spec, n, z, N, side="right"):
     rhs[idx] = 1.0
     x = solve_banded((1, 1), ab, rhs)
     return complex(x[idx])
+
+
+def _step_product(spec, k_first, k_last, lam):
+    """Dense 2x2 product of the transfer steps across sites k_first..k_last,
+    sending (u_{k_first}, u_{k_first - 1}) to (u_{k_last + 1}, u_{k_last})."""
+    m = np.eye(2)
+    for k in range(k_first, k_last + 1):
+        m = np.array([[(lam - spec.b(k)) / spec.a(k), -spec.a(k - 1) / spec.a(k)],
+                      [1.0, 0.0]]) @ m
+    return m
+
+
+def _bloch_waves(spec, K, lam):
+    """The two Bloch waves (u_{K+1}, u_K) of a band energy beyond site K, the
+    one whose current a_K Im(u_{K+1} conj(u_K)) is positive first, and the
+    two currents."""
+    _, vecs = np.linalg.eig(_step_product(spec, K + 1, K + spec.background.period, lam))
+    current = spec.a(K) * (vecs[0] * np.conj(vecs[1])).imag
+    order = np.argsort(-current)
+    return vecs[:, order], current[order]
+
+
+def reflection_oracle(spec, lam):
+    """Reflection probability at a band energy from dense transfer matrices.
+
+    The scattering state that carries positive current alone on the right of
+    the perturbation is taken across it and expanded over the two Bloch
+    waves on its left, A w_+ + B w_-: R = |B|^2 |J_-| / (|A|^2 J_+).  The
+    branches are told apart by the sign of their current, so nothing here
+    assumes R <= 1, and nothing is shared with the package's sweep.
+    """
+    if spec.window is None:
+        return 0.0
+    p = spec.background.period
+    k_left, k_right = spec.window[0] - 1 - p, spec.window[1] + 1
+    right, _ = _bloch_waves(spec, k_right, lam)
+    left, current = _bloch_waves(spec, k_left, lam)
+    back = np.linalg.solve(_step_product(spec, k_left + 1, k_right, lam), right[:, 0])
+    a, b = np.linalg.solve(left, back)
+    return float(abs(b) ** 2 * abs(current[1]) / (abs(a) ** 2 * current[0]))
 
 
 def free_propagator_kernel(k, t):
