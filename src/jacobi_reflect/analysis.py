@@ -25,7 +25,7 @@ import numpy as np
 
 from .bands import INSET_REL, _near_edge, band_intervals
 from .errors import raise_first
-from .mfunc import ac_density
+from .mfunc import _m_values
 from .scattering import SUPPORT_TOL, _s_entries, boundary_pieces
 
 TAU_DEFAULT = 1e-8
@@ -88,9 +88,10 @@ def band_grid(spec, points_per_band):
 def essential_support(spec, grid):
     """Index sets where each half-line boundary density is positive, by the
     open-channel threshold of the s-matrix."""
-    lams = grid.points
-    left = np.flatnonzero(np.pi * ac_density(spec, 0, lams, side="left") > SUPPORT_TOL)
-    right = np.flatnonzero(np.pi * ac_density(spec, 0, lams, side="right") > SUPPORT_TOL)
+    (m_r, checks_r), (m_l, checks_l) = _m_values(spec, 0, grid.points).values()
+    # a pole of m carries no density, so its check is not raised
+    raise_first(checks_l[:-1] + checks_r[:-1])
+    left, right = (np.flatnonzero(m.imag > SUPPORT_TOL) for m in (m_l, m_r))
     union = np.union1d(left, right)
     return {"left": left, "right": right, "union": union}
 

@@ -168,8 +168,7 @@ def _skip(lams, refusals):
 
 def _cmd_mfunc(args, spec, grid):
     lams = grid.points
-    m_r, checks_r = _m_values(spec, args.n, lams, "right")
-    m_l, checks_l = _m_values(spec, args.n, lams, "left")
+    (m_r, checks_r), (m_l, checks_l) = _m_values(spec, args.n, lams).values()
     ok = _skip(lams, first_refusals(checks_r + checks_l))
     return 0, {"lambda": lams[ok], "re_m_right": m_r[ok].real, "im_m_right": m_r[ok].imag,
                "re_m_left": m_l[ok].real, "im_m_left": m_l[ok].imag}

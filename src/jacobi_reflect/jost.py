@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bands import _near_edge, _real_energies, band_intervals
+from .bands import _real_energies
 from .errors import (
     CrossCheckFailure,
     DegenerateBasis,
@@ -128,17 +128,15 @@ def _rows(mask, refusal):
     return [(m, partial(refusal, j)) for j, m in enumerate(mask)]
 
 
-def _jost_values(spec, lams, k_lo, k_hi, sides, coeffs):
-    """Weyl solutions ``sides`` ('r', 'l') on sites k_lo..k_hi, 1 at site 0,
-    as [side, site, energy], and their checks in order: the edge guard, then
-    the seeds, the normalization and the recursion residual of each side.
-    ``coeffs`` are the sites' coefficient arrays.  Callers hold
-    ``np.errstate(all="ignore")``, as in ``alpha_beta_grid``.
+def _jost_values(spec, lams, k_lo, k_hi, coeffs):
+    """psi_r and psi_l on sites k_lo..k_hi, 1 at site 0, as [side, site,
+    energy], and their checks in order: the band edge, then the seed, the
+    normalization and the recursion residual, each right then left, so
+    side j's are ``checks[:1] + checks[1 + j::2]``.  ``coeffs`` are the
+    sites' coefficient arrays.  Callers hold ``np.errstate(all="ignore")``,
+    as in ``alpha_beta_grid``.
     """
-    checks = [_near_edge(band_intervals(spec.background), lams)]
-    sols = [weyl_sweep(spec, "right" if side == "r" else "left", k_lo, k_hi - 1, lams)
-            for side in sides]
-    checks += [sol.unseeded for sol in sols]
+    *sols, checks = weyl_sweep(spec, k_lo, k_hi - 1, lams)
     vals = np.array([sol.values(k_lo, k_hi) for sol in sols])
 
     psi0 = vals[:, -k_lo]
@@ -146,7 +144,7 @@ def _jost_values(spec, lams, k_lo, k_hi, sides, coeffs):
     checks += _rows(np.abs(psi0) < 1e-12 * np.abs(vals).max(axis=1),
                     lambda j, i: NormalizationPole(
                         f"psi_0 = {psi0[j, i] + 0:.3e} vanishes at lambda = "
-                        f"{lams[i]} ({sides[j]} side)"))
+                        f"{lams[i]} ({'rl'[j]} side)"))
     vals = vals / psi0[:, None]
 
     a, b = coeffs
@@ -169,12 +167,13 @@ def jost_solution(spec, side, lam, k_min=None, k_max=None):
     if side not in ("l", "r"):
         raise ValueError(f"side must be 'l' or 'r', got {side!r}")
     k_lo, k_hi = _site_range(spec, k_min, k_max)
+    j = "rl".index(side)
     with np.errstate(all="ignore"):
-        vals, checks = _jost_values(spec, np.array([float(lam)]), k_lo, k_hi, side,
+        vals, checks = _jost_values(spec, np.array([float(lam)]), k_lo, k_hi,
                                     coefficient_arrays(spec, k_lo, k_hi))
-    raise_first(checks)
+    raise_first(checks[:1] + checks[1 + j::2])
     return JostSolution(side=side, lam=float(lam), k_min=k_lo, k_max=k_hi,
-                        values=vals[0, :, 0], spec=spec)
+                        values=vals[j, :, 0], spec=spec)
 
 
 def wronskian(u, v, k):
@@ -215,7 +214,7 @@ def alpha_beta_grid(spec, lams):
     # a refused energy runs on through the later checks, where it may divide
     # by zero or overflow: its values are replaced by NaN, so nothing warns
     with np.errstate(all="ignore"):
-        (psi_r, psi_l), checks = _jost_values(spec, lams, k_lo, k_hi, "rl", coeffs)
+        (psi_r, psi_l), checks = _jost_values(spec, lams, k_lo, k_hi, coeffs)
         psi_rbar = np.conj(psi_r)
         w, bad, spread = _wronskian_spread(
             np.array([psi_rbar, psi_l, psi_l]), np.array([psi_r, psi_r, psi_rbar]),
@@ -264,13 +263,12 @@ def spectral_reflection_mratio_grid(spec, lams):
 
     read off the Weyl pairs at bond 0 (finite at poles of m).
     """
-    sols = [weyl_sweep(spec, side, 0, 0, lams) for side in ("right", "left")]
-    (ru, rl), (lu, ll) = (sol.bond(0) for sol in sols)
+    right, left, checks = weyl_sweep(spec, 0, 0, lams)
+    (ru, rl), (lu, ll) = right.bond(0), left.bond(0)
     num = np.conj(ru) * ll - np.conj(rl) * lu
     den = ru * ll - rl * lu
     vanish = np.abs(den) < POLE_TOL * (np.abs(ru) + np.abs(rl)) * (np.abs(lu) + np.abs(ll))
-    raise_first([_near_edge(band_intervals(spec.background), lams), *(s.unseeded for s in sols),
-                 (vanish, lambda i: PoleHit("m-ratio denominator vanishes"))])
+    raise_first(checks + [(vanish, lambda i: PoleHit("m-ratio denominator vanishes"))])
     return np.abs(num / den) ** 2
 
 
@@ -289,13 +287,12 @@ def green_offdiag(spec, n, m, lam):
     lams = np.array([float(lam)])
     k_lo, k_hi = _site_range(spec)
     k_lo, k_hi = min(k_lo, lo - 1), max(k_hi, hi + 1)
-    sols = [weyl_sweep(spec, side, k_lo, k_hi - 1, lams) for side in ("right", "left")]
-    psi_r, psi_l = (sol.values(k_lo, k_hi) for sol in sols)    # on the scale of bond k_lo
+    right, left, checks = weyl_sweep(spec, k_lo, k_hi - 1, lams)
+    psi_r, psi_l = right.values(k_lo, k_hi), left.values(k_lo, k_hi)   # scale of bond k_lo
     bonds = coefficient_arrays(spec, k_lo, k_hi - 1)[0][:, None]
     w, bad, spread = _wronskian_spread(psi_r, psi_l, bonds, 0)
     tol = DEGENERATE_TOL * np.abs(psi_r[:2]).sum(axis=0) * np.abs(psi_l[:2]).sum(axis=0)
-    raise_first([_near_edge(band_intervals(spec.background), lams), *(s.unseeded for s in sols),
-                 (bad, lambda i: _wronskian_refusal(spread[i], w[i])),
-                 (np.abs(w) < tol, lambda i: PoleHit(
-                     f"Wronskian vanishes at lambda = {lam} (bound state)"))])
+    raise_first(checks + [(bad, lambda i: _wronskian_refusal(spread[i], w[i])),
+                          (np.abs(w) < tol, lambda i: PoleHit(
+                              f"Wronskian vanishes at lambda = {lam} (bound state)"))])
     return psi_l[lo - k_lo, 0] * psi_r[hi - k_lo, 0] / w[0]

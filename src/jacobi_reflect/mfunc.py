@@ -68,9 +68,7 @@ class WeylSolution(NamedTuple):
     Row i holds bond ``first + i``.  Rows are rescaled by powers of two on
     the way; ``2**exponent`` takes a row back to the scale of the seed.  On
     the real axis ``flux`` is ``a_k Im(u_{k+1} conj(u_k))`` on the seed's
-    scale, the same on every bond.  ``unseeded`` is the seed check as
-    ``(mask, refusal)``: the mask of the points whose seed failed, which the
-    sweep ran on past, and ``refusal(i)`` of point i.
+    scale, the same on every bond.
     """
 
     first: int
@@ -78,7 +76,6 @@ class WeylSolution(NamedTuple):
     lower: np.ndarray       # u_k
     exponent: np.ndarray
     flux: np.ndarray = None
-    unseeded: tuple = None
 
     def bond(self, k):
         i = k - self.first
@@ -147,64 +144,61 @@ def _seed_check(M, v1, v2, mu, nu, band, side):
     return ~np.atleast_1d((r < SEED_TOL * scale) & on_branch), refusal
 
 
-def weyl_sweep(spec, side, lo, hi, pts, real_limit=True):
-    """The ``side`` Weyl solution on bonds lo..hi and on to its seed bond, at
-    real energies (``lambda + i0``) when ``real_limit``, else at upper-half-
-    plane points.  It raises no refusal: a point whose seed fails is swept
-    on and flagged in ``unseeded``, and the band-edge margin is left to the
-    caller's checks.
+def weyl_sweep(spec, lo, hi, pts, real_limit=True):
+    """``(psi_r, psi_l, checks)``: both Weyl solutions on bonds lo..hi, each
+    on to its seed bond, at real energies (``lambda + i0``) when
+    ``real_limit``, else at upper-half-plane points, and their checks in
+    order: the band edge (real axis only), the right seed, the left seed.
+    It raises no refusal: a point whose seed fails is swept on and flagged.
 
     psi_r is seeded at the first bond >= hi with only background to its right
     and swept down, psi_l at the last bond <= lo with only background to its
-    left and swept up: each toward the side where it grows.
+    left and swept up: each toward the side where it grows, from an
+    eigenvector of its own one-period product.
     """
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     z = _real_energies(pts) if real_limit else np.atleast_1d(np.asarray(pts, dtype=complex))
     if not real_limit and np.any(z.imag <= 0):
         raise ValueError("interior evaluation needs Im z > 0")
     w = spec.window
-    if side == "right":
-        seed = max(hi, w[1] + 1) if w else hi
-        first, last = lo, seed
-    else:
-        seed = min(lo, w[0] - 1) if w else lo
-        first, last = seed, hi
+    seed_r, seed_l = (max(hi, w[1] + 1), min(lo, w[0] - 1)) if w else (hi, lo)
+    # index i: site seed_l - 1 + i
+    a, b = (c.tolist() for c in coefficient_arrays(spec, seed_l - 1, seed_r + 1))
+    checks = [_near_edge(band_intervals(spec.background), z)] if real_limit else []
     # one energy runs on Python scalars: the kernel below is plain arithmetic
     zz = z.item() if z.size == 1 else z
-    M = _period_product(spec.background, seed + 1, zz)
-    up, low, *roots = _floquet_seed(*M, side, real_limit)
-    unseeded = _seed_check(M, up, low, *roots, side)
-
-    # index i: site first - 1 + i
-    a, b = (c.tolist() for c in coefficient_arrays(spec, first - 1, last + 1))
-    flux = a[seed - first + 1] * (up * np.conj(low)).imag if real_limit else None
-    ex = np.zeros(z.shape, dtype=int) if z.size != 1 else 0
-    rows = [(up, low, ex)]
-    # beyond the window a pair is the pair one period back times the multiplier
-    # of larger modulus (det M = 1), which is free of the recursion's rounding.
-    # np.multiply on one energy too: numpy's complex product can round apart
-    # from Python's, and a point must get the same bits alone as on a grid
-    p, per_period = spec.background.period, roots[1] if side == "right" else roots[0]
-    steps = range(seed - first + 1, 1, -1) if side == "right" else range(2, last - first + 2)
-    for count, i in enumerate(steps, 1):
-        bond = first + i - (2 if side == "right" else 1)
-        if count >= p and (not w or (bond > w[1] if side == "right" else bond < w[0])):
-            up, low, ex = (np.multiply(rows[-p][0], per_period),
-                           np.multiply(rows[-p][1], per_period), rows[-p][2])
-        elif side == "right":
-            low, up = ((zz - b[i]) * low - a[i] * up) / a[i - 1], low
-        else:
-            up, low = ((zz - b[i]) * up - a[i - 1] * low) / a[i], up
-        if count % RESCALE_EVERY == 0:      # by a power of two: exact
-            _, e = np.frexp(abs(up) + abs(low))
-            up, low, ex = up * np.ldexp(1.0, -e), low * np.ldexp(1.0, -e), ex + e
-        rows.append((up, low, ex))
-    if side == "right":
-        rows.reverse()
-    shape = (len(rows), z.size)
-    return WeylSolution(first, *(np.array(c).reshape(shape) for c in zip(*rows)), flux,
-                        unseeded)
+    p, sols = spec.background.period, []
+    for side, seed in (("right", seed_r), ("left", seed_l)):
+        right = side == "right"
+        M = _period_product(spec.background, seed + 1, zz)
+        up, low, *roots = _floquet_seed(*M, side, real_limit)
+        checks.append(_seed_check(M, up, low, *roots, side))
+        flux = a[seed - seed_l + 1] * (up * np.conj(low)).imag if real_limit else None
+        ex = np.zeros(z.shape, dtype=int) if z.size != 1 else 0
+        rows = [(up, low, ex)]
+        # beyond the window a pair is the pair one period back times the multiplier
+        # of larger modulus (det M = 1), free of the recursion's rounding.  np.multiply
+        # on one energy too: numpy's complex product can round apart from Python's,
+        # and a point must get the same bits alone as on a grid
+        per_period = roots[1] if right else roots[0]
+        for count, k in enumerate(range(seed, lo, -1) if right else range(seed + 1, hi + 1), 1):
+            i, bond = k - seed_l + 1, k - 1 if right else k
+            if count >= p and (not w or (bond > w[1] if right else bond < w[0])):
+                up, low, ex = (np.multiply(rows[-p][0], per_period),
+                               np.multiply(rows[-p][1], per_period), rows[-p][2])
+            elif right:
+                low, up = ((zz - b[i]) * low - a[i] * up) / a[i - 1], low
+            else:
+                up, low = ((zz - b[i]) * up - a[i - 1] * low) / a[i], up
+            if count % RESCALE_EVERY == 0:      # by a power of two: exact
+                _, e = np.frexp(abs(up) + abs(low))
+                up, low, ex = up * np.ldexp(1.0, -e), low * np.ldexp(1.0, -e), ex + e
+            rows.append((up, low, ex))
+        if right:
+            rows.reverse()
+        shape = (len(rows), z.size)
+        sols.append(WeylSolution(lo if right else seed,
+                                 *(np.array(c).reshape(shape) for c in zip(*rows)), flux))
+    return (*sols, checks)
 
 
 def _ratios(sol, bonds, a):
@@ -227,22 +221,23 @@ def _ratios(sol, bonds, a):
     return out
 
 
-def _m_values(spec, n, pts, side, real_limit=True):
-    """m_right(n) or m_left(n) over a grid, 0 at a pole, and its checks in
-    order: the band edge (real axis only), the seed and the pole."""
-    bond = n if side == "right" else n - 1
-    sol = weyl_sweep(spec, side, bond, bond, pts, real_limit)
-    a = spec.a(bond)
-    rho, zero, sigma, top = _ratios(sol, bond, a)
-    m, pole = (-rho / a, zero) if side == "right" else (-sigma / a, top)
-    edge = [_near_edge(band_intervals(spec.background), pts)] if real_limit else []
-    return m, edge + [sol.unseeded, (pole, lambda i: PoleHit(
-        f"m_{side}({n}) has a pole at {np.atleast_1d(pts)[i]}: the {side} Weyl "
-        f"solution vanishes at site {n}"))]
+def _m_values(spec, n, pts, real_limit=True):
+    """m_right(n) and m_left(n) over a grid, 0 at their poles, read off one
+    sweep over bonds n-1..n: ``{side: (m, checks)}``, right then left, each
+    side's checks in order: the band edge (real axis only), its seed and its
+    pole."""
+    right, left, (*edge, seed_r, seed_l) = weyl_sweep(spec, n - 1, n, pts, real_limit)
+    rho, zero, _, _ = _ratios(right, n, spec.a(n))
+    _, _, sigma, top = _ratios(left, n - 1, spec.a(n - 1))
+    return {side: (m, edge + [seed, (pole, lambda i, side=side: PoleHit(
+                f"m_{side}({n}) has a pole at {np.atleast_1d(pts)[i]}: the {side} Weyl "
+                f"solution vanishes at site {n}"))])
+            for side, m, seed, pole in (("right", -rho / spec.a(n), seed_r, zero),
+                                        ("left", -sigma / spec.a(n - 1), seed_l, top))}
 
 
 def _m_raising(spec, n, pts, side, real_limit):
-    m, checks = _m_values(spec, n, pts, side, real_limit)
+    m, checks = _m_values(spec, n, pts, real_limit)[side]
     raise_first(checks)
     return m
 
@@ -295,6 +290,8 @@ def m_left(spec, n, point):
 def ac_density(spec, n, lams, side="right"):
     """Boundary spectral density Im m(lambda + i0) / pi of a half-line; a pole
     of m on the real axis carries none, so its check is not raised."""
-    m, checks = _m_values(spec, n, lams, side)
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    m, checks = _m_values(spec, n, lams)[side]
     raise_first(checks[:-1])
     return m.imag / np.pi

@@ -31,7 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bands import _near_edge, band_intervals
 from .errors import CrossCheckFailure, NoOpenChannel, NumericalError, PoleHit, raise_first
 from .mfunc import POLE_TOL, _at_point, _ratios, weyl_sweep
 from .model import coefficient_arrays
@@ -99,12 +98,11 @@ def _green(a, r1, pole1, r2, pole2):
 
 
 def boundary_pieces(spec, cuts, pts, real_limit=True):
-    """G_nn, the channel data and the checks at every cut, read off one sweep per side."""
+    """G_nn, the channel data and the checks at every cut, read off one sweep."""
     cuts = np.asarray(cuts, dtype=int)
     lo, hi = int(cuts.min()) - 1, int(cuts.max())
     bonds = np.arange(lo, hi + 1)
-    right = weyl_sweep(spec, "right", lo, hi, pts, real_limit)
-    left = weyl_sweep(spec, "left", lo, hi, pts, real_limit)
+    right, left, checks = weyl_sweep(spec, lo, hi, pts, real_limit)
     a = coefficient_arrays(spec, lo, hi)[0][:, None]
     # ratios u_{k+1}/u_k (rho) and u_k/u_{k+1} (sigma) of both pairs on each bond
     rho_r, zero_r, sig_r, top_r = _ratios(right, bonds, a)
@@ -114,9 +112,7 @@ def boundary_pieces(spec, cuts, pts, real_limit=True):
     g, g_prev = g[1:], g_prev[:-1]          # G_kk from bond k and from bond k-1
     scale = np.maximum(np.maximum(np.abs(g), np.abs(g_prev)), 1e-300)
     rel = np.max(np.abs(g - g_prev) / scale, axis=0, initial=0.0)
-    checks = [_near_edge(band_intervals(spec.background), pts)] if real_limit else []
-    checks += [right.unseeded, left.unseeded,
-               (pole | pole_prev, lambda j: PoleHit("G_nn denominator vanishes (eigenvalue hit)")),
+    checks += [(pole | pole_prev, lambda j: PoleHit("G_nn denominator vanishes (eigenvalue hit)")),
                (rel > CROSS_TOL, lambda j: CrossCheckFailure(
                    f"G_nn from the Wronskians at bonds n-1 and n disagrees by "
                    f"{rel[j]:.3e} (> {CROSS_TOL})"))]

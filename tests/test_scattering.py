@@ -156,11 +156,10 @@ def test_broken_recursion_trips_the_bond_check(monkeypatch):
     # u_1 of the right solution off by 1e-6: no longer a solution at site 0
     sweep = scattering.weyl_sweep
 
-    def broken(spec, side, *args):
-        sol = sweep(spec, side, *args)
-        if side == "right":
-            sol.upper[0 - sol.first] *= 1.0 + 1e-6
-        return sol
+    def broken(*args):
+        right, left, checks = sweep(*args)
+        right.upper[0 - right.first] *= 1.0 + 1e-6
+        return right, left, checks
 
     spec = perturbed_period3_spec()
     monkeypatch.setattr(scattering, "weyl_sweep", broken)
@@ -252,3 +251,4 @@ def test_real_axis_routes_refuse_complex_energies(route):
     # a cast to float would drop Im z: G(0.3 + i0) in place of G(0.3 + 0.1i)
     with pytest.raises(ValueError, match="real energies"):
         route(single_site_spec(), np.array([0.3 + 0.1j]))
+
