@@ -32,6 +32,9 @@ TAU_DEFAULT = 1e-8
 N_RANGE = tuple(range(-3, 4))   # the cut sites of reflectionless_report
 QUADRATURE_NODES = 400          # Gauss-Legendre nodes per band in landauer_current
 GRID_POINTS_MAX = 10**6         # largest point count explicit_grid builds
+# leggauss(n) takes the eigenvalues of an n x n companion matrix, 8 n^2 bytes:
+# 128 MiB at 4096 nodes, ten times the default rule
+QUADRATURE_MAX = 4096
 
 __all__ = [
     "EnergyGrid",
@@ -207,6 +210,10 @@ def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=QUADRATURE_NOD
     six orders of headroom at those distances and the integration weight
     of the near-edge nodes vanishes with the jacobian.
     """
+    if (isinstance(quadrature, bool) or not isinstance(quadrature, (int, np.integer))
+            or not 1 <= quadrature <= QUADRATURE_MAX):
+        raise ValueError(f"quadrature must be an integer in [1, {QUADRATURE_MAX}], "
+                         f"got {quadrature!r}")
     if not np.isfinite([beta_l, mu_l, beta_r, mu_r]).all():
         raise ValueError("inverse temperatures and chemical potentials must be finite")
     if beta_l <= 0 or beta_r <= 0:
@@ -214,7 +221,7 @@ def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=QUADRATURE_NOD
     if beta_l == beta_r and mu_l == mu_r:
         return {"charge_current": 0.0, "energy_current": 0.0}
 
-    x, w = _gauss_legendre(int(quadrature))
+    x, w = _gauss_legendre(quadrature)
     theta = 0.5 * np.pi * (x + 1.0)
     w_theta = 0.5 * np.pi * w
     charge = 0.0

@@ -13,7 +13,9 @@ scattering-matrix route and with the m-function ratio route.
 
 The solutions are the ones ``mfunc.weyl_sweep`` computes for the
 m-functions, the Green's function and the s-matrix, read on a window of
-sites: the branch is the one of ``mfunc``, with no rule of its own.
+sites: the branch is the one of ``mfunc``, with no rule of its own.  Each
+route makes one sweep for both sides; ``jost_solution`` raises only its
+own side's checks, so psi_r is not refused for a fault of psi_l.
 
 ``alpha_beta_grid`` expands a whole energy grid at once and keeps a status
 per energy: None, or the refusal of the first check the energy fails.  A

@@ -8,10 +8,13 @@ and psi_l (square-summable at +inf and at -inf):
     m_right(n) = <delta_{n+1}, (J_right - z)^-1 delta_{n+1}> = -psi_r(n+1) / (a_n psi_r(n))
     m_left(n)  = <delta_{n-1}, (J_left - z)^-1 delta_{n-1}>  = -psi_l(n-1) / (a_{n-1} psi_l(n))
 
-``weyl_sweep`` holds a Weyl solution by its values, one pair
-``(u_{k+1}, u_k)`` per bond k with energies along the second axis, seeded
-beyond the perturbation window by an eigenvector of the background's
-one-period product ``bands.transfer_product``.  The multiplier mu follows a
+``weyl_sweep`` builds both Weyl solutions in one call, each held by its
+values, one pair ``(u_{k+1}, u_k)`` per bond k with energies along the
+second axis, and each seeded beyond the perturbation window by an
+eigenvector of the background's one-period product
+``bands.transfer_product`` on its side.  Every route reads what it needs
+off that one call, with the call's checks: the band edge, then the right
+and the left seed.  The multiplier mu follows a
 rule (Teschl, *Jacobi Operators and Completely Integrable Nonlinear
 Lattices*, ch. 7), not a probe: off the real axis and in gaps psi_r takes
 |mu| < 1 and psi_l |mu| > 1; in a band each takes the root whose m has
@@ -26,7 +29,9 @@ one-point grid and conjugates on the ``-`` side.
 m is infinite where u_n = 0, at a Dirichlet eigenvalue of the half line:
 the m-value routes raise PoleHit there, while the whole-line quantities read
 off the same values (``ac_density``, G_nn, the s-matrix) stay finite.  The
-sweep and ``_m_values`` raise no refusal: they return ``(mask, refusal)`` checks.
+sweep and ``_m_values`` raise no refusal: they return ``(mask, refusal)``
+checks, and a one-side route raises only its own side's.  Non-finite
+energies are bad input (``ValueError``), not refusals.
 """
 
 from __future__ import annotations
@@ -157,6 +162,8 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
     eigenvector of its own one-period product.
     """
     z = _real_energies(pts) if real_limit else np.atleast_1d(np.asarray(pts, dtype=complex))
+    if not np.isfinite(z).all():
+        raise ValueError(f"energies must be finite, got {z[~np.isfinite(z)][0]}")
     if not real_limit and np.any(z.imag <= 0):
         raise ValueError("interior evaluation needs Im z > 0")
     w = spec.window

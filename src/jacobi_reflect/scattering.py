@@ -1,7 +1,8 @@
 """Diagonal Green's function and the two-channel scattering matrix.
 
 Cutting the lattice at site ``n`` defines a left and a right channel.  Both
-quantities are read off the two Weyl solutions of ``mfunc.weyl_sweep``:
+quantities are read off the two Weyl solutions that one ``mfunc.weyl_sweep``
+call returns:
 
     G_nn = psi_l(n) psi_r(n) / W,   W = a_k (psi_l(k) psi_r(k+1) - psi_l(k+1) psi_r(k))
 
@@ -16,8 +17,9 @@ cut.  A channel with vanishing boundary density is closed; its density
 factor is exactly 0, so its row of s is exactly the identity, and it adds
 nothing to the unitarity defect ``max|s s* - I|``.  A pole of m_j on the
 real axis is a closed channel too, and G_nn stays finite there.
-``boundary_pieces`` raises no refusal: it carries each point's checks (band
-edge, both seeds, a vanishing G_nn denominator, the G_nn cross-check).
+``boundary_pieces`` raises no refusal: it carries each point's checks, the
+sweep's (band edge, right seed, left seed) and its own (a vanishing G_nn
+denominator, the G_nn cross-check).
 
 The scalar views take one energy: ``green_diag`` gives G_nn at a
 ``BoundaryPoint`` as a complex number (through ``mfunc._at_point``),

@@ -5,6 +5,7 @@ from scipy import integrate
 from jacobi_reflect import (band_grid, band_intervals, essential_support,
                             explicit_grid, landauer_current,
                             reflectionless_report)
+from jacobi_reflect.analysis import QUADRATURE_MAX
 
 from util import free_spec, period2_spec, random_spec, seeded_specs, single_site_spec
 
@@ -176,3 +177,11 @@ def test_landauer_rejects_bad_temperature():
                  (1.0, 0.3, np.inf, 0.0), (1.0, 0.3, 1.0, -np.inf)]:
         with pytest.raises(ValueError, match="must be finite"):
             landauer_current(free_spec(), *bias)
+
+
+def test_landauer_quadrature_is_a_bounded_node_count():
+    # leggauss(n) allocates n x n doubles, so the bound is checked first; a
+    # float is not rounded to a node count
+    for q in (0, 2.5, True, QUADRATURE_MAX + 1):
+        with pytest.raises(ValueError, match="quadrature"):
+            landauer_current(free_spec(), 2.0, 0.3, 1.0, -0.2, quadrature=q)

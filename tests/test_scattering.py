@@ -3,9 +3,9 @@ import pytest
 
 from jacobi_reflect import (Background, BoundaryPoint, CrossCheckFailure,
                             EnergyGrid, JacobiSpec, NoOpenChannel, ScatteringMatrix,
-                            ac_density, alpha_beta_grid, band_grid,
+                            ac_density, alpha_beta, alpha_beta_grid, band_grid,
                             channel_weight, green_diag, green_diag_grid,
-                            m_left_boundary, m_right_boundary,
+                            jost_solution, m_left_boundary, m_right_boundary, m_right_grid,
                             reflection_transmission, reflectionless_report,
                             scattering_grid, scattering_matrix,
                             spectral_reflection_mratio_grid, unitarity_defect,
@@ -252,3 +252,27 @@ def test_real_axis_routes_refuse_complex_energies(route):
     with pytest.raises(ValueError, match="real energies"):
         route(single_site_spec(), np.array([0.3 + 0.1j]))
 
+
+def test_non_finite_energies_are_bad_input():
+    # numpy warned, then the route refused with a Floquet seed failure
+    spec = perturbed_period3_spec()
+    with pytest.raises(ValueError, match="finite, got nan"):
+        scattering_grid(spec, 0, [np.nan])
+    with pytest.raises(ValueError, match=r"finite, got \(nan\+1j\)"):
+        m_right_grid(spec, 0, [np.nan + 1j])
+    with pytest.raises(ValueError, match="finite, got inf"):
+        alpha_beta(spec, np.inf)
+    # one NaN makes the grid bad input, not a refused grid
+    with pytest.raises(ValueError, match="finite, got nan"):
+        reflectionless_report(spec, EnergyGrid(points=np.array([0.5, np.nan, -np.inf])))
+
+
+def test_a_one_side_route_refuses_for_its_own_seed():
+    # one sweep builds both solutions; at lambda = 0 on the free chain written
+    # as period 2 neither seed exists, and a left route names the left one
+    spec = closed_gap_spec()
+    for route in (lambda: m_left_boundary(spec, 0, [0.0]),
+                  lambda: ac_density(spec, 0, [0.0], side="left"),
+                  lambda: jost_solution(spec, "l", 0.0)):
+        with pytest.raises(CrossCheckFailure, match=r"^Floquet seed \(left side\)"):
+            route()
