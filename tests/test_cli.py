@@ -10,6 +10,7 @@ from jacobi_reflect import (alpha_beta, band_intervals, cli, dynamical_reflectio
                             reflectionless_report, scattering_grid,
                             unitarity_defect_grid)
 from jacobi_reflect.analysis import QUADRATURE_NODES, TAU_DEFAULT
+from jacobi_reflect.dynamics import N_MAX
 from jacobi_reflect.errors import JacobiReflectError, NumericalError
 from jacobi_reflect.mfunc import m_left_boundary, m_right_boundary
 
@@ -331,6 +332,15 @@ def test_non_positive_packet_width_exits_3(configs, capsys):
         assert cli.main(["dynamics", "--config", configs["single"], "--lambda0", "0",
                          "--dlambda", dlam, "--N", "500"]) == 3
     assert capsys.readouterr().err.count("dlambda must be positive") == 3
+
+
+def test_dynamics_half_width_past_n_max_exits_3(configs, capsys):
+    assert cli.main(["dynamics", "--config", configs["single"], "--lambda0", "0",
+                     "--N", str(N_MAX + 1)]) == 3
+    assert f"N_MAX = {N_MAX}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dynamics", "--config", configs["single"], "--lambda0", "0", "--N", "2.5"])
+    assert exc.value.code == 3
 
 
 def test_grid_flag_with_negative_start(configs, capsys):

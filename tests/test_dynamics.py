@@ -6,7 +6,7 @@ from jacobi_reflect import (Background, HorizonExceeded, JacobiSpec, LatticeStat
                             WindowTooSmall, band_intervals, discriminant,
                             dynamical_reflection, evolve, group_velocity,
                             make_plan, projection_defect, truncate, wave_packet)
-from jacobi_reflect.dynamics import T_FACTOR, _bessel_coefficients, _left_packet_run
+from jacobi_reflect.dynamics import N_MAX, T_FACTOR, _bessel_coefficients, _left_packet_run
 
 from util import (free_propagator_kernel, free_spec, full_lattice_evolve, period2_spec,
                   perturbed_period3_spec, random_spec, single_site_spec)
@@ -82,6 +82,28 @@ def test_light_cone_is_bitwise_the_full_lattice_sum():
             got = evolve(case_plan, state, t).amplitudes
             assert np.array_equal(got, full_lattice_evolve(case_plan, state, t)), (name, t)
     assert not evolve(plan, LatticeState.from_amplitudes(N, zero), t_star).amplitudes.any()
+
+
+def test_evolve_buffers_do_not_alias_its_input_or_output():
+    N = 600
+    packet, plan, t_star = _left_packet_run(single_site_spec(), 0.0, 0.05, N)
+    before = packet.amplitudes.copy()
+    out = evolve(plan, packet, t_star)
+    assert np.array_equal(packet.amplitudes, before)
+    assert not np.shares_memory(out.amplitudes, packet.amplitudes)
+    # the same input gives the same bits on a second call
+    kept = out.amplitudes.copy()
+    assert evolve(plan, packet, t_star).amplitudes.tobytes() == kept.tobytes()
+    # later calls, at another t and on the -t leg of projection_defect, leave
+    # earlier results alone
+    other = evolve(plan, packet, 0.3 * t_star)
+    masked = out.amplitudes.copy()
+    masked[N:] = 0.0
+    back = evolve(plan, LatticeState.from_amplitudes(N, masked), -t_star)
+    assert out.amplitudes.tobytes() == kept.tobytes()
+    assert not np.shares_memory(out.amplitudes, other.amplitudes)
+    assert not np.shares_memory(out.amplitudes, back.amplitudes)
+    assert np.array_equal(packet.amplitudes, before)
 
 
 def test_packet_stays_inside_its_light_cone():
@@ -196,6 +218,38 @@ def test_horizon_refuses_long_times():
     state = LatticeState.from_amplitudes(100, amps)
     with pytest.raises(HorizonExceeded):
         evolve(plan, state, plan.t_max * 1.01)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_time_is_refused(t):
+    plan = make_plan(free_spec(), 100, 20)
+    amps = np.zeros(201, dtype=complex)
+    amps[100] = 1.0
+    with pytest.raises(ValueError, match="t must be finite"):
+        evolve(plan, LatticeState.from_amplitudes(100, amps), t)
+
+
+@pytest.mark.parametrize("N", [2.5, 600.0, True, "600", N_MAX + 1, np.int64(10 * N_MAX)])
+def test_half_width_must_be_an_integer_up_to_n_max(N):
+    # refused by type and size alone: N_MAX + 1 would build arrays of 2N + 1 values
+    spec = single_site_spec()
+    for call in (lambda: wave_packet(spec, "l", 0.0, 0.05, N),
+                 lambda: make_plan(spec, N, 10),
+                 lambda: dynamical_reflection(spec, 0.0, 0.05, N),
+                 lambda: projection_defect(spec, 0.0, 0.05, N)):
+        with pytest.raises(ValueError, match="N must be an integer") as err:
+            call()
+        assert not isinstance(err.value, WindowTooSmall)
+
+
+def test_half_width_below_one_is_still_window_too_small():
+    for N in (0, -3):
+        with pytest.raises(WindowTooSmall):
+            wave_packet(single_site_spec(), "l", 0.0, 0.05, N)
+        with pytest.raises(WindowTooSmall):
+            make_plan(single_site_spec(), N, 0)
+    # numpy integers are integers
+    assert make_plan(single_site_spec(), np.int64(100), 10).truncation.diag.size == 201
 
 
 def test_single_site_dynamical_reflection():
