@@ -11,7 +11,7 @@ against each other on energy grids.
 
 from .analysis import (CriteriaReport, EnergyGrid, band_grid, essential_support,
                        explicit_grid, landauer_current, reflectionless_report)
-from .bands import band_edges, band_intervals, discriminant, in_band_mask
+from .bands import band_edges, band_intervals, discriminant
 from .dynamics import (LatticeState, PropagationPlan, dynamical_reflection,
                        evolve, group_velocity, make_plan, projection_defect,
                        wave_packet)
@@ -41,7 +41,7 @@ __all__ = [
     "Background", "JacobiSpec", "BoundaryPoint", "TruncatedOperator",
     "coefficient_arrays", "parse_config", "serialize_config", "truncate",
     # bands
-    "discriminant", "band_intervals", "band_edges", "in_band_mask",
+    "discriminant", "band_intervals", "band_edges",
     # m-functions
     "m_right", "m_left", "m_right_grid", "m_left_grid",
     "m_right_boundary", "m_left_boundary",

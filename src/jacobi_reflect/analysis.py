@@ -59,7 +59,7 @@ class EnergyGrid:
 
 
 def explicit_grid(spec, start, stop, step):
-    """start:stop:step grid; stop included when within step/2.
+    """start:stop:step grid, start <= stop; stop included when within step/2.
 
     Points inside a band-edge margin are dropped (recorded), not errors.
     """
@@ -67,6 +67,8 @@ def explicit_grid(spec, start, stop, step):
         raise ValueError(f"grid {start}:{stop}:{step} is not finite")
     if step <= 0:
         raise ValueError("step must be positive")
+    if stop < start:
+        raise ValueError(f"grid {start}:{stop}:{step} has stop < start")
     n_exact = (stop - start) / step
     if n_exact >= GRID_POINTS_MAX:
         raise ValueError(f"grid of {n_exact:.3g} points exceeds {GRID_POINTS_MAX}")
@@ -75,7 +77,7 @@ def explicit_grid(spec, start, stop, step):
     if n_exact - n > 0.5 - 1e-9:
         # stop itself is within step/2 of the grid continuation
         points = np.append(points, stop)
-    keep = ~_near_edge(band_intervals(spec.background), points)[0]
+    keep = ~_near_edge(spec.background, points)[0]
     return EnergyGrid(points=points[keep], dropped=tuple(points[~keep]))
 
 

@@ -6,7 +6,8 @@ The transfer step across site ``k`` sends ``(u_k, u_{k-1})`` to
     T_k(lambda) = [[(lambda - b_k)/a_k, -a_{k-1}/a_k], [1, 0]]
 
 ``transfer_product`` multiplies these steps with plain arithmetic, so
-one kernel serves polynomial, array and scalar energies.  It is the only
+one kernel serves polynomial, array and scalar energies; a period of the
+background reads its cell through ``Background.value_at``.  It is the only
 transfer product of the package: ``discriminant`` is the trace of the
 one-period product, and the Floquet seeds of the Weyl solutions in
 ``mfunc`` (through them the Jost solutions in ``jost``) are eigenvectors
@@ -18,6 +19,10 @@ eigenvalues of the p x p cell matrix with periodic (``+a_{p-1}``) and
 antiperiodic (``-a_{p-1}``) corners (Teschl, *Jacobi Operators and
 Completely Integrable Nonlinear Lattices*, ch. 7), read off with
 ``eigvalsh`` to rounding of the coefficients' scale at any period.
+
+``_near_edge`` is the one band-edge rule: the real-axis routes refuse an
+energy within ``EDGE_REL`` times its band's width of an edge, as a
+``(mask, refusal)`` check (``errors.first_refusals``), and grids drop it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import BandEdge, raise_first
+from .errors import BandEdge
 
 EDGE_REL = 1e-6       # relative band-edge margin enforced on grids
 INSET_REL = 1e-5      # band-scan grids stay this far inside each band
@@ -37,8 +42,6 @@ __all__ = [
     "discriminant",
     "band_intervals",
     "band_edges",
-    "in_band_mask",
-    "guard_edges",
 ]
 
 
@@ -59,10 +62,8 @@ def transfer_product(a, b, lam):
 
 def _period_product(background, first, lam):
     """``transfer_product`` over one period of sites ``first .. first+p-1``."""
-    p, cell_a, cell_b = background.period, background.a, background.b
-    a = [cell_a[(k - background.phase) % p] for k in range(first - 1, first + p)]
-    b = [cell_b[(k - background.phase) % p] for k in range(first, first + p)]
-    return transfer_product(a, b, lam)
+    cell = [background.value_at(k) for k in range(first - 1, first + background.period)]
+    return transfer_product([a for a, _ in cell], [b for _, b in cell[1:]], lam)
 
 
 @lru_cache(maxsize=None)
@@ -104,17 +105,6 @@ def band_edges(background):
     return np.array([e for band in band_intervals(background) for e in band])
 
 
-def in_band_mask(bands, lams):
-    """Boolean mask, of the shape of ``lams``, of which lambda lie inside a
-    (closed) band; complex energies raise ValueError."""
-    lams = _real_energies(lams).reshape(np.shape(lams))
-    flat = np.array([e for band in bands for e in band])
-    idx = np.searchsorted(flat, lams, side="left")
-    # odd insertion index means strictly inside; catch exact endpoints too
-    mask = (idx % 2 == 1) | np.isin(lams, flat)
-    return mask
-
-
 def _real_energies(lams):
     """``lams`` as a 1-d float array; complex energies are refused, since a
     cast would drop Im z and evaluate at ``Re z + i0``."""
@@ -124,29 +114,21 @@ def _real_energies(lams):
     return np.atleast_1d(lams.astype(float, copy=False))
 
 
-def _near_edge(bands, lams):
+def _near_edge(background, lams):
     """The band-edge check of the real energies lams, as ``(mask, refusal)``.
 
     ``mask`` is true where a point lies within EDGE_REL * band width of its
     nearest edge, and ``refusal(i)`` is point i's ``BandEdge``: the form
-    ``errors.first_refusals`` and ``errors.raise_first`` take.
+    ``errors.first_refusals`` and ``errors.raise_first`` take.  Real-boundary
+    limits degenerate like an inverse square root at band edges, so these
+    points are refused instead of silently losing accuracy.  Complex energies
+    raise ValueError.
     """
     lams = _real_energies(lams)
-    flat = np.array([e for band in bands for e in band])
-    widths = np.array([hi - lo for lo, hi in bands])
+    flat = band_edges(background)
+    widths = flat[1::2] - flat[0::2]
     dist = np.abs(lams[:, None] - flat[None, :])
     nearest = dist.argmin(axis=1)
     margin = EDGE_REL * widths[nearest // 2]
     bad = dist[np.arange(lams.size), nearest] < margin
     return bad, lambda i: BandEdge(lams[i], flat[nearest[i]], margin[i])
-
-
-def guard_edges(bands, lams):
-    """Raise the first lambda's refusal of the ``_near_edge`` check: a
-    BandEdge if any lambda sits within EDGE_REL * band width of an edge.
-
-    Real-boundary limits degenerate like an inverse square root at band
-    edges, so evaluation there is refused instead of silently losing
-    accuracy.  Complex energies raise ValueError.
-    """
-    raise_first([_near_edge(bands, lams)])

@@ -32,20 +32,12 @@ import numpy as np
 from .bands import INSET_REL, band_intervals
 from .errors import HorizonExceeded, WindowTooSmall
 from .jost import jost_solution
-from .model import JacobiSpec, truncate
+from .model import N_MAX, JacobiSpec, _check_half_width, truncate  # re-exports N_MAX
 from .scattering import scattering_grid
 
 PACKET_CUTOFF = 5.0   # envelope support radius in units of sigma
 CHEB_TOL = 1e-18      # last Bessel coefficient kept in the Chebyshev sum
 T_FACTOR = 0.8        # packet runs are observed at T_FACTOR * t_max
-# Largest truncation half-width.  Per site of the 2N + 1, a plan holds 16 bytes
-# (diag, offdiag) and a packet 16; evolve holds 112 in seven complex arrays (2X
-# cast once, T_{k-1}, T_k, the sum and the two work buffers), plus under 100
-# bytes a Chebyshev term for the coefficients.  At N = 16000 on the single-site
-# chain the measured peaks are 173 bytes a site for dynamical_reflection and
-# 240 for projection_defect, which keeps four states more: about 0.5 GB at
-# N_MAX.  Time grows as N^2 (terms times cone width).
-N_MAX = 10**6
 
 __all__ = [
     "LatticeState",
@@ -93,15 +85,8 @@ class PropagationPlan:
     t_max: float
 
 
-def _check_half_width(N):
-    """Refuse a bool, a non-integer or N > N_MAX; N < 1 is left to WindowTooSmall."""
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N > N_MAX:
-        raise ValueError(f"N must be an integer <= N_MAX = {N_MAX}, got {N!r}")
-
-
 def make_plan(spec, N, k_pack):
     """Plan for a packet initially confined to |k| <= k_pack."""
-    _check_half_width(N)
     trunc = truncate(spec, N)
     v_max = 2.0 * max(spec.background.a + spec.a_override)
     win = spec.window

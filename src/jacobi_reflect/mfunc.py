@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bands import _near_edge, _period_product, _real_energies, band_intervals
+from .bands import _near_edge, _period_product, _real_energies
 from .errors import CrossCheckFailure, NumericalError, PoleHit, raise_first
 from .model import coefficient_arrays
 
@@ -170,7 +170,7 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
     seed_r, seed_l = (max(hi, w[1] + 1), min(lo, w[0] - 1)) if w else (hi, lo)
     # index i: site seed_l - 1 + i
     a, b = (c.tolist() for c in coefficient_arrays(spec, seed_l - 1, seed_r + 1))
-    checks = [_near_edge(band_intervals(spec.background), z)] if real_limit else []
+    checks = [_near_edge(spec.background, z)] if real_limit else []
     # one energy runs on Python scalars: the kernel below is plain arithmetic
     zz = z.item() if z.size == 1 else z
     p, sols = spec.background.period, []

@@ -34,6 +34,15 @@ def test_explicit_grid_refuses_non_finite_bounds():
             explicit_grid(spec, start, stop, step)
 
 
+def test_explicit_grid_refuses_a_reversed_grid():
+    # 1:0.8:0.5 once returned its stop point, while 1:0:0.5 and 1:0.7:0.5 were empty
+    spec = free_spec()
+    for stop in (0.8, 0.7, 0.0):
+        with pytest.raises(ValueError, match=f"grid 1.0:{stop}:0.5 has stop < start"):
+            explicit_grid(spec, 1.0, stop, 0.5)
+    np.testing.assert_array_equal(explicit_grid(spec, 1.0, 1.0, 0.5).points, [1.0])
+
+
 def test_explicit_grid_refuses_huge_grids_before_allocating():
     spec = free_spec()
     for start, stop, step in [(0.0, 1e9, 1e-9), (-1e308, 1e308, 1.0)]:

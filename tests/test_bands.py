@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from jacobi_reflect import (BandEdge, Background, band_edges, band_intervals,
-                            discriminant, in_band_mask)
-from jacobi_reflect.bands import EDGE_REL, guard_edges
+                            discriminant)
+from jacobi_reflect.bands import EDGE_REL, _near_edge
+from jacobi_reflect.errors import raise_first
 
 
 def _monodromy(bg, lam):
@@ -61,36 +62,30 @@ def test_edges_have_unimodular_multipliers():
         np.testing.assert_allclose(np.abs(mu), 1.0, atol=1e-6)
 
 
-def test_in_band_mask():
+def test_band_intervals_match_discriminant():
     bg = Background.periodic((1.0, 0.5), (0.0, 0.0))
-    bands = band_intervals(bg)
     lams = np.array([-2.0, -1.0, 0.0, 0.7, 1.2, 1.6])
-    mask = in_band_mask(bands, lams)
-    assert mask.tolist() == [False, True, False, True, True, False]
+    # an odd insertion index into lo_0, hi_0, lo_1, ... means inside a band
+    inside = np.searchsorted(band_edges(bg), lams) % 2 == 1
+    assert inside.tolist() == [False, True, False, True, True, False]
     poly = discriminant(bg)
-    inside = np.abs(poly(lams)) <= 2.0
-    assert mask.tolist() == inside.tolist()
+    assert inside.tolist() == (np.abs(poly(lams)) <= 2.0).tolist()
 
 
-def test_guard_edges():
-    bands = band_intervals(Background.free())
+def test_near_edge_refuses_the_edge_margin():
+    bg = Background.free()
     with pytest.raises(BandEdge):
-        guard_edges(bands, np.array([2.0 - 1e-9]))
+        raise_first([_near_edge(bg, np.array([2.0 - 1e-9]))])
     with pytest.raises(BandEdge):
-        guard_edges(bands, np.array([-2.0 + 1e-9]))
-    guard_edges(bands, np.array([0.0, 1.9, -1.9]))
+        raise_first([_near_edge(bg, np.array([-2.0 + 1e-9]))])
+    raise_first([_near_edge(bg, np.array([0.0, 1.9, -1.9]))])
 
 
 @pytest.mark.parametrize("z", [0.3 + 5j, 2.0 + 0.5j])
 def test_complex_energies_are_refused(z):
     # a cast to float would drop Im z and answer for Re z
-    bands = band_intervals(Background.free())
     with pytest.raises(ValueError, match="real energies"):
-        in_band_mask(bands, np.array([z]))
-    with pytest.raises(ValueError, match="real energies"):
-        guard_edges(bands, np.array([z]))
-    # real energies keep their shape
-    assert in_band_mask(bands, np.array([[0.3, 2.5]])).tolist() == [[True, False]]
+        raise_first([_near_edge(Background.free(), np.array([z]))])
 
 
 def test_bands_sorted_disjoint():
@@ -140,4 +135,4 @@ def test_long_period_edges_match_extended_precision(p):
     # placed from the edge the guard sees
     lo, hi = min(bands, key=lambda band: band[1] - band[0])
     with pytest.raises(BandEdge):
-        guard_edges(bands, np.array([lo + 0.5 * EDGE_REL * (hi - lo)]))
+        raise_first([_near_edge(bg, np.array([lo + 0.5 * EDGE_REL * (hi - lo)]))])

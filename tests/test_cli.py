@@ -281,6 +281,9 @@ def test_flag_validation(configs, capsys):
     # a negative step is refused by explicit_grid itself
     assert cli.main(["green", "--config", configs["free"], "--grid=1:0:-0.5"]) == 3
     assert "step must be positive" in capsys.readouterr().err
+    # so is a reversed grid (stop < start)
+    assert cli.main(["green", "--config", configs["free"], "--grid=1:0.8:0.5"]) == 3
+    assert "grid 1.0:0.8:0.5 has stop < start" in capsys.readouterr().err
     assert cli.main(["green", "--config", configs["free"], "--grid", "0:1:0.5",
                      "--lambda", "0"]) == 3
     with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ from jacobi_reflect import (Background, BoundaryPoint, JacobiSpec, NonFiniteEntr
                             NonPositiveCoefficient, SchemaError, WindowTooSmall,
                             coefficient_arrays, parse_config, serialize_config,
                             truncate)
+from jacobi_reflect.model import N_MAX
 
 from util import random_spec
 
@@ -87,6 +88,8 @@ def test_truncate_shape_and_symmetry():
     assert np.array_equal(dense, dense.T)
     assert dense[trunc.site_index(-2), trunc.site_index(-2)] == 0.5
     assert dense[trunc.site_index(-2), trunc.site_index(-1)] == 1.2
+    # a numpy integer half-width is an integer too
+    assert np.array_equal(truncate(spec, np.int64(6)).to_dense(), dense)
 
 
 def test_truncate_window_must_fit():
@@ -105,6 +108,19 @@ def test_truncate_refusal_prints_no_negative_zero():
     with pytest.raises(WindowTooSmall) as info:
         truncate(spec, 2)
     assert str(info.value) == "perturbation window (-2, 0) does not fit in [-1, 1]"
+
+
+@pytest.mark.parametrize("N", [2.5, True, N_MAX + 1])
+def test_truncate_half_width_must_be_an_integer_up_to_n_max(N, monkeypatch):
+    # refused before any array is built: 2.5 once failed inside numpy indexing,
+    # and True gave a 3-site operator
+    def no_arrays(*args):
+        raise AssertionError("coefficient_arrays was called")
+
+    monkeypatch.setattr(jacobi_reflect.model, "coefficient_arrays", no_arrays)
+    with pytest.raises(ValueError, match="N must be an integer") as err:
+        truncate(JacobiSpec(offset=0, b_override=(1.0,)), N)
+    assert not isinstance(err.value, WindowTooSmall)
 
 
 def test_config_round_trip():
