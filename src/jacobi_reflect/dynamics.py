@@ -13,9 +13,13 @@ only over that light cone: the sites outside it hold exact zeros, and
 skipping them gives the same bits as the full-lattice sum.  One term costs
 one in-place step over two reused work buffers, with 2X cast to complex once
 per call, so no term allocates an array.  Wave packets are Gaussian position
-envelopes riding a Bloch carrier of the background, oriented toward the
-perturbation window; the horizon t_max keeps everything away from the hard
-truncation boundary, so no absorbing layers are needed.
+envelopes riding a Bloch wave of the background, oriented toward the
+perturbation window.  The Bloch wave is a Floquet solution, u_{k+p} = mu u_k:
+one ``mfunc.weyl_sweep`` over bonds 0..p gives the period u_0..u_p of psi_r
+at lambda0 + i0, which moves right, and the packet extends it by repeated
+products of mu from its first period on (conjugated for a packet moving
+left).  The horizon t_max keeps everything away from the hard truncation
+boundary, so no absorbing layers are needed.
 
 A packet run from the left is observed at t* = T_FACTOR * t_max, after
 the packet has cleared the window: its masses on sites <= -1 / >= +1
@@ -30,9 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import INSET_REL, band_intervals
-from .errors import HorizonExceeded, WindowTooSmall
-from .jost import jost_solution
-from .model import N_MAX, JacobiSpec, _check_half_width, truncate  # re-exports N_MAX
+from .errors import CrossCheckFailure, HorizonExceeded, WindowTooSmall, raise_first
+from .jost import RECURSION_TOL
+from .mfunc import weyl_sweep
+from .model import (N_MAX, JacobiSpec, _check_half_width,  # re-exports N_MAX
+                    coefficient_arrays, truncate)
 from .scattering import scattering_grid
 
 PACKET_CUTOFF = 5.0   # envelope support radius in units of sigma
@@ -168,26 +174,31 @@ def evolve(plan, state, t):
     return LatticeState.from_amplitudes(state.N, acc)
 
 
-def _bloch_carrier(background, lam0, k_lo, k_hi, rightward):
-    """In-band background solution with current in the requested direction."""
-    bg_spec = JacobiSpec(background=background)
-    sol = jost_solution(bg_spec, "r", lam0, min(k_lo, -1), max(k_hi, 2))
-    u = sol.values[k_lo - sol.k_min: k_hi - sol.k_min + 1]
-    a0 = background.value_at(k_lo)[0]
-    cur = -2.0 * a0 * np.imag(np.conj(u[0]) * u[1])
-    if (cur > 0) != rightward:
-        u = np.conj(u)
-        cur = -cur
+def _floquet_wave(background, lam0):
+    """``(u, mu, v_g)``: psi_r of the background at lam0 + i0, whose Im m > 0
+    branch moves right, on sites 0..p, its multiplier mu = u_p / u_0 and its
+    group velocity, the flux over the mean density of one period.  Raises the
+    sweep's band-edge and right-seed checks, then the three-term recursion on
+    sites 1..p, with u_{p+1} from the same sweep."""
+    spec = JacobiSpec(background=background)
     p = background.period
+    right, _, checks = weyl_sweep(spec, 0, p, [lam0])
+    raise_first(checks[:2])
+    u = right.values(0, p + 1)[:, 0]
+    a, b = coefficient_arrays(spec, 0, p + 1)
+    r = a[1:-1] * u[2:] + a[:-2] * u[:-2] + (b[1:-1] - lam0) * u[1:-1]
+    worst, scale = np.abs(r).max(), np.abs(u).max()
+    if worst > RECURSION_TOL * scale:
+        raise CrossCheckFailure(f"three-term recursion residual {worst:.3e} exceeds "
+                                f"{RECURSION_TOL} * {scale:.3e}")
+    cur = -2.0 * a[0] * np.imag(np.conj(u[0]) * u[1])
     dens = np.sum(np.abs(u[:p]) ** 2) / p
-    v_g = cur / dens
-    return u, v_g
+    return u[:-1], u[p] / u[0], cur / dens
 
 
 def group_velocity(background, lam0):
     """Transport speed (sites per unit time) of a rightward in-band carrier."""
-    _, v_g = _bloch_carrier(background, lam0, 0, max(3, 2 * background.period), True)
-    return v_g
+    return _floquet_wave(background, lam0)[2]
 
 
 def _check_packet_band(background, lam0, dlam):
@@ -212,7 +223,7 @@ def wave_packet(spec, side, lam0, dlam, N):
     _check_half_width(N)
     bg = spec.background
     _check_packet_band(bg, lam0, dlam)
-    v_g = group_velocity(bg, lam0)
+    u, mu, v_g = _floquet_wave(bg, lam0)
     sigma = v_g / (2.0 * dlam)
     radius = int(np.ceil(PACKET_CUTOFF * sigma))
     center = -(N // 4) - 2 - radius
@@ -223,11 +234,17 @@ def wave_packet(spec, side, lam0, dlam, N):
             f"N = {N} cannot hold a packet of radius {radius} at {center}"
         )
     k_lo, k_hi = center - radius, center + radius
-    carrier, _ = _bloch_carrier(bg, lam0, k_lo, k_hi, rightward=(side == "l"))
+    # u_{qp + j} = mu^q u_j, the powers as repeated products from the packet's
+    # first period on: a rounding of mu**q would grow with q
+    p = bg.period
+    skip = k_lo % p
+    periods = np.empty(((skip + 2 * radius) // p + 1, p), dtype=complex)
+    periods[0], periods[1:] = u[:p], mu
+    carrier = np.cumprod(periods, axis=0).ravel()[skip: skip + 2 * radius + 1]
     ks = np.arange(k_lo, k_hi + 1)
     envelope = np.exp(-((ks - center) ** 2) / (4.0 * sigma * sigma))
     amplitudes = np.zeros(2 * N + 1, dtype=complex)
-    amplitudes[k_lo + N: k_hi + N + 1] = envelope * carrier
+    amplitudes[k_lo + N: k_hi + N + 1] = envelope * (carrier if side == "l" else np.conj(carrier))
     amplitudes /= np.linalg.norm(amplitudes)
     return LatticeState.from_amplitudes(N, amplitudes)
 

@@ -3,9 +3,10 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from jacobi_reflect import (Background, HorizonExceeded, JacobiSpec, LatticeState,
-                            WindowTooSmall, band_intervals, discriminant,
-                            dynamical_reflection, evolve, group_velocity,
-                            make_plan, projection_defect, truncate, wave_packet)
+                            WindowTooSmall, band_intervals, coefficient_arrays,
+                            discriminant, dynamical_reflection, evolve, group_velocity,
+                            jost_solution, make_plan, projection_defect, truncate,
+                            wave_packet)
 from jacobi_reflect.dynamics import N_MAX, T_FACTOR, _bessel_coefficients, _left_packet_run
 
 from util import (free_propagator_kernel, free_spec, full_lattice_evolve, period2_spec,
@@ -165,6 +166,53 @@ def test_group_velocity_against_discriminant():
         kappa = np.arccos(np.clip(poly(lam) / 2.0, -1.0, 1.0))
         expect = 2.0 * p * np.sin(kappa) / abs(poly.deriv()(lam))
         np.testing.assert_allclose(group_velocity(bg, lam), expect, rtol=1e-6)
+
+
+# the benchmark's perturbed period-4 operator
+PERIOD4_SPEC = JacobiSpec(background=Background.periodic((1.0, 0.8, 1.2, 0.9),
+                                                      (0.3, -0.2, 0.1, -0.4)),
+                          offset=-1, a_override=(1.3, 0.9), b_override=(0.2, -0.4))
+CARRIER_CASES = [(single_site_spec(), 0.0), (period2_spec(), 0.85), (period2_spec(), -1.1),
+                 (PERIOD4_SPEC, 0.73)]
+
+
+def _packet_carrier(spec, side, lam0, dlam, N):
+    """The packet's sites and its amplitudes there over its real Gaussian envelope."""
+    packet = wave_packet(spec, side, lam0, dlam, N)
+    occupied = np.flatnonzero(packet.amplitudes)
+    ks = occupied - N
+    sigma = group_velocity(spec.background, lam0) / (2.0 * dlam)
+    envelope = np.exp(-((ks - ks.mean()) ** 2) / (4.0 * sigma * sigma))
+    return ks, packet.amplitudes[occupied] / envelope
+
+
+@pytest.mark.parametrize("spec, lam0", CARRIER_CASES)
+@pytest.mark.parametrize("side", ["l", "r"])
+def test_packet_carrier_is_the_jost_solution(spec, lam0, side):
+    # one period and its multiplier give, up to one complex factor, psi_r of
+    # the bare background (its conjugate for a packet moving left)
+    ks, carrier = _packet_carrier(spec, side, lam0, 0.05, 4000)
+    assert np.all(np.diff(ks) == 1) and (ks < 0).all() == (side == "l")
+    bare = JacobiSpec(background=spec.background)
+    sol = jost_solution(bare, "r", lam0, int(ks[0]), int(ks[-1]))
+    psi = sol.values[ks - sol.k_min]
+    if side == "r":
+        psi = np.conj(psi)
+    ratio = carrier / psi
+    ratio /= ratio[0]
+    assert np.abs(np.angle(ratio)).max() <= 1e-13
+    assert np.abs(np.abs(ratio) - 1.0).max() <= 1e-13
+
+
+@pytest.mark.parametrize("spec, lam0", CARRIER_CASES)
+@pytest.mark.parametrize("side", ["l", "r"])
+def test_packet_carrier_solves_the_recursion(spec, lam0, side):
+    # the powers of mu as repeated products: mu**q, from site 0 or from the
+    # packet's first site, leaves 1.2e-13 or 4.6e-14 on the single-site packet
+    ks, carrier = _packet_carrier(spec, side, lam0, 0.05, 4000)
+    a, b = coefficient_arrays(JacobiSpec(background=spec.background), int(ks[0]), int(ks[-1]))
+    resid = a[1:-1] * carrier[2:] + a[:-2] * carrier[:-2] + (b[1:-1] - lam0) * carrier[1:-1]
+    assert np.abs(resid).max() <= 1e-14 * np.abs(carrier).max()
 
 
 def test_wave_packet_shape():
