@@ -38,7 +38,7 @@ from .errors import CrossCheckFailure, HorizonExceeded, WindowTooSmall, raise_fi
 from .jost import RECURSION_TOL
 from .mfunc import weyl_sweep
 from .model import (N_MAX, JacobiSpec, _check_half_width,  # re-exports N_MAX
-                    coefficient_arrays, truncate)
+                    _check_integer, coefficient_arrays, truncate)
 from .scattering import scattering_grid
 
 PACKET_CUTOFF = 5.0   # envelope support radius in units of sigma
@@ -93,6 +93,9 @@ class PropagationPlan:
 
 def make_plan(spec, N, k_pack):
     """Plan for a packet initially confined to |k| <= k_pack."""
+    _check_integer(k_pack, "packet extent k_pack")
+    if k_pack < 0:
+        raise ValueError(f"packet extent k_pack must be >= 0, got {k_pack}")
     trunc = truncate(spec, N)
     v_max = 2.0 * max(spec.background.a + spec.a_override)
     win = spec.window
@@ -126,13 +129,17 @@ def _bessel_coefficients(z):
 
 
 def evolve(plan, state, t):
-    """e^{-itJ} on the truncation; a non-finite t or |t| past the horizon is refused.
+    """e^{-itJ} on the truncation; a state of another N, a non-finite t or
+    |t| past the horizon is refused.
 
     One term is one in-place step over two work buffers of the lattice's
     size, allocated once per call, with 2X cast to complex once: each
     product and sum is written with ``out=`` into the light cone, operands
     in the order of the plain expressions, so the bits are theirs.
     """
+    if state.N != plan.truncation.N:
+        raise ValueError(f"state on sites -N..N with N = {state.N} does not match the "
+                         f"plan's truncation, N = {plan.truncation.N}")
     if not np.isfinite(t):
         raise ValueError(f"evolution time t must be finite, got {t!r}")
     if abs(t) > plan.t_max:
@@ -198,6 +205,7 @@ def _floquet_wave(background, lam0):
 
 def group_velocity(background, lam0):
     """Transport speed (sites per unit time) of a rightward in-band carrier."""
+    _check_packet_band(background, lam0, 0.0)
     return _floquet_wave(background, lam0)[2]
 
 

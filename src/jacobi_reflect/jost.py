@@ -45,7 +45,7 @@ from .errors import (
     raise_first,
 )
 from .mfunc import POLE_TOL, weyl_sweep
-from .model import coefficient_arrays
+from .model import _check_integer, coefficient_arrays
 
 RECURSION_TOL = 1e-10   # residual of the three-term recursion, relative
 # Spread of the Wronskian over the window, relative to max|u| max|v|.  Across
@@ -285,6 +285,8 @@ def green_offdiag(spec, n, m, lam):
     The orientation of the Wronskian is fixed so that the n = m case
     agrees with the diagonal value of ``scattering`` (checked in tests).
     """
+    _check_integer(n, "site n")
+    _check_integer(m, "site m")
     lo, hi = min(n, m), max(n, m)
     lams = np.array([float(lam)])
     k_lo, k_hi = _site_range(spec)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .bands import _near_edge, _period_product, _real_energies
 from .errors import CrossCheckFailure, NumericalError, PoleHit, raise_first
-from .model import coefficient_arrays
+from .model import _check_integer, coefficient_arrays
 
 POLE_TOL = 1e-14     # |u_n| below this share of its pair makes m_n a pole
 # |M v - mu v| <= SEED_TOL |M| |v| (entrywise 1-norms).  The seed makes the
@@ -233,6 +233,7 @@ def _m_values(spec, n, pts, real_limit=True):
     sweep over bonds n-1..n: ``{side: (m, checks)}``, right then left, each
     side's checks in order: the band edge (real axis only), its seed and its
     pole."""
+    _check_integer(n, "cut site n")
     right, left, (*edge, seed_r, seed_l) = weyl_sweep(spec, n - 1, n, pts, real_limit)
     rho, zero, _, _ = _ratios(right, n, spec.a(n))
     _, _, sigma, top = _ratios(left, n - 1, spec.a(n - 1))

@@ -232,6 +232,12 @@ def _check_half_width(N):
         raise ValueError(f"N must be an integer <= N_MAX = {N_MAX}, got {N!r}")
 
 
+def _check_integer(value, name):
+    """Refuse a bool or a non-integer, such as a site index; numpy integers are integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def truncate(spec, N):
     """Finite section of the operator on sites ``[-N, N]``, 1 <= N <= N_MAX."""
     _check_half_width(N)

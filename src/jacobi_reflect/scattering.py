@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CrossCheckFailure, NoOpenChannel, NumericalError, PoleHit, raise_first
 from .mfunc import POLE_TOL, _at_point, _ratios, weyl_sweep
-from .model import coefficient_arrays
+from .model import _check_integer, coefficient_arrays
 
 CROSS_TOL = 1e-10    # relative agreement required of G_nn from two bonds
 SUPPORT_TOL = 1e-10  # Im m below this counts as a closed channel
@@ -101,6 +101,8 @@ def _green(a, r1, pole1, r2, pole2):
 
 def boundary_pieces(spec, cuts, pts, real_limit=True):
     """G_nn, the channel data and the checks at every cut, read off one sweep."""
+    for n in cuts:
+        _check_integer(n, "cut site n")
     cuts = np.asarray(cuts, dtype=int)
     lo, hi = int(cuts.min()) - 1, int(cuts.max())
     bonds = np.arange(lo, hi + 1)

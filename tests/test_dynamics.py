@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -215,6 +217,17 @@ def test_packet_carrier_solves_the_recursion(spec, lam0, side):
     assert np.abs(resid).max() <= 1e-14 * np.abs(carrier).max()
 
 
+@pytest.mark.parametrize("bg, lam0", [(Background.free(), 3.0),
+                                      (Background.periodic((1.0, 0.5), (0.0, 0.0)), 0.0)])
+def test_group_velocity_refuses_energies_off_the_bands(bg, lam0):
+    # above the free band, and at the period-2 gap centre, where the right
+    # Floquet solution vanishes at site 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not inside a spectral band"):
+            group_velocity(bg, lam0)
+
+
 def test_wave_packet_shape():
     spec = single_site_spec()
     packet = wave_packet(spec, "l", 0.0, 0.05, 800)
@@ -257,6 +270,37 @@ def test_bessel_coefficients_match_extended_precision(z, terms):
     with mpmath.workdps(40):
         exact = np.array([float(mpmath.besselj(int(k), z)) for k in ks])
     np.testing.assert_allclose(jk[ks], exact, rtol=0, atol=1e-15)
+
+
+def test_evolve_refuses_a_state_of_another_truncation():
+    # a smaller state would be read against the coefficients of sites -200..0
+    spec = single_site_spec()
+    plan = make_plan(spec, 200, 0)
+    for n in (100, 300):
+        amps = np.zeros(2 * n + 1, dtype=complex)
+        amps[n] = 1.0
+        with pytest.raises(ValueError, match=f"N = {n} .* N = 200"):
+            evolve(plan, LatticeState.from_amplitudes(n, amps), 5.0)
+    amps = np.zeros(201, dtype=complex)
+    amps[100] = 1.0
+    out = evolve(make_plan(spec, 100, 0), LatticeState.from_amplitudes(100, amps), 5.0)
+    assert abs(abs(out.site(0)) ** 2 - 0.1964) <= 1e-4
+
+
+@pytest.mark.parametrize("k_pack", [-50, -1, 2.5, 10.0, True, "10", None])
+def test_packet_extent_must_be_a_non_negative_integer(k_pack):
+    # a negative extent would stretch the horizon past N / v_max
+    with pytest.raises(ValueError, match="k_pack") as err:
+        make_plan(single_site_spec(), 100, k_pack)
+    assert not isinstance(err.value, WindowTooSmall)
+
+
+def test_packet_extent_bounds():
+    spec = single_site_spec()
+    assert make_plan(spec, 100, 0).t_max == 50.0        # N / v_max
+    assert make_plan(spec, 100, np.int64(50)).t_max == 25.0
+    with pytest.raises(WindowTooSmall):
+        make_plan(spec, 100, 100)
 
 
 def test_horizon_refuses_long_times():

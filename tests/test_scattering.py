@@ -4,8 +4,9 @@ import pytest
 from jacobi_reflect import (Background, BoundaryPoint, CrossCheckFailure,
                             EnergyGrid, JacobiSpec, NoOpenChannel, ScatteringMatrix,
                             ac_density, alpha_beta, alpha_beta_grid, band_grid,
-                            channel_weight, green_diag, green_diag_grid,
-                            jost_solution, m_left_boundary, m_right_boundary, m_right_grid,
+                            channel_weight, green_diag, green_diag_grid, green_offdiag,
+                            jost_solution, m_left_boundary, m_left_grid,
+                            m_right_boundary, m_right_grid,
                             reflection_transmission, reflectionless_report,
                             scattering_grid, scattering_matrix,
                             spectral_reflection_mratio_grid, unitarity_defect,
@@ -276,3 +277,28 @@ def test_a_one_side_route_refuses_for_its_own_seed():
                   lambda: jost_solution(spec, "l", 0.0)):
         with pytest.raises(CrossCheckFailure, match=r"^Floquet seed \(left side\)"):
             route()
+
+
+CUT_ROUTES = {
+    "scattering_matrix": lambda spec, n: scattering_matrix(spec, n, 0.3),
+    "scattering_grid": lambda spec, n: scattering_grid(spec, n, [0.3]),
+    "channel_weight": lambda spec, n: channel_weight(spec, n, 0.3),
+    "green_diag_grid": lambda spec, n: green_diag_grid(spec, n, [0.3]),
+    "green_diag": lambda spec, n: green_diag(spec, n, BoundaryPoint.upper(0.3 + 0.1j)),
+    "m_right_grid": lambda spec, n: m_right_grid(spec, n, [0.3 + 0.1j]),
+    "m_left_grid": lambda spec, n: m_left_grid(spec, n, [0.3 + 0.1j]),
+    "m_left_boundary": lambda spec, n: m_left_boundary(spec, n, [0.3]),
+    "ac_density": lambda spec, n: ac_density(spec, n, [0.3]),
+    "green_offdiag n": lambda spec, n: green_offdiag(spec, n, 1, 0.3),
+    "green_offdiag m": lambda spec, n: green_offdiag(spec, 1, n, 0.3),
+}
+
+
+@pytest.mark.parametrize("route", CUT_ROUTES)
+@pytest.mark.parametrize("n", [2.5, True])
+def test_cut_site_must_be_an_integer(route, n):
+    # neither truncated to a site nor left to fail as an index
+    spec = perturbed_period3_spec()
+    with pytest.raises(ValueError, match="must be an integer"):
+        CUT_ROUTES[route](spec, n)
+    CUT_ROUTES[route](spec, np.int64(2))      # numpy integers are integers
