@@ -226,19 +226,20 @@ def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=QUADRATURE_NOD
     x, w = _gauss_legendre(quadrature)
     theta = 0.5 * np.pi * (x + 1.0)
     w_theta = 0.5 * np.pi * w
-    charge = 0.0
-    energy = 0.0
-    for lo, hi in band_intervals(spec.background):
-        mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        lams = mid - hw * np.cos(theta)
-        jac = hw * np.sin(theta)
-        pieces = boundary_pieces(spec, [0], lams)
-        raise_first(pieces.checks[1:])     # all but the band edge, as said above
-        t_coef = np.abs(_s_entries(pieces)["s_lr"][0]) ** 2
-        df = _fermi(lams, beta_l, mu_l) - _fermi(lams, beta_r, mu_r)
-        base = w_theta * jac * t_coef * df
-        charge += base.sum()
-        energy += (base * lams).sum()
+    bands = np.array(band_intervals(spec.background))
+    lo, hi = bands[:, :1], bands[:, 1:]
+    mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    lams = mid - hw * np.cos(theta)            # [band, node]
+    jac = hw * np.sin(theta)
+    pieces = boundary_pieces(spec, [0], lams.ravel())    # one sweep over every band
+    raise_first(pieces.checks[1:])     # all but the band edge, as said above
+    t_coef = (np.abs(_s_entries(pieces)["s_lr"][0]) ** 2).reshape(lams.shape)
+    df = _fermi(lams, beta_l, mu_l) - _fermi(lams, beta_r, mu_r)
+    base = w_theta * jac * t_coef * df
+    charge = energy = 0.0
+    for row, lam in zip(base, lams):           # summed per band, then in band order
+        charge += row.sum()
+        energy += (row * lam).sum()
     return {
         "charge_current": float(charge / (2.0 * np.pi)),
         "energy_current": float(energy / (2.0 * np.pi)),

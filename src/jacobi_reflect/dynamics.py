@@ -21,15 +21,28 @@ products of mu from its first period on (conjugated for a packet moving
 left).  The horizon t_max keeps everything away from the hard truncation
 boundary, so no absorbing layers are needed.
 
-A packet run from the left is observed at t* = T_FACTOR * t_max, after
-the packet has cleared the window: its masses on sites <= -1 / >= +1
+A packet is placed and observed by its own geometry, not by N.  Its
+envelope has radius = ceil(PACKET_CUTOFF sigma), and its centre sits
+depth = w_ext + 2 + radius + PACKET_MARGIN sites from site 0, w_ext the
+largest |site| of the window.  A run from the left is observed at
+t* = (depth + radius + w_ext + PACKET_MARGIN) / v_lo, v_lo the smallest
+group velocity at lambda0 and lambda0 +- 3 dlambda: by then the trailing
+edge of every part of the packet at least that fast is PACKET_MARGIN sites
+past the window, whichever way it went.  Its masses on sites <= -1 / >= +1
 estimate the stationary reflection/transmission probabilities, and the
-site-0 remnant is reported separately (it is excluded from both).
+site-0 remnant is reported separately (it is excluded from both).  What
+may not have cleared is the energy profile's tail past 3 dlambda,
+ENERGY_TAIL of the mass; a packet that leaves more than that on the window
+and PACKET_MARGIN sites either side has not cleared, and is refused.  N only
+has to hold the packet and the fronts of the run: a smaller N is refused
+with ``WindowTooSmall``, which names the smallest N that works.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import erfc, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +55,10 @@ from .model import (N_MAX, JacobiSpec, _check_half_width,  # re-exports N_MAX
 from .scattering import scattering_grid
 
 PACKET_CUTOFF = 5.0   # envelope support radius in units of sigma
+PACKET_MARGIN = 10    # sites between the window and a packet's edge, at the start and at t*
 CHEB_TOL = 1e-18      # last Bessel coefficient kept in the Chebyshev sum
-T_FACTOR = 0.8        # packet runs are observed at T_FACTOR * t_max
+# the share of a Gaussian energy profile of width dlambda outside lambda0 +- 3 dlambda
+ENERGY_TAIL = erfc(3.0 / sqrt(2.0))
 
 __all__ = [
     "LatticeState",
@@ -91,16 +106,30 @@ class PropagationPlan:
     t_max: float
 
 
+def _window_extent(spec):
+    """The largest |site| of the perturbation window, 0 without one."""
+    win = spec.window
+    return max(abs(win[0]), abs(win[1])) if win else 0
+
+
+def _v_max(spec):
+    """2 max a, the largest speed of any front on the lattice."""
+    return 2.0 * max(spec.background.a + spec.a_override)
+
+
+def _horizon(spec, N, k_pack):
+    """t_max: a front from |k| <= k_pack at v_max stays the window's extent
+    away from the truncation boundary until then."""
+    return (N - k_pack - _window_extent(spec)) / _v_max(spec)
+
+
 def make_plan(spec, N, k_pack):
     """Plan for a packet initially confined to |k| <= k_pack."""
     _check_integer(k_pack, "packet extent k_pack")
     if k_pack < 0:
         raise ValueError(f"packet extent k_pack must be >= 0, got {k_pack}")
     trunc = truncate(spec, N)
-    v_max = 2.0 * max(spec.background.a + spec.a_override)
-    win = spec.window
-    w_ext = max(abs(win[0]), abs(win[1])) if win else 0
-    t_max = (N - k_pack - w_ext) / v_max
+    t_max = _horizon(spec, N, k_pack)
     if t_max <= 0:
         raise WindowTooSmall(
             f"truncation N = {N} leaves no propagation room for extent {k_pack}"
@@ -181,32 +210,35 @@ def evolve(plan, state, t):
     return LatticeState.from_amplitudes(state.N, acc)
 
 
-def _floquet_wave(background, lam0):
-    """``(u, mu, v_g)``: psi_r of the background at lam0 + i0, whose Im m > 0
-    branch moves right, on sites 0..p, its multiplier mu = u_p / u_0 and its
-    group velocity, the flux over the mean density of one period.  Raises the
-    sweep's band-edge and right-seed checks, then the three-term recursion on
-    sites 1..p, with u_{p+1} from the same sweep."""
+def _floquet_wave(background, lams):
+    """``(u, mu, v_g)`` at each energy: psi_r of the background at lambda + i0,
+    whose Im m > 0 branch moves right, on one period, sites 0..p-1, as
+    [site, energy], its multiplier mu = u_p / u_0 and its group velocity, the
+    flux over the mean density of one period.  Raises the sweep's band-edge and right-seed
+    checks, then the three-term recursion on sites 1..p, with u_{p+1} from
+    the same sweep."""
     spec = JacobiSpec(background=background)
     p = background.period
-    right, _, checks = weyl_sweep(spec, 0, p, [lam0])
+    right, _, checks = weyl_sweep(spec, 0, p, lams)
     raise_first(checks[:2])
-    u = right.values(0, p + 1)[:, 0]
-    a, b = coefficient_arrays(spec, 0, p + 1)
-    r = a[1:-1] * u[2:] + a[:-2] * u[:-2] + (b[1:-1] - lam0) * u[1:-1]
-    worst, scale = np.abs(r).max(), np.abs(u).max()
-    if worst > RECURSION_TOL * scale:
-        raise CrossCheckFailure(f"three-term recursion residual {worst:.3e} exceeds "
-                                f"{RECURSION_TOL} * {scale:.3e}")
+    u = right.values(0, p + 1)
+    a, b = (c[:, None] for c in coefficient_arrays(spec, 0, p + 1))
+    r = a[1:-1] * u[2:] + a[:-2] * u[:-2] + (b[1:-1] - lams) * u[1:-1]
+    worst, scale = np.abs(r).max(axis=0), np.abs(u).max(axis=0)
+    bad = np.flatnonzero(worst > RECURSION_TOL * scale)
+    if bad.size:
+        j = bad[0]
+        raise CrossCheckFailure(f"three-term recursion residual {worst[j]:.3e} exceeds "
+                                f"{RECURSION_TOL} * {scale[j]:.3e}")
     cur = -2.0 * a[0] * np.imag(np.conj(u[0]) * u[1])
-    dens = np.sum(np.abs(u[:p]) ** 2) / p
-    return u[:-1], u[p] / u[0], cur / dens
+    dens = np.sum(np.abs(u[:p]) ** 2, axis=0) / p
+    return u[:p], u[p] / u[0], cur / dens
 
 
 def group_velocity(background, lam0):
     """Transport speed (sites per unit time) of a rightward in-band carrier."""
     _check_packet_band(background, lam0, 0.0)
-    return _floquet_wave(background, lam0)[2]
+    return _floquet_wave(background, [lam0])[2][0]
 
 
 def _check_packet_band(background, lam0, dlam):
@@ -218,12 +250,20 @@ def _check_packet_band(background, lam0, dlam):
     )
 
 
-def wave_packet(spec, side, lam0, dlam, N):
-    """Normalized Gaussian packet deep on one side, moving toward the window.
+class _Geometry(NamedTuple):
+    """A packet's carrier period u, multiplier mu, envelope width sigma and
+    radius, its centre's distance from site 0, and its clearing time t*."""
 
-    Energy concentration (lam0, dlam) fixes the envelope width through the
-    group velocity: sigma = v_g / (2 dlam).
-    """
+    u: np.ndarray
+    mu: complex
+    sigma: float
+    radius: int
+    depth: int
+    t_star: float
+
+
+def _packet_geometry(spec, side, lam0, dlam, N):
+    """Validate a packet request and place the packet, whatever N is."""
     if side not in ("l", "r"):
         raise ValueError(f"side must be 'l' or 'r', got {side!r}")
     if not dlam > 0:
@@ -231,12 +271,20 @@ def wave_packet(spec, side, lam0, dlam, N):
     _check_half_width(N)
     bg = spec.background
     _check_packet_band(bg, lam0, dlam)
-    u, mu, v_g = _floquet_wave(bg, lam0)
-    sigma = v_g / (2.0 * dlam)
+    u, mu, v_g = _floquet_wave(bg, [lam0, lam0 - 3 * dlam, lam0 + 3 * dlam])
+    sigma = v_g[0] / (2.0 * dlam)
     radius = int(np.ceil(PACKET_CUTOFF * sigma))
-    center = -(N // 4) - 2 - radius
-    if side == "r":
-        center = -center
+    w_ext = _window_extent(spec)
+    depth = w_ext + 2 + radius + PACKET_MARGIN
+    # the trailing edge at -(depth + radius) travels to w_ext + PACKET_MARGIN
+    t_star = float((depth + radius + w_ext + PACKET_MARGIN) / v_g.min())
+    return _Geometry(u[:, 0], mu[0], float(sigma), radius, depth, t_star)
+
+
+def _place(geo, side, N):
+    """The normalized packet of ``geo`` on sites -N..N, on the given side."""
+    center = -geo.depth if side == "l" else geo.depth
+    radius, sigma = geo.radius, geo.sigma
     if abs(center) + radius >= N:
         raise WindowTooSmall(
             f"N = {N} cannot hold a packet of radius {radius} at {center}"
@@ -244,10 +292,10 @@ def wave_packet(spec, side, lam0, dlam, N):
     k_lo, k_hi = center - radius, center + radius
     # u_{qp + j} = mu^q u_j, the powers as repeated products from the packet's
     # first period on: a rounding of mu**q would grow with q
-    p = bg.period
+    p = geo.u.size
     skip = k_lo % p
     periods = np.empty(((skip + 2 * radius) // p + 1, p), dtype=complex)
-    periods[0], periods[1:] = u[:p], mu
+    periods[0], periods[1:] = geo.u, geo.mu
     carrier = np.cumprod(periods, axis=0).ravel()[skip: skip + 2 * radius + 1]
     ks = np.arange(k_lo, k_hi + 1)
     envelope = np.exp(-((ks - center) ** 2) / (4.0 * sigma * sigma))
@@ -255,6 +303,19 @@ def wave_packet(spec, side, lam0, dlam, N):
     amplitudes[k_lo + N: k_hi + N + 1] = envelope * (carrier if side == "l" else np.conj(carrier))
     amplitudes /= np.linalg.norm(amplitudes)
     return LatticeState.from_amplitudes(N, amplitudes)
+
+
+def wave_packet(spec, side, lam0, dlam, N):
+    """Normalized Gaussian packet on one side of the window, moving toward it.
+
+    Energy concentration (lam0, dlam) fixes the envelope width through the
+    group velocity, sigma = v_g / (2 dlam), and its support radius =
+    ceil(PACKET_CUTOFF sigma).  The centre sits w_ext + 2 + radius +
+    PACKET_MARGIN sites from site 0, w_ext the largest |site| of the window,
+    so the packet starts the same distance from the window whatever N is;
+    an N that cannot hold it is refused with ``WindowTooSmall``.
+    """
+    return _place(_packet_geometry(spec, side, lam0, dlam, N), side, N)
 
 
 def _stationary_reflection_avg(spec, lam0, dlam):
@@ -270,24 +331,56 @@ def _stationary_reflection_avg(spec, lam0, dlam):
     return float(np.sum(w[keep] * r) / np.sum(w[keep]))
 
 
+def _smallest_half_width(spec, k_pack, t_star):
+    """The smallest N whose horizon reaches t* for a packet of extent k_pack."""
+    n = int(np.ceil(k_pack + _window_extent(spec) + _v_max(spec) * t_star))
+    # make_plan's rounded horizon decides: step past a rounding either way
+    n += _horizon(spec, n, k_pack) < t_star
+    n -= _horizon(spec, n - 1, k_pack) >= t_star
+    return n
+
+
 def _left_packet_run(spec, lam0, dlam, N):
-    """Packet from the left, its plan and the observation time T_FACTOR * t_max."""
-    packet = wave_packet(spec, "l", lam0, dlam, N)
-    occupied = np.flatnonzero(np.abs(packet.amplitudes) > 0)
-    k_pack = int(max(abs(occupied[0] - N), abs(occupied[-1] - N)))
-    plan = make_plan(spec, N, k_pack)
-    return packet, plan, T_FACTOR * plan.t_max
+    """``wave_packet(spec, "l", lam0, dlam, N)``, its plan and its clearing
+    time t*; an N whose horizon ends before t* is refused with the smallest
+    N that works."""
+    geo = _packet_geometry(spec, "l", lam0, dlam, N)
+    k_pack = geo.depth + geo.radius
+    n_min = _smallest_half_width(spec, k_pack, geo.t_star)
+    if N < n_min:
+        beyond = f", above N_MAX = {N_MAX}" if n_min > N_MAX else ""
+        raise WindowTooSmall(
+            f"N = {N} is too small for the packet at lambda0 = {lam0} to clear the "
+            f"window by t* = {geo.t_star:.6g}: the smallest N that works is {n_min}{beyond}"
+        )
+    return _place(geo, "l", N), make_plan(spec, N, k_pack), geo.t_star
 
 
 def dynamical_reflection(spec, lam0, dlam, N):
-    """Packet run from the left; masses after clearing the window.
+    """Packet run from the left; masses once it has cleared the window.
 
-    Returns a dict with R_dyn (mass on sites <= -1 at t*), T_dyn (>= +1),
-    the site-0 remnant, t_star, and the stationary packet-averaged
-    reflection for comparison.
+    The packet is ``wave_packet(spec, "l", lam0, dlam, N)``, observed at the
+    t* of the module docstring.  Returns a dict with R_dyn (mass on sites
+    <= -1 at t*), T_dyn (>= +1), the site-0 remnant, t_star, window_mass
+    (the mass on sites within w_ext + PACKET_MARGIN of site 0) and the
+    stationary packet-averaged reflection for comparison.  Only the energy
+    profile's tail past 3 dlambda may still sit anywhere at t*, so a
+    window_mass above ENERGY_TAIL, mass that does not leave (a bound state's
+    overlap), is refused with ``CrossCheckFailure``.  R_dyn is then within
+    ENERGY_TAIL of R averaged over the packet's own energies.  The stationary
+    average takes them as a Gaussian in lambda, where the packet's is a
+    Gaussian in quasi-momentum: near a band edge the two differ at second
+    order in dlambda / v_g.
     """
     packet, plan, t_star = _left_packet_run(spec, lam0, dlam, N)
     out = evolve(plan, packet, t_star)
+    reach = _window_extent(spec) + PACKET_MARGIN
+    window = out.mass(-reach, reach)
+    if window > ENERGY_TAIL:
+        raise CrossCheckFailure(
+            f"packet has not cleared the window at t* = {t_star:.6g}: mass {window:.3e} "
+            f"on sites -{reach}..{reach} exceeds the energy tail {ENERGY_TAIL:.3e}"
+        )
     r_dyn = out.mass(-N, -1)
     t_dyn = out.mass(1, N)
     site0 = float(np.abs(out.site(0)) ** 2)
@@ -300,6 +393,7 @@ def dynamical_reflection(spec, lam0, dlam, N):
         "R_dyn": r_dyn,
         "T_dyn": t_dyn,
         "site0_mass": site0,
+        "window_mass": window,
         "R_stationary_avg": r_stat,
         "abs_error": abs(r_dyn - r_stat),
     }

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from jacobi_reflect import (band_grid, band_intervals, essential_support,
-                            explicit_grid, landauer_current,
+from jacobi_reflect import (Background, JacobiSpec, band_grid, band_intervals,
+                            essential_support, explicit_grid, landauer_current,
                             reflectionless_report)
-from jacobi_reflect.analysis import QUADRATURE_MAX
+from jacobi_reflect.analysis import QUADRATURE_MAX, QUADRATURE_NODES
+from jacobi_reflect.errors import CrossCheckFailure, raise_first
+from jacobi_reflect.scattering import _s_entries, boundary_pieces
 
-from util import free_spec, period2_spec, random_spec, seeded_specs, single_site_spec
+from util import (free_spec, period2_spec, perturbed_period3_spec, random_spec, seeded_specs,
+                  single_site_spec)
 
 
 def test_explicit_grid_endpoint_rule():
@@ -194,3 +197,56 @@ def test_landauer_quadrature_is_a_bounded_node_count():
     for q in (0, 2.5, True, QUADRATURE_MAX + 1):
         with pytest.raises(ValueError, match="quadrature"):
             landauer_current(free_spec(), 2.0, 0.3, 1.0, -0.2, quadrature=q)
+
+
+def _per_band_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=QUADRATURE_NODES):
+    """landauer_current as one boundary_pieces call per band, raising each
+    band's refusal before the next band is swept."""
+    x, w = np.polynomial.legendre.leggauss(quadrature)
+    theta = 0.5 * np.pi * (x + 1.0)
+    w_theta = 0.5 * np.pi * w
+    charge = energy = 0.0
+    for lo, hi in band_intervals(spec.background):
+        mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        lams = mid - hw * np.cos(theta)
+        jac = hw * np.sin(theta)
+        pieces = boundary_pieces(spec, [0], lams)
+        raise_first(pieces.checks[1:])
+        t_coef = np.abs(_s_entries(pieces)["s_lr"][0]) ** 2
+        df = (np.exp(-np.logaddexp(0.0, beta_l * (lams - mu_l)))
+              - np.exp(-np.logaddexp(0.0, beta_r * (lams - mu_r))))
+        base = w_theta * jac * t_coef * df
+        charge += base.sum()
+        energy += (base * lams).sum()
+    return {"charge_current": float(charge / (2.0 * np.pi)),
+            "energy_current": float(energy / (2.0 * np.pi))}
+
+
+@pytest.mark.parametrize("spec, bias", [
+    (free_spec(), (2.0, 0.3, 1.0, -0.2)),           # criterion 9's inputs
+    (free_spec(), (1.0, 0.5, 1.0, -0.5)),
+    (single_site_spec(), (1.0, 0.5, 1.0, -0.5)),
+    (perturbed_period3_spec(), (2.0, 0.3, 1.0, -0.2)),
+    (perturbed_period3_spec(), (0.7, -0.4, 3.0, 0.9)),
+])
+def test_landauer_one_sweep_keeps_the_per_band_bits(spec, bias):
+    got, want = landauer_current(spec, *bias), _per_band_current(spec, *bias)
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+# a pure period-6 background whose innermost nodes trip the G_nn cross-check
+PERIOD6_SPEC = JacobiSpec(background=Background.periodic(
+    (0.5801237034395995, 1.236324654978001, 1.2201394517683182, 0.558181832537979,
+     0.44568754049864934, 0.625247229845043),
+    (-0.6718854064066162, -0.4467303962116431, -0.24806997835730282, 0.2569178636355449,
+     -0.9025982013495415, 0.2341509843203553), phase=4))
+
+
+@pytest.mark.parametrize("quadrature", [400, 200])
+def test_landauer_one_sweep_keeps_the_per_band_refusal(quadrature):
+    bias = (2.0, 0.3, 1.0, -0.2)
+    with pytest.raises(CrossCheckFailure) as want:
+        _per_band_current(PERIOD6_SPEC, *bias, quadrature=quadrature)
+    with pytest.raises(CrossCheckFailure) as got:
+        landauer_current(PERIOD6_SPEC, *bias, quadrature=quadrature)
+    assert str(got.value) == str(want.value)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from jacobi_reflect import (alpha_beta, band_intervals, cli, dynamical_reflectio
                             reflectionless_report, scattering_grid,
                             unitarity_defect_grid)
 from jacobi_reflect.analysis import QUADRATURE_NODES, TAU_DEFAULT
-from jacobi_reflect.dynamics import N_MAX
+from jacobi_reflect.dynamics import ENERGY_TAIL, N_MAX
 from jacobi_reflect.errors import JacobiReflectError, NumericalError
 from jacobi_reflect.mfunc import m_left_boundary, m_right_boundary
 
@@ -214,6 +215,27 @@ def test_dynamics_row(configs, capsys):
     row = _csv_rows(capsys.readouterr().out)[0]
     np.testing.assert_allclose(float(row["R_dyn"]), 0.2, atol=0.01)
     assert float(row["abs_error"]) <= 1e-2
+
+
+def test_reflectionless_background_packet_at_the_default_n(configs, capsys):
+    # the pure period-2 background does not reflect; a packet observed before
+    # it had crossed the window read R_dyn = 0.358 here
+    assert cli.main(["dynamics", "--config", configs["p2"], "--lambda0", "0.85",
+                     "--dlambda", "0.05"]) == 0
+    row = _csv_rows(capsys.readouterr().out)[0]
+    assert row["N"] == "2000"
+    assert float(row["R_dyn"]) <= ENERGY_TAIL
+    assert float(row["T_dyn"]) >= 1.0 - ENERGY_TAIL
+
+
+def test_too_small_n_exits_3_naming_the_smallest(configs, capsys):
+    argv = ["dynamics", "--config", configs["free"], "--lambda0", "0.8"]
+    assert cli.main(argv + ["--N", "300"]) == 3
+    err = capsys.readouterr().err
+    n = int(re.search(r"smallest N that works is (\d+)", err).group(1))
+    assert cli.main(argv + ["--N", str(n)]) == 0
+    assert cli.main(argv + ["--N", str(n - 1)]) == 3
+    assert f"smallest N that works is {n}" in capsys.readouterr().err
 
 
 def test_transport_row(configs, capsys):
@@ -560,7 +582,7 @@ def _oracle_rows(args):
 GOLDEN_ARGV = (
     ["describe"],
     ["mfunc", "--grid=-1:1:0.25"],
-    ["dynamics", "--lambda0", "0.8", "--N", "300"],
+    ["dynamics", "--lambda0", "0.8", "--N", "600"],
     ["transport", "--beta-l", "2", "--mu-l", "0.3", "--beta-r", "1", "--mu-r", "-0.2"],
     ["jost", "--grid=0.4:1.2:0.2"],
     ["jost", "--grid=-1:1:0.25"],

@@ -1,15 +1,18 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from jacobi_reflect import (Background, HorizonExceeded, JacobiSpec, LatticeState,
-                            WindowTooSmall, band_intervals, coefficient_arrays,
+from jacobi_reflect import (Background, CrossCheckFailure, HorizonExceeded, JacobiSpec,
+                            LatticeState, WindowTooSmall, band_intervals, coefficient_arrays,
                             discriminant, dynamical_reflection, evolve, group_velocity,
                             jost_solution, make_plan, projection_defect, truncate,
                             wave_packet)
-from jacobi_reflect.dynamics import N_MAX, T_FACTOR, _bessel_coefficients, _left_packet_run
+from jacobi_reflect import dynamics
+from jacobi_reflect.dynamics import (ENERGY_TAIL, N_MAX, PACKET_MARGIN, _bessel_coefficients,
+                                     _left_packet_run)
 
 from util import (free_propagator_kernel, free_spec, full_lattice_evolve, period2_spec,
                   perturbed_period3_spec, random_spec, single_site_spec)
@@ -81,7 +84,7 @@ def test_light_cone_is_bitwise_the_full_lattice_sum():
              (p3_plan, "p3 window", p3_amps), (p3_plan, "p3 both ends", ends)]
     for case_plan, name, amps in cases:
         state = LatticeState.from_amplitudes(N, amps)
-        for t in (-0.5 * case_plan.t_max, 0.0, T_FACTOR * case_plan.t_max, case_plan.t_max):
+        for t in (-0.5 * case_plan.t_max, 0.0, 0.8 * case_plan.t_max, case_plan.t_max):
             got = evolve(case_plan, state, t).amplitudes
             assert np.array_equal(got, full_lattice_evolve(case_plan, state, t)), (name, t)
     assert not evolve(plan, LatticeState.from_amplitudes(N, zero), t_star).amplitudes.any()
@@ -384,3 +387,70 @@ def test_band_check_respects_background():
     assert any(lo < 0.85 < hi for lo, hi in bands)
     with pytest.raises(ValueError):
         wave_packet(spec, "l", 0.0, 0.05, 800)   # gap energy
+
+
+def test_slow_packet_clears_before_it_is_observed():
+    # single-site near the band edge: v_g = 0.62 at 1.9 and 0.40 at 1.96; a
+    # packet observed at a fraction of the horizon had not crossed the window
+    try:
+        out = dynamical_reflection(single_site_spec(), 1.9, 0.02, 4000)
+    except WindowTooSmall:
+        return
+    assert out["abs_error"] <= ENERGY_TAIL
+    assert out["window_mass"] <= ENERGY_TAIL
+    assert abs(out["R_dyn"] + out["T_dyn"] + out["site0_mass"] - 1.0) <= 1e-10
+
+
+def _smallest_n(spec, lam0, dlam):
+    with pytest.raises(WindowTooSmall, match="smallest N that works is") as err:
+        dynamical_reflection(spec, lam0, dlam, 10)
+    return int(re.search(r"smallest N that works is (\d+)", str(err.value)).group(1))
+
+
+@pytest.mark.parametrize("spec, lam0", [(single_site_spec(), 0.0), (period2_spec(), 0.85),
+                                        (PERIOD4_SPEC, 0.73)])
+def test_window_too_small_names_the_smallest_n(spec, lam0):
+    n = _smallest_n(spec, lam0, 0.05)
+    out = dynamical_reflection(spec, lam0, 0.05, n)
+    assert out["abs_error"] <= ENERGY_TAIL
+    assert projection_defect(spec, lam0, 0.05, n) <= 1e-8
+    for call in (dynamical_reflection, projection_defect):
+        with pytest.raises(WindowTooSmall, match=f"N = {n - 1} .* smallest N that works is {n}"):
+            call(spec, lam0, 0.05, n - 1)
+
+
+def test_an_n_past_n_max_is_named_as_such():
+    # 5e-6 past 3 dlambda, just outside the band-edge margin, the packet's
+    # slowest part moves at 4.5e-3 sites per unit time
+    with pytest.raises(WindowTooSmall, match=f"above N_MAX = {N_MAX}") as err:
+        dynamical_reflection(free_spec(), 2.0 - 3e-5 - 5e-6, 1e-5, 1000)
+    assert int(re.search(r"works is (\d+)", str(err.value)).group(1)) > N_MAX
+
+
+@pytest.mark.parametrize("spec, lam0", [(single_site_spec(), 0.0), (PERIOD4_SPEC, 0.73)])
+def test_the_evolved_state_is_the_wave_packet(spec, lam0, monkeypatch):
+    # placed by its own geometry: the leading edge sits PACKET_MARGIN + 2 sites
+    # before the window whatever N is, and the run evolves that very state
+    w_ext = max(map(abs, spec.window))
+    seen = []
+
+    def spy(plan, state, t):
+        seen.append(state.amplitudes.copy())
+        return evolve(plan, state, t)
+
+    monkeypatch.setattr(dynamics, "evolve", spy)
+    for N in (1000, 4000):
+        dynamical_reflection(spec, lam0, 0.05, N)
+        packet = wave_packet(spec, "l", lam0, 0.05, N)
+        assert seen.pop(0).tobytes() == packet.amplitudes.tobytes()
+        assert np.flatnonzero(packet.amplitudes)[-1] - N == -(w_ext + 2 + PACKET_MARGIN)
+
+
+def test_a_packet_that_has_not_cleared_is_refused(monkeypatch):
+    # what stays on the window at t* is only the energy tail; with no tail
+    # allowed, the measured remnant trips the check
+    out = dynamical_reflection(single_site_spec(), 0.0, 0.05, 1000)
+    assert 0.0 < out["window_mass"] <= ENERGY_TAIL
+    monkeypatch.setattr(dynamics, "ENERGY_TAIL", out["window_mass"] / 2)
+    with pytest.raises(CrossCheckFailure, match="has not cleared the window"):
+        dynamical_reflection(single_site_spec(), 0.0, 0.05, 1000)
