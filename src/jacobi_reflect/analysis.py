@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bands import INSET_REL, _near_edge, band_intervals
+from .bands import _inset_bands, _near_edge, band_intervals
 from .errors import raise_first
 from .mfunc import _m_values
 from .scattering import SUPPORT_TOL, _s_entries, boundary_pieces
@@ -83,11 +83,8 @@ def explicit_grid(spec, start, stop, step):
 
 def band_grid(spec, points_per_band):
     """Evenly spaced points per band, inset from the edges."""
-    pieces = []
-    for lo, hi in band_intervals(spec.background):
-        inset = INSET_REL * (hi - lo)
-        pieces.append(np.linspace(lo + inset, hi - inset, points_per_band))
-    return EnergyGrid(points=np.concatenate(pieces))
+    return EnergyGrid(points=np.concatenate([
+        np.linspace(lo, hi, points_per_band) for lo, hi in _inset_bands(spec.background)]))
 
 
 def essential_support(spec, grid):

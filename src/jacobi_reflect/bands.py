@@ -100,6 +100,13 @@ def band_intervals(background):
     return tuple(bands)
 
 
+def _inset_bands(background):
+    """The bands as a [band, 2] array, each end INSET_REL of its width inside."""
+    lo, hi = np.array(band_intervals(background)).T
+    inset = INSET_REL * (hi - lo)
+    return np.stack([lo + inset, hi - inset], axis=1)
+
+
 def band_edges(background):
     """Sorted flat array lo_0, hi_0, lo_1, hi_1, ... of the band endpoints."""
     return np.array([e for band in band_intervals(background) for e in band])

@@ -15,8 +15,9 @@ one in-place step over two reused work buffers, with 2X cast to complex once
 per call, so no term allocates an array.  Wave packets are Gaussian position
 envelopes riding a Bloch wave of the background, oriented toward the
 perturbation window.  The Bloch wave is a Floquet solution, u_{k+p} = mu u_k:
-one ``mfunc.weyl_sweep`` over bonds 0..p gives the period u_0..u_p of psi_r
-at lambda0 + i0, which moves right, and the packet extends it by repeated
+``jost._jost_values`` reads psi_r of the bare background at lambda0 + i0,
+which moves right, on sites 0..p+1, with its checks.  Its period u_0..u_{p-1}
+and mu = u_p / u_0 make the carrier, which the packet extends by repeated
 products of mu from its first period on (conjugated for a packet moving
 left).  The horizon t_max keeps everything away from the hard truncation
 boundary, so no absorbing layers are needed.
@@ -46,10 +47,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bands import INSET_REL, band_intervals
+from .bands import _inset_bands, band_intervals
 from .errors import CrossCheckFailure, HorizonExceeded, WindowTooSmall, raise_first
-from .jost import RECURSION_TOL
-from .mfunc import weyl_sweep
+from .jost import _jost_values
 from .model import (N_MAX, JacobiSpec, _check_half_width,  # re-exports N_MAX
                     _check_integer, coefficient_arrays, truncate)
 from .scattering import scattering_grid
@@ -214,23 +214,15 @@ def _floquet_wave(background, lams):
     """``(u, mu, v_g)`` at each energy: psi_r of the background at lambda + i0,
     whose Im m > 0 branch moves right, on one period, sites 0..p-1, as
     [site, energy], its multiplier mu = u_p / u_0 and its group velocity, the
-    flux over the mean density of one period.  Raises the sweep's band-edge and right-seed
-    checks, then the three-term recursion on sites 1..p, with u_{p+1} from
-    the same sweep."""
+    flux over the mean density of one period.  ``jost._jost_values`` reads
+    it on sites 0..p+1; its band-edge check and psi_r's seed and recursion
+    checks are raised, in that order."""
     spec = JacobiSpec(background=background)
     p = background.period
-    right, _, checks = weyl_sweep(spec, 0, p, lams)
-    raise_first(checks[:2])
-    u = right.values(0, p + 1)
-    a, b = (c[:, None] for c in coefficient_arrays(spec, 0, p + 1))
-    r = a[1:-1] * u[2:] + a[:-2] * u[:-2] + (b[1:-1] - lams) * u[1:-1]
-    worst, scale = np.abs(r).max(axis=0), np.abs(u).max(axis=0)
-    bad = np.flatnonzero(worst > RECURSION_TOL * scale)
-    if bad.size:
-        j = bad[0]
-        raise CrossCheckFailure(f"three-term recursion residual {worst[j]:.3e} exceeds "
-                                f"{RECURSION_TOL} * {scale[j]:.3e}")
-    cur = -2.0 * a[0] * np.imag(np.conj(u[0]) * u[1])
+    coeffs = coefficient_arrays(spec, 0, p + 1)
+    (u, _), (edge, seed, _, rec) = _jost_values(spec, lams, 0, p + 1, coeffs)
+    raise_first([edge, seed[0], rec[0]])
+    cur = -2.0 * coeffs[0][0] * np.imag(np.conj(u[0]) * u[1])
     dens = np.sum(np.abs(u[:p]) ** 2, axis=0) / p
     return u[:p], u[p] / u[0], cur / dens
 
@@ -322,10 +314,8 @@ def _stationary_reflection_avg(spec, lam0, dlam):
     """21-node Gauss-Hermite average of the stationary R over the packet's energies."""
     x, w = np.polynomial.hermite_e.hermegauss(21)
     lams = lam0 + dlam * x
-    bands = np.array(band_intervals(spec.background))
-    lo, hi = bands[:, :1], bands[:, 1:]       # [band, node] with lams
-    inset = INSET_REL * (hi - lo)
-    keep = ((lo + inset < lams) & (lams < hi - inset)).any(axis=0)
+    lo, hi = _inset_bands(spec.background).T[..., None]   # [band, node] with lams
+    keep = ((lo < lams) & (lams < hi)).any(axis=0)
     res = scattering_grid(spec, 0, lams[keep])
     r = np.abs(res["s_ll"]) ** 2
     return float(np.sum(w[keep] * r) / np.sum(w[keep]))

@@ -12,10 +12,12 @@ right reflection probability |beta/alpha|^2, which must agree with the
 scattering-matrix route and with the m-function ratio route.
 
 The solutions are the ones ``mfunc.weyl_sweep`` computes for the
-m-functions, the Green's function and the s-matrix, read on a window of
-sites: the branch is the one of ``mfunc``, with no rule of its own.  Each
-route makes one sweep for both sides; ``jost_solution`` raises only its
-own side's checks, so psi_r is not refused for a fault of psi_l.
+m-functions, the Green's function and the s-matrix: the branch is the one
+of ``mfunc``, with no rule of its own.  ``_jost_values`` is the one route
+that reads them on a window of sites, with their checks by kind; each
+caller names the ones it raises.  ``jost_solution`` and ``alpha_beta_grid``
+divide by psi_0, and ``jost_solution`` raises only its own side's checks;
+``green_offdiag`` and ``dynamics._floquet_wave`` need no normalization.
 
 ``alpha_beta_grid`` expands a whole energy grid at once and keeps a status
 per energy: None, or the refusal of the first check the energy fails.  A
@@ -131,51 +133,52 @@ def _rows(mask, refusal):
 
 
 def _jost_values(spec, lams, k_lo, k_hi, coeffs):
-    """psi_r and psi_l on sites k_lo..k_hi, 1 at site 0, as [side, site,
-    energy], and their checks in order: the band edge, then the seed, the
-    normalization and the recursion residual, each right then left, so
-    side j's are ``checks[:1] + checks[1 + j::2]``.  ``coeffs`` are the
-    sites' coefficient arrays.  Callers hold ``np.errstate(all="ignore")``,
-    as in ``alpha_beta_grid``.
+    """psi_r and psi_l on sites k_lo..k_hi (k_lo <= 0) as [side, site,
+    energy], on the scale of bond k_lo, not normalized, and their checks by
+    kind, ``(edge, seed, norm, rec)``: the band edge, then a pair, right then
+    left, for the Floquet seed, a vanishing psi_0 and the three-term
+    recursion residual.  ``coeffs`` are the sites' coefficient arrays.
     """
-    *sols, checks = weyl_sweep(spec, k_lo, k_hi - 1, lams)
-    vals = np.array([sol.values(k_lo, k_hi) for sol in sols])
-
-    psi0 = vals[:, -k_lo]
-    # + 0 prints an exact zero as 0, whatever sign the sweep gave it
-    checks += _rows(np.abs(psi0) < 1e-12 * np.abs(vals).max(axis=1),
-                    lambda j, i: NormalizationPole(
-                        f"psi_0 = {psi0[j, i] + 0:.3e} vanishes at lambda = "
-                        f"{lams[i]} ({'rl'[j]} side)"))
-    vals = vals / psi0[:, None]
-
-    a, b = coeffs
-    r = (a[1:-1, None] * vals[:, 2:] + a[:-2, None] * vals[:, :-2]
-         + (b[1:-1, None] - lams) * vals[:, 1:-1])
-    worst = np.abs(r).max(axis=1, initial=0.0)
-    scale = np.abs(vals).max(axis=1)
-    checks += _rows(worst > RECURSION_TOL * scale, lambda j, i: CrossCheckFailure(
-        f"three-term recursion residual {worst[j, i]:.3e} exceeds "
-        f"{RECURSION_TOL} * {scale[j, i]:.3e}"))
-    return vals, checks
+    # a failed seed sweeps on, maybe to NaN or inf: nothing here may warn for it
+    with np.errstate(all="ignore"):
+        *sols, (edge, *seed) = weyl_sweep(spec, k_lo, k_hi - 1, lams)
+        vals = np.array([sol.values(k_lo, k_hi) for sol in sols])
+        psi0 = vals[:, -k_lo]
+        # + 0 prints an exact zero as 0, whatever sign the sweep gave it
+        norm = _rows(np.abs(psi0) < 1e-12 * np.abs(vals).max(axis=1),
+                     lambda j, i: NormalizationPole(
+                         f"psi_0 = {psi0[j, i] + 0:.3e} vanishes at lambda = "
+                         f"{lams[i]} ({'rl'[j]} side)"))
+        a, b = coeffs
+        r = (a[1:-1, None] * vals[:, 2:] + a[:-2, None] * vals[:, :-2]
+             + (b[1:-1, None] - lams) * vals[:, 1:-1])
+        worst = np.abs(r).max(axis=1, initial=0.0)
+        scale = np.abs(vals).max(axis=1)
+        rec = _rows(worst > RECURSION_TOL * scale, lambda j, i: CrossCheckFailure(
+            f"three-term recursion residual {worst[j, i]:.3e} exceeds "
+            f"{RECURSION_TOL} * {scale[j, i]:.3e}"))
+    return vals, (edge, seed, norm, rec)
 
 
 def jost_solution(spec, side, lam, k_min=None, k_max=None):
-    """Decaying-branch solution, normalized to 1 at site 0.
+    """Decaying-branch solution, normalized to 1 at site 0, on sites
+    min(k_min, 0)..max(k_max, 1); the bounds are integers or None.
 
     ``side='r'`` decays toward +inf, ``side='l'`` toward -inf; energies
     within the band-edge margin are refused.
     """
     if side not in ("l", "r"):
         raise ValueError(f"side must be 'l' or 'r', got {side!r}")
+    for k, name in ((k_min, "k_min"), (k_max, "k_max")):
+        if k is not None:
+            _check_integer(k, f"window bound {name}")
     k_lo, k_hi = _site_range(spec, k_min, k_max)
     j = "rl".index(side)
-    with np.errstate(all="ignore"):
-        vals, checks = _jost_values(spec, np.array([float(lam)]), k_lo, k_hi,
-                                    coefficient_arrays(spec, k_lo, k_hi))
-    raise_first(checks[:1] + checks[1 + j::2])
+    vals, (edge, seed, norm, rec) = _jost_values(
+        spec, np.array([float(lam)]), k_lo, k_hi, coefficient_arrays(spec, k_lo, k_hi))
+    raise_first([edge, seed[j], norm[j], rec[j]])
     return JostSolution(side=side, lam=float(lam), k_min=k_lo, k_max=k_hi,
-                        values=vals[j, :, 0], spec=spec)
+                        values=vals[j, :, 0] / vals[j, -k_lo, 0], spec=spec)
 
 
 def wronskian(u, v, k):
@@ -216,7 +219,9 @@ def alpha_beta_grid(spec, lams):
     # a refused energy runs on through the later checks, where it may divide
     # by zero or overflow: its values are replaced by NaN, so nothing warns
     with np.errstate(all="ignore"):
-        (psi_r, psi_l), checks = _jost_values(spec, lams, k_lo, k_hi, coeffs)
+        vals, (edge, seed, norm, rec) = _jost_values(spec, lams, k_lo, k_hi, coeffs)
+        checks = [edge, *seed, *norm, *rec]
+        psi_r, psi_l = vals / vals[:, -k_lo, None]
         psi_rbar = np.conj(psi_r)
         w, bad, spread = _wronskian_spread(
             np.array([psi_rbar, psi_l, psi_l]), np.array([psi_r, psi_r, psi_rbar]),
@@ -280,10 +285,11 @@ def spectral_reflection_mratio(spec, lam):
 
 
 def green_offdiag(spec, n, m, lam):
-    """G_nm(lambda + i0) from the product of the two decaying solutions.
+    """G_nm(lambda + i0) = psi_l(min) psi_r(max) / W, off ``_jost_values``.
 
-    The orientation of the Wronskian is fixed so that the n = m case
-    agrees with the diagonal value of ``scattering`` (checked in tests).
+    Finite where psi_0 vanishes, so that check is not raised.  The
+    orientation of the Wronskian is fixed so that the n = m case agrees with
+    the diagonal value of ``scattering`` (checked in tests).
     """
     _check_integer(n, "site n")
     _check_integer(m, "site m")
@@ -291,12 +297,11 @@ def green_offdiag(spec, n, m, lam):
     lams = np.array([float(lam)])
     k_lo, k_hi = _site_range(spec)
     k_lo, k_hi = min(k_lo, lo - 1), max(k_hi, hi + 1)
-    right, left, checks = weyl_sweep(spec, k_lo, k_hi - 1, lams)
-    psi_r, psi_l = right.values(k_lo, k_hi), left.values(k_lo, k_hi)   # scale of bond k_lo
-    bonds = coefficient_arrays(spec, k_lo, k_hi - 1)[0][:, None]
-    w, bad, spread = _wronskian_spread(psi_r, psi_l, bonds, 0)
+    coeffs = coefficient_arrays(spec, k_lo, k_hi)
+    (psi_r, psi_l), (edge, seed, _, rec) = _jost_values(spec, lams, k_lo, k_hi, coeffs)
+    w, bad, spread = _wronskian_spread(psi_r, psi_l, coeffs[0][:-1, None], 0)
     tol = DEGENERATE_TOL * np.abs(psi_r[:2]).sum(axis=0) * np.abs(psi_l[:2]).sum(axis=0)
-    raise_first(checks + [(bad, lambda i: _wronskian_refusal(spread[i], w[i])),
-                          (np.abs(w) < tol, lambda i: PoleHit(
-                              f"Wronskian vanishes at lambda = {lam} (bound state)"))])
+    raise_first([edge, *seed, *rec, (bad, lambda i: _wronskian_refusal(spread[i], w[i])),
+                 (np.abs(w) < tol, lambda i: PoleHit(
+                     f"Wronskian vanishes at lambda = {lam} (bound state)"))])
     return psi_l[lo - k_lo, 0] * psi_r[hi - k_lo, 0] / w[0]

@@ -4,8 +4,8 @@ import pytest
 from jacobi_reflect import (Background, BoundaryPoint, JacobiSpec, alpha_beta,
                             alpha_beta_grid, band_edges, band_grid, band_intervals,
                             explicit_grid, green_diag, green_offdiag,
-                            jost_solution, m_left, m_right, scattering_matrix,
-                            spectral_reflection_mratio,
+                            group_velocity, jost_solution, m_left, m_right,
+                            scattering_matrix, spectral_reflection_mratio,
                             spectral_reflection_mratio_grid, wronskian)
 from jacobi_reflect.errors import (BandEdge, CrossCheckFailure, DegenerateBasis,
                                    NumericalError)
@@ -343,3 +343,46 @@ def test_jost_reflection_matches_the_dense_transfer_matrix_oracle():
         oracle = np.array([reflection_oracle(spec, lam) for lam in lams])
         assert np.abs(grid.R_r - oracle).max() <= 1e-8
         assert 0.0 < oracle.max() and oracle.min() < 1.0
+
+
+def test_every_window_route_raises_the_one_recursion_check(monkeypatch):
+    # u_1 of psi_r off by 1e-6: each route that reads the solutions on a
+    # window of sites trips the recursion check of jost._jost_values
+    from jacobi_reflect import jost
+    sweep = jost.weyl_sweep
+
+    def broken(*args):
+        right, left, checks = sweep(*args)
+        right.upper[0 - right.first] *= 1.0 + 1e-6
+        return right, left, checks
+
+    spec = perturbed_period3_spec()
+    lo, hi = band_intervals(spec.background)[0]
+    lam = 0.5 * (lo + hi)
+    assert alpha_beta_grid(spec, [lam]).ok.all()
+    monkeypatch.setattr(jost, "weyl_sweep", broken)
+    match = "three-term recursion residual"
+    with pytest.raises(CrossCheckFailure, match=match):
+        jost_solution(spec, "r", lam)
+    status = alpha_beta_grid(spec, [lam]).status[0]
+    assert type(status) is CrossCheckFailure and str(status).startswith(match)
+    with pytest.raises(CrossCheckFailure, match=match):
+        green_offdiag(spec, -1, 2, lam)
+    with pytest.raises(CrossCheckFailure, match=match):
+        group_velocity(spec.background, lam)
+
+
+@pytest.mark.parametrize("bounds", [{"k_min": -2.5}, {"k_max": 3.5}, {"k_min": True},
+                                    {"k_max": np.float64(4.0)}])
+def test_jost_window_bounds_must_be_integers(bounds):
+    # neither an IndexError from numpy nor a bool read as 1
+    spec = single_site_spec()
+    with pytest.raises(ValueError, match=f"{next(iter(bounds))} must be an integer"):
+        jost_solution(spec, "r", 0.3, **bounds)
+
+
+def test_jost_window_bounds_take_numpy_integers():
+    spec = single_site_spec()
+    sol = jost_solution(spec, "l", 0.3, k_min=np.int64(-5), k_max=np.int32(4))
+    assert (sol.k_min, sol.k_max) == (-5, 4)
+    assert sol.values.tobytes() == jost_solution(spec, "l", 0.3, -5, 4).values.tobytes()
