@@ -12,6 +12,12 @@ the dynamics module.  "Almost every lambda" becomes: a finite grid with
 band-edge margins, plus the requirement that residuals stay far from the
 verdict threshold on either side.
 
+Every quantity at a cut comes from one ``mfunc.boundary_pieces`` call:
+the report's G_nn, specref and s-matrix at all seven sites, the
+essential support (its channel densities, so the open-channel rule
+``Im m > SUPPORT_TOL`` is coded there alone) and the Landauer
+transmission.
+
 The Landauer integral uses hbar = e = 1 and counts current positive from
 left to right.
 """
@@ -25,8 +31,9 @@ import numpy as np
 
 from .bands import _inset_bands, _near_edge, band_intervals
 from .errors import raise_first
-from .mfunc import _m_values
-from .scattering import SUPPORT_TOL, _s_entries, boundary_pieces
+from .mfunc import boundary_pieces
+from .model import _check_integer
+from .scattering import _s_entries
 
 TAU_DEFAULT = 1e-8
 N_RANGE = tuple(range(-3, 4))   # the cut sites of reflectionless_report
@@ -82,7 +89,11 @@ def explicit_grid(spec, start, stop, step):
 
 
 def band_grid(spec, points_per_band):
-    """Evenly spaced points per band, inset from the edges."""
+    """Evenly spaced points per band, inset from the edges; the count is a
+    non-negative integer."""
+    _check_integer(points_per_band, "points_per_band")
+    if points_per_band < 0:
+        raise ValueError(f"points_per_band must be non-negative, got {points_per_band}")
     return EnergyGrid(points=np.concatenate([
         np.linspace(lo, hi, points_per_band) for lo, hi in _inset_bands(spec.background)]))
 
@@ -90,10 +101,10 @@ def band_grid(spec, points_per_band):
 def essential_support(spec, grid):
     """Index sets where each half-line boundary density is positive, by the
     open-channel threshold of the s-matrix."""
-    (m_r, checks_r), (m_l, checks_l) = _m_values(spec, 0, grid.points).values()
+    pieces = boundary_pieces(spec, [0], grid.points)
     # a pole of m carries no density, so its check is not raised
-    raise_first(checks_l[:-1] + checks_r[:-1])
-    left, right = (np.flatnonzero(m.imag > SUPPORT_TOL) for m in (m_l, m_r))
+    raise_first(pieces.m_checks["left"][:-1] + pieces.m_checks["right"][:-1])
+    left, right = (np.flatnonzero(d[0] > 0) for d in (pieces.density_l, pieces.density_r))
     union = np.union1d(left, right)
     return {"left": left, "right": right, "union": union}
 

@@ -113,11 +113,16 @@ def band_edges(background):
 
 
 def _real_energies(lams):
-    """``lams`` as a 1-d float array; complex energies are refused, since a
-    cast would drop Im z and evaluate at ``Re z + i0``."""
+    """``lams``, one energy or a 1-d grid, as a 1-d float array.  Only integer
+    and float values pass: a cast would drop Im z and evaluate at
+    ``Re z + i0``, read ``'0.3'`` as 0.3 and ``True`` as 1.0."""
     lams = np.asarray(lams)
     if lams.dtype.kind == "c":
         raise ValueError("real-axis evaluation takes real energies, got complex values")
+    if lams.dtype.kind not in "iuf":
+        raise ValueError(f"real-axis evaluation takes real energies, got dtype {lams.dtype}")
+    if lams.ndim > 1:
+        raise ValueError(f"energies must be one value or a 1-d grid, got shape {lams.shape}")
     return np.atleast_1d(lams.astype(float, copy=False))
 
 

@@ -34,9 +34,9 @@ from .bands import band_intervals
 from .dynamics import dynamical_reflection
 from .errors import JacobiReflectError, NumericalError, SchemaError, first_refusals
 from .jost import _sq_abs, alpha_beta_grid
-from .mfunc import _m_values
+from .mfunc import boundary_pieces
 from .model import parse_config
-from .scattering import _s_entries, boundary_pieces, scattering_grid, unitarity_defect_grid
+from .scattering import _s_entries, scattering_grid, unitarity_defect_grid
 
 __all__ = ["main", "run"]
 
@@ -168,8 +168,9 @@ def _skip(lams, refusals):
 
 def _cmd_mfunc(args, spec, grid):
     lams = grid.points
-    (m_r, checks_r), (m_l, checks_l) = _m_values(spec, args.n, lams).values()
-    ok = _skip(lams, first_refusals(checks_r + checks_l))
+    pieces = boundary_pieces(spec, [args.n], lams)
+    ok = _skip(lams, first_refusals(pieces.m_checks["right"] + pieces.m_checks["left"]))
+    m_r, m_l = pieces.m["right"][0], pieces.m["left"][0]
     return 0, {"lambda": lams[ok], "re_m_right": m_r[ok].real, "im_m_right": m_r[ok].imag,
                "re_m_left": m_l[ok].real, "im_m_left": m_l[ok].imag}
 

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bands import _inset_bands, band_intervals
+from .bands import _inset_bands, _real_energies, band_intervals
 from .errors import CrossCheckFailure, HorizonExceeded, WindowTooSmall, raise_first
 from .jost import _jost_values
 from .model import (N_MAX, JacobiSpec, _check_half_width,  # re-exports N_MAX
@@ -234,6 +234,7 @@ def group_velocity(background, lam0):
 
 
 def _check_packet_band(background, lam0, dlam):
+    _real_energies(lam0)
     for lo, hi in band_intervals(background):
         if lo < lam0 - 3 * dlam and lam0 + 3 * dlam < hi:
             return

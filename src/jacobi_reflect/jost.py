@@ -175,7 +175,7 @@ def jost_solution(spec, side, lam, k_min=None, k_max=None):
     k_lo, k_hi = _site_range(spec, k_min, k_max)
     j = "rl".index(side)
     vals, (edge, seed, norm, rec) = _jost_values(
-        spec, np.array([float(lam)]), k_lo, k_hi, coefficient_arrays(spec, k_lo, k_hi))
+        spec, _real_energies([lam]), k_lo, k_hi, coefficient_arrays(spec, k_lo, k_hi))
     raise_first([edge, seed[j], norm[j], rec[j]])
     return JostSolution(side=side, lam=float(lam), k_min=k_lo, k_max=k_hi,
                         values=vals[j, :, 0] / vals[j, -k_lo, 0], spec=spec)
@@ -255,10 +255,10 @@ def alpha_beta(spec, lam):
     returns the reflection probability R_r = |beta/alpha|^2 as well.  The
     one-point view of ``alpha_beta_grid``: raises the energy's refusal.
     """
-    grid = alpha_beta_grid(spec, np.array([float(lam)]))
+    grid = alpha_beta_grid(spec, [lam])
     if grid.status[0] is not None:
         raise grid.status[0]
-    return ReflectionDatum(lam=lam, alpha=complex(grid.alpha[0]),
+    return ReflectionDatum(lam=float(grid.lams[0]), alpha=complex(grid.alpha[0]),
                            beta=complex(grid.beta[0]), R_r=float(grid.R_r[0]))
 
 
@@ -294,7 +294,7 @@ def green_offdiag(spec, n, m, lam):
     _check_integer(n, "site n")
     _check_integer(m, "site m")
     lo, hi = min(n, m), max(n, m)
-    lams = np.array([float(lam)])
+    lams = _real_energies([lam])
     k_lo, k_hi = _site_range(spec)
     k_lo, k_hi = min(k_lo, lo - 1), max(k_hi, hi + 1)
     coeffs = coefficient_arrays(spec, k_lo, k_hi)

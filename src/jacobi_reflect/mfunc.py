@@ -21,6 +21,20 @@ Lattices*, ch. 7), not a probe: off the real axis and in gaps psi_r takes
 Im m > 0, the boundary value at ``lambda + i0``.  Values at ``lambda - i0``
 are conjugates of the ``+`` side ones.
 
+``boundary_pieces`` is the one route that reads the Weyl pairs at cut
+sites, off one sweep over bonds min(cuts)-1..max(cuts).  At each cut it
+gives m_right(n) and m_left(n), the channel densities (an Im m under
+``SUPPORT_TOL`` is a closed channel, 0) and G_nn:
+
+    G_nn = psi_l(n) psi_r(n) / W,   W = a_k (psi_l(k) psi_r(k+1) - psi_l(k+1) psi_r(k))
+
+W is the same on every bond k, so G_nn is taken once from the pairs at
+bond n and once from those at bond n-1, and the two are cross-checked
+against ``CROSS_TOL``.  The m routes below, ``ac_density``,
+``analysis.essential_support`` and the CLI's ``mfunc`` read m and the
+channels off it; ``scattering`` builds G_nn's views and the s-matrix on
+it.  (``jost._jost_values`` is the one reader on a window of sites.)
+
 ``m_right`` and ``m_left`` are views of the grid routes at one
 ``BoundaryPoint``: the value there as a complex number.  ``_at_point``,
 which ``scattering.green_diag`` shares, takes ``lam`` or ``z`` as a
@@ -29,9 +43,10 @@ one-point grid and conjugates on the ``-`` side.
 m is infinite where u_n = 0, at a Dirichlet eigenvalue of the half line:
 the m-value routes raise PoleHit there, while the whole-line quantities read
 off the same values (``ac_density``, G_nn, the s-matrix) stay finite.  The
-sweep and ``_m_values`` raise no refusal: they return ``(mask, refusal)``
-checks, and a one-side route raises only its own side's.  Non-finite
-energies are bad input (``ValueError``), not refusals.
+sweep and ``boundary_pieces`` raise no refusal: they return ``(mask,
+refusal)`` checks, and a one-side route raises only its own side's
+``m_checks`` (band edge, seed, pole).  Non-finite energies are bad input
+(``ValueError``), not refusals.
 """
 
 from __future__ import annotations
@@ -53,6 +68,8 @@ SEED_TOL = 64 * np.finfo(float).eps
 # A step multiplies a pair's 1-norm by at most 1 + (|z - b_k| + a_k) / a_{k-1}:
 # 16 steps between rescalings overflow only if that factor reaches 1e19.
 RESCALE_EVERY = 16
+CROSS_TOL = 1e-10    # relative agreement required of G_nn from two bonds
+SUPPORT_TOL = 1e-10  # Im m below this counts as a closed channel
 
 __all__ = [
     "WeylSolution",
@@ -228,26 +245,80 @@ def _ratios(sol, bonds, a):
     return out
 
 
-def _m_values(spec, n, pts, real_limit=True):
-    """m_right(n) and m_left(n) over a grid, 0 at their poles, read off one
-    sweep over bonds n-1..n: ``{side: (m, checks)}``, right then left, each
-    side's checks in order: the band edge (real axis only), its seed and its
-    pole."""
-    _check_integer(n, "cut site n")
-    right, left, (*edge, seed_r, seed_l) = weyl_sweep(spec, n - 1, n, pts, real_limit)
-    rho, zero, _, _ = _ratios(right, n, spec.a(n))
-    _, _, sigma, top = _ratios(left, n - 1, spec.a(n - 1))
-    return {side: (m, edge + [seed, (pole, lambda i, side=side: PoleHit(
-                f"m_{side}({n}) has a pole at {np.atleast_1d(pts)[i]}: the {side} Weyl "
-                f"solution vanishes at site {n}"))])
-            for side, m, seed, pole in (("right", -rho / spec.a(n), seed_r, zero),
-                                        ("left", -sigma / spec.a(n - 1), seed_l, top))}
+class BoundaryPieces(NamedTuple):
+    """What the routes need at a set of cuts, as [cut, point] arrays."""
+
+    g: np.ndarray          # G_nn, cross-checked
+    m: dict                # {side: m_side(n)}; 0 at a pole
+    density_l: np.ndarray  # Im m_left(n); 0 on a closed channel or at a pole
+    density_r: np.ndarray  # Im m_right(n)
+    specref: np.ndarray    # |a_n^2 m_right(n) conj(m_left(n+1)) - 1|; inf at a pole
+    a_l: np.ndarray        # a_{n-1}, [cut, 1]
+    a_r: np.ndarray        # a_n
+    checks: list           # (mask, refusal) per check, masks over the points
+    m_checks: dict         # {side: an m route's checks}: band edge, seed, pole
+
+
+def _green(a, r1, pole1, r2, pole2):
+    # G_kk = psi_l(k) psi_r(k) / W = 1 / (a (r1 - r2)) in the ratios of a bond at site k;
+    # 0 at a pole of a ratio (psi_l(k) or psi_r(k) is 0) and at a flagged zero denominator
+    d = a * (r1 - r2)
+    zero = pole1 | pole2
+    bad = ~zero & (np.abs(d) <= POLE_TOL * a * (np.abs(r1) + np.abs(r2)))
+    return np.divide(1.0, d, out=np.zeros(d.shape, complex), where=~(zero | bad)), bad.any(axis=0)
+
+
+def boundary_pieces(spec, cuts, pts, real_limit=True):
+    """G_nn, m_right(n), m_left(n), the channel data and the checks at every
+    cut, read off one sweep over bonds min(cuts)-1..max(cuts)."""
+    for n in cuts:
+        _check_integer(n, "cut site n")
+    cuts = np.asarray(cuts, dtype=int)
+    lo, hi = int(cuts.min()) - 1, int(cuts.max())
+    bonds = np.arange(lo, hi + 1)
+    right, left, checks = weyl_sweep(spec, lo, hi, pts, real_limit)
+    *edge, seed_r, seed_l = checks
+    a = coefficient_arrays(spec, lo, hi)[0][:, None]
+    # ratios u_{k+1}/u_k (rho) and u_k/u_{k+1} (sigma) of both pairs on each bond
+    rho_r, zero_r, sig_r, top_r = _ratios(right, bonds, a)
+    rho_l, zero_l, sig_l, top_l = _ratios(left, bonds, a)
+    g, pole = _green(a, rho_r, zero_r, rho_l, zero_l)
+    g_prev, pole_prev = _green(a, sig_l, top_l, sig_r, top_r)
+    g, g_prev = g[1:], g_prev[:-1]          # G_kk from bond k and from bond k-1
+    scale = np.maximum(np.maximum(np.abs(g), np.abs(g_prev)), 1e-300)
+    rel = np.max(np.abs(g - g_prev) / scale, axis=0, initial=0.0)
+    checks += [(pole | pole_prev, lambda j: PoleHit("G_nn denominator vanishes (eigenvalue hit)")),
+               (rel > CROSS_TOL, lambda j: CrossCheckFailure(
+                   f"G_nn from the Wronskians at bonds n-1 and n disagrees by "
+                   f"{rel[j]:.3e} (> {CROSS_TOL})"))]
+    # m_right(k) and m_left(k+1) off bond k, 0 where psi_r(k) or psi_l(k+1) is
+    m_right, m_left = -rho_r / a, -sig_l / a
+    i = cuts - lo                           # row of bond n
+    m_r, pole_r = m_right[i], zero_r[i]
+    m_l, pole_l = m_left[i - 1], top_l[i - 1]
+    specref = np.where(pole_r | top_l[i], np.inf,
+                       np.abs(a[i] * a[i] * m_r * np.conj(m_left[i]) - 1.0))
+    # a closed channel, or a pole of m, has no density
+    dens_l, dens_r = (np.where(~pole & (m.imag > SUPPORT_TOL), m.imag, 0.0)
+                      for m, pole in ((m_l, pole_l), (m_r, pole_r)))
+
+    def m_pole(side, pole):
+        def refusal(j):
+            n = cuts[np.flatnonzero(pole[:, j])[0]]
+            return PoleHit(f"m_{side}({n}) has a pole at {np.atleast_1d(pts)[j]}: the {side} "
+                           f"Weyl solution vanishes at site {n}")
+        return pole.any(axis=0), refusal
+
+    m_checks = {"right": [*edge, seed_r, m_pole("right", pole_r)],
+                "left": [*edge, seed_l, m_pole("left", pole_l)]}
+    return BoundaryPieces(g[i - 1], {"right": m_r, "left": m_l}, dens_l, dens_r, specref,
+                          a[i - 1], a[i], checks, m_checks)
 
 
 def _m_raising(spec, n, pts, side, real_limit):
-    m, checks = _m_values(spec, n, pts, real_limit)[side]
-    raise_first(checks)
-    return m
+    pieces = boundary_pieces(spec, [n], pts, real_limit)
+    raise_first(pieces.m_checks[side])
+    return pieces.m[side][0]
 
 
 def m_right_grid(spec, n, z):
@@ -300,6 +371,6 @@ def ac_density(spec, n, lams, side="right"):
     of m on the real axis carries none, so its check is not raised."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    m, checks = _m_values(spec, n, lams)[side]
-    raise_first(checks[:-1])
-    return m.imag / np.pi
+    pieces = boundary_pieces(spec, [n], lams)
+    raise_first(pieces.m_checks[side][:-1])
+    return pieces.m[side][0].imag / np.pi

@@ -1,14 +1,9 @@
 """Diagonal Green's function and the two-channel scattering matrix.
 
 Cutting the lattice at site ``n`` defines a left and a right channel.  Both
-quantities are read off the two Weyl solutions that one ``mfunc.weyl_sweep``
-call returns:
-
-    G_nn = psi_l(n) psi_r(n) / W,   W = a_k (psi_l(k) psi_r(k+1) - psi_l(k+1) psi_r(k))
-
-W is the same on every bond k.  G_nn is taken once from the pairs at bond n
-and once from those at bond n-1, and the two are cross-checked.  On the real
-axis the 2x2 scattering matrix of the cut is
+quantities are read off the cut route ``mfunc.boundary_pieces``, which owns
+G_nn, its cross-check and the channel densities.  On the real axis the 2x2
+scattering matrix of the cut is
 
     s_jk = delta_jk + 2i a_j a_k G_nn(lam+i0) sqrt(Im m_j Im m_k)
 
@@ -16,29 +11,24 @@ with a_l = a_{n-1}, a_r = a_n and m_j the half-line m-functions at the
 cut.  A channel with vanishing boundary density is closed; its density
 factor is exactly 0, so its row of s is exactly the identity, and it adds
 nothing to the unitarity defect ``max|s s* - I|``.  A pole of m_j on the
-real axis is a closed channel too, and G_nn stays finite there.
-``boundary_pieces`` raises no refusal: it carries each point's checks, the
-sweep's (band edge, right seed, left seed) and its own (a vanishing G_nn
-denominator, the G_nn cross-check).
+real axis is a closed channel too, and G_nn stays finite there.  The grid
+routes raise the route's ``checks``: the sweep's (band edge, right seed,
+left seed) and G_nn's (a vanishing denominator, the cross-check).
 
-The scalar views take one energy: ``green_diag`` gives G_nn at a
-``BoundaryPoint`` as a complex number (through ``mfunc._at_point``),
-``channel_weight`` the pair ``(v_l, v_r)``.
+The scalar views take one energy, through the grid routes' gate on real
+energies: ``green_diag`` gives G_nn at a ``BoundaryPoint`` as a complex
+number (through ``mfunc._at_point``), ``scattering_matrix`` the s-matrix
+and ``channel_weight`` the pair ``(v_l, v_r)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CrossCheckFailure, NoOpenChannel, NumericalError, PoleHit, raise_first
-from .mfunc import POLE_TOL, _at_point, _ratios, weyl_sweep
-from .model import _check_integer, coefficient_arrays
-
-CROSS_TOL = 1e-10    # relative agreement required of G_nn from two bonds
-SUPPORT_TOL = 1e-10  # Im m below this counts as a closed channel
+from .errors import NoOpenChannel, NumericalError, raise_first
+from .mfunc import _at_point, boundary_pieces
 
 __all__ = [
     "ScatteringMatrix",
@@ -76,60 +66,6 @@ class ScatteringMatrix:
 
     def matrix(self):
         return np.array([[self.s_ll, self.s_lr], [self.s_rl, self.s_rr]])
-
-
-class BoundaryPieces(NamedTuple):
-    """What the criteria need at a set of cuts, as [cut, point] arrays."""
-
-    g: np.ndarray          # G_nn, cross-checked
-    density_l: np.ndarray  # Im m_left(n); 0 on a closed channel or at a pole
-    density_r: np.ndarray  # Im m_right(n)
-    specref: np.ndarray    # |a_n^2 m_right(n) conj(m_left(n+1)) - 1|; inf at a pole
-    a_l: np.ndarray        # a_{n-1}, [cut, 1]
-    a_r: np.ndarray        # a_n
-    checks: list           # (mask, refusal) per check, masks over the points
-
-
-def _green(a, r1, pole1, r2, pole2):
-    # G_kk = psi_l(k) psi_r(k) / W = 1 / (a (r1 - r2)) in the ratios of a bond at site k;
-    # 0 at a pole of a ratio (psi_l(k) or psi_r(k) is 0) and at a flagged zero denominator
-    d = a * (r1 - r2)
-    zero = pole1 | pole2
-    bad = ~zero & (np.abs(d) <= POLE_TOL * a * (np.abs(r1) + np.abs(r2)))
-    return np.divide(1.0, d, out=np.zeros(d.shape, complex), where=~(zero | bad)), bad.any(axis=0)
-
-
-def boundary_pieces(spec, cuts, pts, real_limit=True):
-    """G_nn, the channel data and the checks at every cut, read off one sweep."""
-    for n in cuts:
-        _check_integer(n, "cut site n")
-    cuts = np.asarray(cuts, dtype=int)
-    lo, hi = int(cuts.min()) - 1, int(cuts.max())
-    bonds = np.arange(lo, hi + 1)
-    right, left, checks = weyl_sweep(spec, lo, hi, pts, real_limit)
-    a = coefficient_arrays(spec, lo, hi)[0][:, None]
-    # ratios u_{k+1}/u_k (rho) and u_k/u_{k+1} (sigma) of both pairs on each bond
-    rho_r, zero_r, sig_r, top_r = _ratios(right, bonds, a)
-    rho_l, zero_l, sig_l, top_l = _ratios(left, bonds, a)
-    g, pole = _green(a, rho_r, zero_r, rho_l, zero_l)
-    g_prev, pole_prev = _green(a, sig_l, top_l, sig_r, top_r)
-    g, g_prev = g[1:], g_prev[:-1]          # G_kk from bond k and from bond k-1
-    scale = np.maximum(np.maximum(np.abs(g), np.abs(g_prev)), 1e-300)
-    rel = np.max(np.abs(g - g_prev) / scale, axis=0, initial=0.0)
-    checks += [(pole | pole_prev, lambda j: PoleHit("G_nn denominator vanishes (eigenvalue hit)")),
-               (rel > CROSS_TOL, lambda j: CrossCheckFailure(
-                   f"G_nn from the Wronskians at bonds n-1 and n disagrees by "
-                   f"{rel[j]:.3e} (> {CROSS_TOL})"))]
-    i = cuts - lo                           # row of bond n
-    m_r, pole_r = -rho_r[i] / a[i], zero_r[i]
-    m_l, pole_l = -sig_l[i - 1] / a[i - 1], top_l[i - 1]
-    m_l_next, pole_next = -sig_l[i] / a[i], top_l[i]
-    specref = np.where(pole_r | pole_next, np.inf,
-                       np.abs(a[i] * a[i] * m_r * np.conj(m_l_next) - 1.0))
-    # a closed channel, or a pole of m, has no density
-    dens_l, dens_r = (np.where(~pole & (m.imag > SUPPORT_TOL), m.imag, 0.0)
-                      for m, pole in ((m_l, pole_l), (m_r, pole_r)))
-    return BoundaryPieces(g[i - 1], dens_l, dens_r, specref, a[i - 1], a[i], checks)
 
 
 def green_diag_grid(spec, n, pts, real_limit=True):
@@ -179,7 +115,7 @@ def scattering_grid(spec, n, lams):
 
 def scattering_matrix(spec, n, lam):
     """Scalar scattering matrix at one energy; both channels closed raises."""
-    res = scattering_grid(spec, n, np.array([float(lam)]))
+    res = scattering_grid(spec, n, [lam])
     d_l, d_r = float(res["density_l"][0]), float(res["density_r"][0])
     if d_l == 0.0 and d_r == 0.0:
         raise NoOpenChannel(f"both channels closed at lambda = {lam}")
@@ -207,7 +143,7 @@ def reflection_transmission(s):
 
 def channel_weight(spec, n, lam):
     """``(v_l, v_r)``: square roots of the boundary a.c. densities Im m / pi."""
-    res = scattering_grid(spec, n, np.array([float(lam)]))
+    res = scattering_grid(spec, n, [lam])
     return (float(np.sqrt(res["density_l"][0] / np.pi)),
             float(np.sqrt(res["density_r"][0] / np.pi)))
 

@@ -61,6 +61,19 @@ def test_explicit_grid_drops_edge_points():
     assert set(grid.dropped) == {-2.0, 2.0}
 
 
+@pytest.mark.parametrize("count", [True, 2.5, -1, "3"])
+def test_band_grid_refuses_a_bad_point_count(count):
+    # True gave one point per band, 2.5 a TypeError and -1 numpy's own refusal
+    with pytest.raises(ValueError, match="points_per_band"):
+        band_grid(period2_spec(), count)
+
+
+def test_band_grid_takes_numpy_integers():
+    spec = period2_spec()
+    assert band_grid(spec, np.int64(7)).points.tobytes() == band_grid(spec, 7).points.tobytes()
+    assert len(band_grid(spec, 0)) == 0
+
+
 def test_band_grid_stays_inside_bands():
     spec = period2_spec()
     grid = band_grid(spec, 250)

@@ -4,13 +4,14 @@ import pytest
 from jacobi_reflect import (Background, BoundaryPoint, CrossCheckFailure,
                             EnergyGrid, JacobiSpec, NoOpenChannel, ScatteringMatrix,
                             ac_density, alpha_beta, alpha_beta_grid, band_grid,
-                            channel_weight, green_diag, green_diag_grid, green_offdiag,
-                            jost_solution, m_left_boundary, m_left_grid,
+                            band_intervals, channel_weight, green_diag, green_diag_grid,
+                            green_offdiag, group_velocity, jost_solution,
+                            m_left_boundary, m_left_grid,
                             m_right_boundary, m_right_grid,
                             reflection_transmission, reflectionless_report,
                             scattering_grid, scattering_matrix,
                             spectral_reflection_mratio_grid, unitarity_defect,
-                            unitarity_defect_grid)
+                            unitarity_defect_grid, wave_packet)
 from jacobi_reflect import mfunc, scattering
 from jacobi_reflect.errors import first_refusals
 
@@ -155,7 +156,7 @@ def test_corrupted_seed_trips_the_seed_check(monkeypatch):
 
 def test_broken_recursion_trips_the_bond_check(monkeypatch):
     # u_1 of the right solution off by 1e-6: no longer a solution at site 0
-    sweep = scattering.weyl_sweep
+    sweep = mfunc.weyl_sweep
 
     def broken(*args):
         right, left, checks = sweep(*args)
@@ -163,9 +164,40 @@ def test_broken_recursion_trips_the_bond_check(monkeypatch):
         return right, left, checks
 
     spec = perturbed_period3_spec()
-    monkeypatch.setattr(scattering, "weyl_sweep", broken)
+    monkeypatch.setattr(mfunc, "weyl_sweep", broken)
     with pytest.raises(CrossCheckFailure):
         scattering_grid(spec, 0, band_grid(spec, 50).points)
+
+
+def test_every_cut_route_reads_the_one_sweep(monkeypatch):
+    # u_{n+1} of psi_r at the largest cut n off by 1e-6: the m routes return
+    # the shifted m_right(n), and the G_nn routes see it disagree with G_nn
+    # from bond n-1
+    sweep = mfunc.weyl_sweep
+
+    def shifted(spec, lo, hi, *args):
+        right, left, checks = sweep(spec, lo, hi, *args)
+        right.upper[hi - right.first] *= 1.0 + 1e-6
+        return right, left, checks
+
+    spec = perturbed_period3_spec()
+    lo, hi = band_intervals(spec.background)[0]
+    lams = np.linspace(lo, hi, 7)[1:-1]
+    zs = lams + 0.5j
+    m_real, m_complex = m_right_boundary(spec, 0, lams), m_right_grid(spec, 0, zs)
+    grid = EnergyGrid(points=lams)
+    assert reflectionless_report(spec, grid).re_g.shape == (7, lams.size)
+    monkeypatch.setattr(mfunc, "weyl_sweep", shifted)
+    # on the real axis Im m comes from the flux, which the shift leaves alone
+    m = m_right_boundary(spec, 0, lams)
+    np.testing.assert_allclose(m.real, m_real.real * (1.0 + 1e-6), rtol=1e-13)
+    assert m.imag.tobytes() == m_real.imag.tobytes()
+    np.testing.assert_allclose(m_right_grid(spec, 0, zs), m_complex * (1.0 + 1e-6), rtol=1e-13)
+    match = "G_nn from the Wronskians at bonds n-1 and n disagrees"
+    for route in (lambda: green_diag_grid(spec, 0, lams), lambda: scattering_grid(spec, 0, lams),
+                  lambda: reflectionless_report(spec, grid)):
+        with pytest.raises(CrossCheckFailure, match=match):
+            route()
 
 
 def test_a_point_that_cannot_be_seeded_is_flagged_not_raised():
@@ -239,19 +271,64 @@ def test_closed_form_transmission_over_the_band(kind, value):
     assert np.abs(r_mratio - (1.0 - t_exact)).max() <= 1e-13
 
 
-@pytest.mark.parametrize("route", [
-    pytest.param(lambda spec, z: green_diag_grid(spec, 0, z), id="green_diag_grid"),
-    pytest.param(lambda spec, z: m_right_boundary(spec, 0, z), id="m_right_boundary"),
-    pytest.param(lambda spec, z: m_left_boundary(spec, 0, z), id="m_left_boundary"),
-    pytest.param(lambda spec, z: ac_density(spec, 0, z), id="ac_density"),
-    pytest.param(lambda spec, z: scattering_grid(spec, 0, z), id="scattering_grid"),
-    pytest.param(alpha_beta_grid, id="alpha_beta_grid"),
-    pytest.param(spectral_reflection_mratio_grid, id="spectral_reflection_mratio_grid"),
+REAL_AXIS_GRID_ROUTES = {
+    "green_diag_grid": lambda spec, z: green_diag_grid(spec, 0, z),
+    "m_right_boundary": lambda spec, z: m_right_boundary(spec, 0, z),
+    "m_left_boundary": lambda spec, z: m_left_boundary(spec, 0, z),
+    "ac_density": lambda spec, z: ac_density(spec, 0, z),
+    "scattering_grid": lambda spec, z: scattering_grid(spec, 0, z),
+    "alpha_beta_grid": alpha_beta_grid,
+    "spectral_reflection_mratio_grid": spectral_reflection_mratio_grid,
+}
+# the one-energy views: each takes its energy through the grid routes' gate
+ONE_POINT_VIEWS = {
+    "scattering_matrix": lambda spec, lam: scattering_matrix(spec, 0, lam),
+    "channel_weight": lambda spec, lam: channel_weight(spec, 0, lam),
+    "alpha_beta": alpha_beta,
+    "jost_solution": lambda spec, lam: jost_solution(spec, "r", lam),
+    "green_offdiag": lambda spec, lam: green_offdiag(spec, -1, 2, lam),
+    "group_velocity": lambda spec, lam: group_velocity(spec.background, lam),
+    "wave_packet": lambda spec, lam: wave_packet(spec, "l", lam, 0.05, 500),
+}
+
+
+@pytest.mark.parametrize("route, z", [
+    *(pytest.param(r, np.array([0.3 + 0.1j]), id=k) for k, r in REAL_AXIS_GRID_ROUTES.items()),
+    *(pytest.param(r, 0.3 + 0.1j, id=k) for k, r in ONE_POINT_VIEWS.items()),
 ])
-def test_real_axis_routes_refuse_complex_energies(route):
-    # a cast to float would drop Im z: G(0.3 + i0) in place of G(0.3 + 0.1i)
+def test_real_axis_routes_refuse_complex_energies(route, z):
+    # a cast to float would drop Im z: G(0.3 + i0) in place of G(0.3 + 0.1i);
+    # the one-point views cast first and raised TypeError
     with pytest.raises(ValueError, match="real energies"):
-        route(single_site_spec(), np.array([0.3 + 0.1j]))
+        route(single_site_spec(), z)
+
+
+@pytest.mark.parametrize("bad", [True, "0.3"], ids=["bool", "str"])
+@pytest.mark.parametrize("route, one_point", [
+    *(pytest.param(r, False, id=k) for k, r in REAL_AXIS_GRID_ROUTES.items()),
+    *(pytest.param(r, True, id=k) for k, r in ONE_POINT_VIEWS.items()),
+])
+def test_real_axis_routes_refuse_bool_and_str_energies(route, one_point, bad):
+    # neither read as 1.0 or 0.3 nor left to fail as a TypeError
+    with pytest.raises(ValueError, match="real energies, got dtype"):
+        route(single_site_spec(), bad if one_point else [bad])
+
+
+@pytest.mark.parametrize("route", REAL_AXIS_GRID_ROUTES)
+def test_real_axis_routes_refuse_a_2d_grid(route):
+    # not an IndexError from numpy
+    with pytest.raises(ValueError, match="1-d grid, got shape"):
+        REAL_AXIS_GRID_ROUTES[route](single_site_spec(), [[0.3, 0.4]])
+
+
+def test_one_point_views_keep_float_bits():
+    spec = perturbed_period3_spec()
+    datum = alpha_beta(spec, 0)
+    assert type(datum.lam) is float and datum.lam == 0.0
+    assert datum == alpha_beta(spec, 0.0)
+    s = scattering_matrix(spec, 0, np.float64(0.3))
+    res = scattering_grid(spec, 0, [0.3])
+    assert (s.s_ll, s.s_lr) == (complex(res["s_ll"][0]), complex(res["s_lr"][0]))
 
 
 def test_non_finite_energies_are_bad_input():
