@@ -8,7 +8,11 @@ subcommand does not read, is a usage error.  ``jost`` reports cut 0 and
 --n.  Results go to stdout or, with --out, to a file written atomically
 (temp file + rename).  --format picks CSV (default) or JSON; both carry
 the same numbers, as 17 significant digits in CSV and the shortest
-round-trip repr in JSON, so both parse to the exact double.
+round-trip repr in JSON, so both parse to the exact double.  A subcommand
+computes its whole result before the first byte is written, so a refusal
+prints nothing to stdout; the output is then formatted and written
+BLOCK_ROWS rows at a time, and rendering holds one block, never the whole
+document.
 
 Exit codes: 0 success; 2 = reflect-check found the criteria disagreeing;
 3 = bad flags or config; 4 = numerical failure (mfunc, green, scatter and
@@ -39,6 +43,8 @@ from .model import parse_config
 from .scattering import _s_entries, scattering_grid, unitarity_defect_grid
 
 __all__ = ["main", "run"]
+
+BLOCK_ROWS = 1024    # rows formatted and written at a time
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,33 +88,48 @@ def _cells(col, json_out):
 
 
 def _render(args, command, columns, data):
-    """Format whole columns: one %-template per row, one % for all rows."""
+    """Yield the document in pieces: the header, then BLOCK_ROWS rows at a
+    time, each block formatted by one %-template per row and one % for all
+    its rows."""
     json_out = args.format == "json"
-    specs, cols = zip(*(_cells(data[k], json_out) for k in columns))
-    n = len(cols[0])
-    flat = tuple(itertools.chain.from_iterable(zip(*cols)))
-    if not json_out:
-        return ",".join(columns) + "\n" + ((",".join(specs) + "\n") * n) % flat
-    doc = {"command": command, "seed": args.seed, "columns": list(columns),
-           "rows": []}
-    head, tail = json.dumps(doc, indent=2).rsplit("[]", 1)
-    if not n:
-        return head + "[]" + tail + "\n"
-    keys = (json.dumps(k).replace("%", "%%") for k in columns)
-    row = ",\n".join(f"      {k}: {f}" for k, f in zip(keys, specs))
-    body = ",\n".join([f"    {{\n{row}\n    }}"] * n) % flat
-    return head + "[\n" + body + "\n  ]" + tail + "\n"
+    n = len(data[columns[0]])
+    if json_out:
+        doc = {"command": command, "seed": args.seed, "columns": list(columns),
+               "rows": []}
+        head, tail = json.dumps(doc, indent=2).rsplit("[]", 1)
+        if not n:
+            yield head + "[]" + tail + "\n"
+            return
+        yield head + "[\n"
+        keys = [json.dumps(k).replace("%", "%%") for k in columns]
+    else:
+        yield ",".join(columns) + "\n"
+    for start in range(0, n, BLOCK_ROWS):
+        # the %-spec of a column may differ between blocks (a JSON float
+        # column is %r only where finite); every spec gives the same text
+        specs, cols = zip(*(_cells(data[k][start:start + BLOCK_ROWS], json_out)
+                            for k in columns))
+        flat = tuple(itertools.chain.from_iterable(zip(*cols)))
+        rows = len(cols[0])
+        if not json_out:
+            yield ((",".join(specs) + "\n") * rows) % flat
+            continue
+        row = ",\n".join(f"      {k}: {f}" for k, f in zip(keys, specs))
+        body = ",\n".join([f"    {{\n{row}\n    }}"] * rows) % flat
+        yield ",\n" + body if start else body    # the row separator across blocks
+    if json_out:
+        yield "\n  ]" + tail + "\n"
 
 
-def _write(text, path):
+def _write(pieces, path):
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jacobi-reflect-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

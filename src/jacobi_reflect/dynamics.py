@@ -59,6 +59,10 @@ PACKET_MARGIN = 10    # sites between the window and a packet's edge, at the sta
 CHEB_TOL = 1e-18      # last Bessel coefficient kept in the Chebyshev sum
 # the share of a Gaussian energy profile of width dlambda outside lambda0 +- 3 dlambda
 ENERGY_TAIL = erfc(3.0 / sqrt(2.0))
+# 21-node Gauss-Hermite rule (weight exp(-x^2 / 2)) for the stationary average,
+# built once and read-only
+_HERMITE_X, _HERMITE_W = np.polynomial.hermite_e.hermegauss(21)
+_HERMITE_X.flags.writeable = _HERMITE_W.flags.writeable = False
 
 __all__ = [
     "LatticeState",
@@ -313,13 +317,12 @@ def wave_packet(spec, side, lam0, dlam, N):
 
 def _stationary_reflection_avg(spec, lam0, dlam):
     """21-node Gauss-Hermite average of the stationary R over the packet's energies."""
-    x, w = np.polynomial.hermite_e.hermegauss(21)
-    lams = lam0 + dlam * x
+    lams = lam0 + dlam * _HERMITE_X
     lo, hi = _inset_bands(spec.background).T[..., None]   # [band, node] with lams
     keep = ((lo < lams) & (lams < hi)).any(axis=0)
     res = scattering_grid(spec, 0, lams[keep])
     r = np.abs(res["s_ll"]) ** 2
-    return float(np.sum(w[keep] * r) / np.sum(w[keep]))
+    return float(np.sum(_HERMITE_W[keep] * r) / np.sum(_HERMITE_W[keep]))
 
 
 def _smallest_half_width(spec, k_pack, t_star):

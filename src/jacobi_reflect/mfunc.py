@@ -51,6 +51,7 @@ refusal)`` checks, and a one-side route raises only its own side's
 
 from __future__ import annotations
 
+from collections import deque
 from typing import NamedTuple
 
 import numpy as np
@@ -167,11 +168,12 @@ def _seed_check(M, v1, v2, mu, nu, band, side):
 
 
 def weyl_sweep(spec, lo, hi, pts, real_limit=True):
-    """``(psi_r, psi_l, checks)``: both Weyl solutions on bonds lo..hi, each
-    on to its seed bond, at real energies (``lambda + i0``) when
-    ``real_limit``, else at upper-half-plane points, and their checks in
-    order: the band edge (real axis only), the right seed, the left seed.
-    It raises no refusal: a point whose seed fails is swept on and flagged.
+    """``(psi_r, psi_l, checks)``: both Weyl solutions on bonds lo..hi, at
+    real energies (``lambda + i0``) when ``real_limit``, else at
+    upper-half-plane points, and their checks in order: the band edge (real
+    axis only), the right seed, the left seed.  It raises no refusal: a
+    point whose seed fails is swept on and flagged.  Only the rows on bonds
+    lo..hi are kept, so a sweep from a far seed costs no memory per bond.
 
     psi_r is seeded at the first bond >= hi with only background to its right
     and swept down, psi_l at the last bond <= lo with only background to its
@@ -185,8 +187,9 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
         raise ValueError("interior evaluation needs Im z > 0")
     w = spec.window
     seed_r, seed_l = (max(hi, w[1] + 1), min(lo, w[0] - 1)) if w else (hi, lo)
-    # index i: site seed_l - 1 + i
-    a, b = (c.tolist() for c in coefficient_arrays(spec, seed_l - 1, seed_r + 1))
+    # index i: site seed_l - 1 + i; a memoryview indexes to Python floats, as a
+    # list would, at 8 bytes per site
+    a, b = map(memoryview, coefficient_arrays(spec, seed_l - 1, seed_r + 1))
     checks = [_near_edge(spec.background, z)] if real_limit else []
     # one energy runs on Python scalars: the kernel below is plain arithmetic
     zz = z.item() if z.size == 1 else z
@@ -197,8 +200,12 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
         up, low, *roots = _floquet_seed(*M, side, real_limit)
         checks.append(_seed_check(M, up, low, *roots, side))
         flux = a[seed - seed_l + 1] * (up * np.conj(low)).imag if real_limit else None
-        ex = np.zeros(z.shape, dtype=int) if z.size != 1 else 0
-        rows = [(up, low, ex)]
+        # the default int on one energy too: frexp's int32 exponents added to it
+        # give the exponents the grid's dtype whichever rows are kept
+        ex = np.zeros(z.shape, dtype=int) if z.size != 1 else np.int_(0)
+        # the rows on bonds lo..hi are kept; the last p rows feed the per-period step
+        ring = deque([(up, low, ex)], maxlen=p)
+        rows = [ring[0]] if lo <= seed <= hi else []
         # beyond the window a pair is the pair one period back times the multiplier
         # of larger modulus (det M = 1), free of the recursion's rounding.  np.multiply
         # on one energy too: numpy's complex product can round apart from Python's,
@@ -207,8 +214,8 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
         for count, k in enumerate(range(seed, lo, -1) if right else range(seed + 1, hi + 1), 1):
             i, bond = k - seed_l + 1, k - 1 if right else k
             if count >= p and (not w or (bond > w[1] if right else bond < w[0])):
-                up, low, ex = (np.multiply(rows[-p][0], per_period),
-                               np.multiply(rows[-p][1], per_period), rows[-p][2])
+                up, low, ex = (np.multiply(ring[0][0], per_period),
+                               np.multiply(ring[0][1], per_period), ring[0][2])
             elif right:
                 low, up = ((zz - b[i]) * low - a[i] * up) / a[i - 1], low
             else:
@@ -216,12 +223,13 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
             if count % RESCALE_EVERY == 0:      # by a power of two: exact
                 _, e = np.frexp(abs(up) + abs(low))
                 up, low, ex = up * np.ldexp(1.0, -e), low * np.ldexp(1.0, -e), ex + e
-            rows.append((up, low, ex))
+            ring.append((up, low, ex))
+            if lo <= bond <= hi:
+                rows.append(ring[-1])
         if right:
             rows.reverse()
         shape = (len(rows), z.size)
-        sols.append(WeylSolution(lo if right else seed,
-                                 *(np.array(c).reshape(shape) for c in zip(*rows)), flux))
+        sols.append(WeylSolution(lo, *(np.array(c).reshape(shape) for c in zip(*rows)), flux))
     return (*sols, checks)
 
 

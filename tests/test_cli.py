@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -593,8 +594,7 @@ GOLDEN_ARGV = (
           for n in (([],) if cmd == "reflect-check" else ([], ["--n", "1"])))
 
 
-@pytest.mark.parametrize("config", ["free", "single", "p2", "p4"])
-def test_output_matches_per_cell_renderer(configs, capsys, config):
+def _assert_golden_outputs(configs, capsys, config):
     # stdout and exit code of every subcommand, byte for byte; a grid command
     # may fail as a whole (exit 4) only where the oracle fails too
     for argv in GOLDEN_ARGV:
@@ -613,14 +613,16 @@ def test_output_matches_per_cell_renderer(configs, capsys, config):
             assert out == _oracle_render(fmt, args.command, 5, cols, rows), full
 
 
+@pytest.mark.parametrize("config", ["free", "single", "p2", "p4"])
+def test_output_matches_per_cell_renderer(configs, capsys, config):
+    _assert_golden_outputs(configs, capsys, config)
+
 
 EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
                0.1, 1e-300, 2.5]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("n_rows", [7, 0])
-def test_render_edge_cases_match_per_cell_renderer(fmt, n_rows):
+def _edge_columns(n_rows):
     nonfinite = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1.0, 3.0]
     data = {
         "finite": np.array(EDGE_FLOATS),
@@ -635,10 +637,62 @@ def test_render_edge_cases_match_per_cell_renderer(fmt, n_rows):
         "100%": np.array(EDGE_FLOATS[::-1]),
     }
     data = {k: v[:n_rows] for k, v in data.items()}
-    rows = [{k: v[j] for k, v in data.items()} for j in range(n_rows)]
+    return data, [{k: v[j] for k, v in data.items()} for j in range(n_rows)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [7, 0])
+def test_render_edge_cases_match_per_cell_renderer(fmt, n_rows):
+    data, rows = _edge_columns(n_rows)
     args = argparse.Namespace(format=fmt, seed=3)
-    text = cli._render(args, "edge", tuple(data), data)
+    text = "".join(cli._render(args, "edge", tuple(data), data))
     assert text == _oracle_render(fmt, "edge", 3, tuple(data), rows)
     if fmt == "json" and n_rows:
         assert '"nonfinite": NaN' in text and '"nonfinite": -Infinity' in text
         assert '"finite": -0.0' in text and '"finite": 5e-324' in text
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_output_is_the_same_across_block_boundaries(configs, capsys, monkeypatch, tmp_path,
+                                                    block_rows):
+    # the golden subcommands and the edge-case columns, written a few rows at a
+    # time: no rows, exactly one full block, and blocks with a partial last one
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+    for config in configs:
+        _assert_golden_outputs(configs, capsys, config)
+    out = tmp_path / "edge.out"
+    for n_rows in (0, block_rows, 7):
+        data, rows = _edge_columns(n_rows)
+        monkeypatch.setitem(cli._COMMANDS, "describe", lambda args, spec, grid: (0, data))
+        for fmt in ("csv", "json"):
+            want = _oracle_render(fmt, "describe", 3, tuple(data), rows)
+            argv = ["describe", "--config", configs["free"], "--format", fmt, "--seed", "3"]
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == want, (n_rows, fmt)
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            assert out.read_text() == want, (n_rows, fmt)
+    assert not list(tmp_path.glob(".jacobi-reflect-*"))
+
+
+def test_writing_holds_a_block_of_rows_not_the_document(tmp_path):
+    # a reflect-check-shaped JSON document of 20k rows: formatted and written
+    # one block at a time, the transient stays far below the document
+    n = 20000
+    rng = np.random.default_rng(7)
+    data = {"lambda": np.repeat(np.linspace(-2.2, 2.2, n // 7 + 1), 7)[:n],
+            "n": np.tile(np.arange(-3, 4), n // 7 + 1)[:n],
+            "re_G": rng.normal(size=n), "specref_residual": rng.uniform(size=n),
+            "s_ll_mag": rng.uniform(size=n)}
+    for k in ("verdict_mt", "verdict_spec", "verdict_stat", "agree"):
+        data[k] = rng.uniform(size=n) < 0.5
+    args = argparse.Namespace(format="json", seed=0)
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        cli._write(cli._render(args, "reflect-check", tuple(data), data), str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size / 2, (peak, size)
+    assert len(json.loads(path.read_text())["rows"]) == n

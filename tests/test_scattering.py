@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,25 @@ def test_one_energy_gets_its_bits_on_a_grid():
                 one = m_values(spec, n, gap[j:j + 1])[0]
                 assert ([x.hex() for x in (one.real, one.imag)]
                         == [x.hex() for x in (grid[j].real, grid[j].imag)]), (n, gap[j])
+
+
+def test_a_far_cut_costs_no_memory_per_bond_swept():
+    # psi_l is seeded left of the window and swept up to the cut: only the rows
+    # at the cut's bonds are kept, not one row per bond and energy on the way
+    spec = single_site_spec()
+    lams = np.linspace(-1.9, 1.9, 200)
+    scattering_grid(spec, 10, lams)         # the band caches fill here, untraced
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            scattering_grid(spec, n, lams)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    near, far = peak(10), peak(10 ** 4)
+    assert far <= 3 * near, (far, near)
 
 
 @pytest.mark.parametrize("kind, value", [("site", 0.3), ("site", 1.0), ("site", 2.5),
