@@ -205,7 +205,9 @@ def _gauss_legendre(n):
 
 
 def _fermi(lam, beta, mu):
-    return np.exp(-np.logaddexp(0.0, beta * (lam - mu)))
+    # beta (lam - mu) may overflow to +-inf, where 0 and 1 are the exact limits
+    with np.errstate(over="ignore"):
+        return np.exp(-np.logaddexp(0.0, beta * (lam - mu)))
 
 
 def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=QUADRATURE_NODES):
@@ -220,8 +222,8 @@ def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=QUADRATURE_NOD
     six orders of headroom at those distances and the integration weight
     of the near-edge nodes vanishes with the jacobian.
     """
-    if (isinstance(quadrature, bool) or not isinstance(quadrature, (int, np.integer))
-            or not 1 <= quadrature <= QUADRATURE_MAX):
+    _check_integer(quadrature, "quadrature")
+    if not 1 <= quadrature <= QUADRATURE_MAX:
         raise ValueError(f"quadrature must be an integer in [1, {QUADRATURE_MAX}], "
                          f"got {quadrature!r}")
     if not np.isfinite([beta_l, mu_l, beta_r, mu_r]).all():

@@ -50,8 +50,7 @@ import numpy as np
 from .bands import _inset_bands, _real_energies, band_intervals
 from .errors import CrossCheckFailure, HorizonExceeded, WindowTooSmall, raise_first
 from .jost import _jost_values
-from .model import (N_MAX, JacobiSpec, _check_half_width,  # re-exports N_MAX
-                    _check_integer, coefficient_arrays, truncate)
+from .model import N_MAX, JacobiSpec, _check_integer, truncate  # re-exports N_MAX
 from .scattering import scattering_grid
 
 PACKET_CUTOFF = 5.0   # envelope support radius in units of sigma
@@ -223,10 +222,9 @@ def _floquet_wave(background, lams):
     checks are raised, in that order."""
     spec = JacobiSpec(background=background)
     p = background.period
-    coeffs = coefficient_arrays(spec, 0, p + 1)
-    (u, _), (edge, seed, _, rec) = _jost_values(spec, lams, 0, p + 1, coeffs)
+    (u, _), (a, _), (edge, seed, _, rec) = _jost_values(spec, lams, 0, p + 1)
     raise_first([edge, seed[0], rec[0]])
-    cur = -2.0 * coeffs[0][0] * np.imag(np.conj(u[0]) * u[1])
+    cur = -2.0 * a[0] * np.imag(np.conj(u[0]) * u[1])
     dens = np.sum(np.abs(u[:p]) ** 2, axis=0) / p
     return u[:p], u[p] / u[0], cur / dens
 
@@ -265,7 +263,7 @@ def _packet_geometry(spec, side, lam0, dlam, N):
         raise ValueError(f"side must be 'l' or 'r', got {side!r}")
     if not dlam > 0:
         raise ValueError(f"energy width dlambda must be positive, got {dlam}")
-    _check_half_width(N)
+    _check_integer(N, "N")
     bg = spec.background
     _check_packet_band(bg, lam0, dlam)
     u, mu, v_g = _floquet_wave(bg, [lam0, lam0 - 3 * dlam, lam0 + 3 * dlam])

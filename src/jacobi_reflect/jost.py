@@ -14,10 +14,11 @@ scattering-matrix route and with the m-function ratio route.
 The solutions are the ones ``mfunc.weyl_sweep`` computes for the
 m-functions, the Green's function and the s-matrix: the branch is the one
 of ``mfunc``, with no rule of its own.  ``_jost_values`` is the one route
-that reads them on a window of sites, with their checks by kind; each
-caller names the ones it raises.  ``jost_solution`` and ``alpha_beta_grid``
-divide by psi_0, and ``jost_solution`` raises only its own side's checks;
-``green_offdiag`` and ``dynamics._floquet_wave`` need no normalization.
+that reads them on a window of sites, with the window's coefficients and
+their checks by kind; each caller names the ones it raises.
+``jost_solution`` and ``alpha_beta_grid`` divide by psi_0, and
+``jost_solution`` raises only its own side's checks; ``green_offdiag`` and
+``dynamics._floquet_wave`` need no normalization.
 
 ``alpha_beta_grid`` expands a whole energy grid at once and keeps a status
 per energy: None, or the refusal of the first check the energy fails.  A
@@ -132,12 +133,12 @@ def _rows(mask, refusal):
     return [(m, partial(refusal, j)) for j, m in enumerate(mask)]
 
 
-def _jost_values(spec, lams, k_lo, k_hi, coeffs):
+def _jost_values(spec, lams, k_lo, k_hi):
     """psi_r and psi_l on sites k_lo..k_hi (k_lo <= 0) as [side, site,
-    energy], on the scale of bond k_lo, not normalized, and their checks by
-    kind, ``(edge, seed, norm, rec)``: the band edge, then a pair, right then
-    left, for the Floquet seed, a vanishing psi_0 and the three-term
-    recursion residual.  ``coeffs`` are the sites' coefficient arrays.
+    energy], on the scale of bond k_lo, not normalized, the sites'
+    coefficient arrays ``(a, b)``, and the checks by kind, ``(edge, seed,
+    norm, rec)``: the band edge, then a pair, right then left, for the
+    Floquet seed, a vanishing psi_0 and the three-term recursion residual.
     """
     # a failed seed sweeps on, maybe to NaN or inf: nothing here may warn for it
     with np.errstate(all="ignore"):
@@ -149,7 +150,7 @@ def _jost_values(spec, lams, k_lo, k_hi, coeffs):
                      lambda j, i: NormalizationPole(
                          f"psi_0 = {psi0[j, i] + 0:.3e} vanishes at lambda = "
                          f"{lams[i]} ({'rl'[j]} side)"))
-        a, b = coeffs
+        a, b = coefficient_arrays(spec, k_lo, k_hi)
         r = (a[1:-1, None] * vals[:, 2:] + a[:-2, None] * vals[:, :-2]
              + (b[1:-1, None] - lams) * vals[:, 1:-1])
         worst = np.abs(r).max(axis=1, initial=0.0)
@@ -157,7 +158,7 @@ def _jost_values(spec, lams, k_lo, k_hi, coeffs):
         rec = _rows(worst > RECURSION_TOL * scale, lambda j, i: CrossCheckFailure(
             f"three-term recursion residual {worst[j, i]:.3e} exceeds "
             f"{RECURSION_TOL} * {scale[j, i]:.3e}"))
-    return vals, (edge, seed, norm, rec)
+    return vals, (a, b), (edge, seed, norm, rec)
 
 
 def jost_solution(spec, side, lam, k_min=None, k_max=None):
@@ -174,8 +175,7 @@ def jost_solution(spec, side, lam, k_min=None, k_max=None):
             _check_integer(k, f"window bound {name}")
     k_lo, k_hi = _site_range(spec, k_min, k_max)
     j = "rl".index(side)
-    vals, (edge, seed, norm, rec) = _jost_values(
-        spec, _real_energies([lam]), k_lo, k_hi, coefficient_arrays(spec, k_lo, k_hi))
+    vals, _, (edge, seed, norm, rec) = _jost_values(spec, _real_energies([lam]), k_lo, k_hi)
     raise_first([edge, seed[j], norm[j], rec[j]])
     return JostSolution(side=side, lam=float(lam), k_min=k_lo, k_max=k_hi,
                         values=vals[j, :, 0] / vals[j, -k_lo, 0], spec=spec)
@@ -215,17 +215,16 @@ def alpha_beta_grid(spec, lams):
     """
     lams = _real_energies(lams)
     k_lo, k_hi = _site_range(spec)
-    coeffs = coefficient_arrays(spec, k_lo, k_hi)
     # a refused energy runs on through the later checks, where it may divide
     # by zero or overflow: its values are replaced by NaN, so nothing warns
     with np.errstate(all="ignore"):
-        vals, (edge, seed, norm, rec) = _jost_values(spec, lams, k_lo, k_hi, coeffs)
+        vals, (a, _), (edge, seed, norm, rec) = _jost_values(spec, lams, k_lo, k_hi)
         checks = [edge, *seed, *norm, *rec]
         psi_r, psi_l = vals / vals[:, -k_lo, None]
         psi_rbar = np.conj(psi_r)
         w, bad, spread = _wronskian_spread(
             np.array([psi_rbar, psi_l, psi_l]), np.array([psi_r, psi_r, psi_rbar]),
-            coeffs[0][:-1, None], -k_lo)
+            a[:-1, None], -k_lo)
         checks += _rows(bad, lambda j, i: _wronskian_refusal(spread[j, i], w[j, i]))
         w_rbar_r, w_l_r, w_l_rbar = w
         checks.append((np.abs(w_rbar_r) < DEGENERATE_TOL, lambda i: DegenerateBasis(
@@ -268,7 +267,13 @@ def spectral_reflection_mratio_grid(spec, lams):
     R_r = |a_0^2 conj(m_right(0)) m_left(1) - 1|^2
         / |a_0^2 m_right(0) m_left(1) - 1|^2   at lambda + i0,
 
-    read off the Weyl pairs at bond 0 (finite at poles of m).
+    read off the Weyl pairs at bond 0 (finite at poles of m).  With
+    W(u, v) = a_0 (u_1 v_0 - u_0 v_1), the numerator here is
+    -W(psi_l, conj psi_r) / a_0 and the denominator -W(psi_l, psi_r) / a_0,
+    so this is |beta/alpha|^2 of ``alpha_beta_grid`` off the same sweep: the
+    Jost route's ratio computed twice, not an independent route.  Reading
+    m_right(0) and m_left(1) off ``mfunc.boundary_pieces``, as the formula
+    says, would make it one.
     """
     right, left, checks = weyl_sweep(spec, 0, 0, lams)
     (ru, rl), (lu, ll) = right.bond(0), left.bond(0)
@@ -297,9 +302,8 @@ def green_offdiag(spec, n, m, lam):
     lams = _real_energies([lam])
     k_lo, k_hi = _site_range(spec)
     k_lo, k_hi = min(k_lo, lo - 1), max(k_hi, hi + 1)
-    coeffs = coefficient_arrays(spec, k_lo, k_hi)
-    (psi_r, psi_l), (edge, seed, _, rec) = _jost_values(spec, lams, k_lo, k_hi, coeffs)
-    w, bad, spread = _wronskian_spread(psi_r, psi_l, coeffs[0][:-1, None], 0)
+    (psi_r, psi_l), (a, _), (edge, seed, _, rec) = _jost_values(spec, lams, k_lo, k_hi)
+    w, bad, spread = _wronskian_spread(psi_r, psi_l, a[:-1, None], 0)
     tol = DEGENERATE_TOL * np.abs(psi_r[:2]).sum(axis=0) * np.abs(psi_l[:2]).sum(axis=0)
     raise_first([edge, *seed, *rec, (bad, lambda i: _wronskian_refusal(spread[i], w[i])),
                  (np.abs(w) < tol, lambda i: PoleHit(

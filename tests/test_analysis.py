@@ -212,6 +212,19 @@ def test_landauer_quadrature_is_a_bounded_node_count():
             landauer_current(free_spec(), 2.0, 0.3, 1.0, -0.2, quadrature=q)
 
 
+def test_band_grid_count_follows_the_integer_rule():
+    with pytest.raises(ValueError, match="N_MAX"):
+        band_grid(free_spec(), 10**12)
+
+
+def test_landauer_survives_an_overflowing_inverse_temperature():
+    # beta (lam - mu) overflows to +-inf, where the Fermi factor is exactly 0 or 1;
+    # the suite turns numpy's overflow warning into an error
+    for spec in (free_spec(), single_site_spec()):
+        huge = landauer_current(spec, 1e308, 0.0, 1.0, 0.1)
+        assert huge == landauer_current(spec, 1e300, 0.0, 1.0, 0.1)
+
+
 def _per_band_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=QUADRATURE_NODES):
     """landauer_current as one boundary_pieces call per band, raising each
     band's refusal before the next band is swept."""

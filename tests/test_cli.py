@@ -369,6 +369,27 @@ def test_dynamics_half_width_past_n_max_exits_3(configs, capsys):
     assert exc.value.code == 3
 
 
+def test_integers_past_n_max_exit_3(configs, tmp_path, capsys):
+    # once an OverflowError traceback and a 7.28 TiB allocation, both exit 1
+    assert cli.main(["green", "--config", configs["single"], "--n", "99999999999999999999",
+                     "--lambda", "0.3"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "N_MAX" in err
+    far = tmp_path / "far.json"
+    far.write_text('{"background": {"kind": "free"}, '
+                   '"perturbation": {"offset": 1000000000000, "b": [1.0]}}')
+    assert cli.main(["scatter", "--config", str(far), "--lambda", "0.5"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "N_MAX" in err
+
+
+def test_transport_at_an_overflowing_inverse_temperature_exits_0(configs, capsys):
+    # the suite turns numpy's overflow warning into an error, as PYTHONWARNINGS=error does
+    assert cli.main(["transport", "--config", configs["single"], "--beta-l", "1e308",
+                     "--mu-l", "0", "--beta-r", "1", "--mu-r", "0.1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_grid_flag_with_negative_start(configs, capsys):
     assert cli.main(["green", "--config", configs["free"],
                      "--grid=-1:1:0.5"]) == 0

@@ -386,3 +386,12 @@ def test_jost_window_bounds_take_numpy_integers():
     sol = jost_solution(spec, "l", 0.3, k_min=np.int64(-5), k_max=np.int32(4))
     assert (sol.k_min, sol.k_max) == (-5, 4)
     assert sol.values.tobytes() == jost_solution(spec, "l", 0.3, -5, 4).values.tobytes()
+
+
+def test_window_sites_past_n_max_are_refused():
+    # refused before a window of 10**12 or 10**20 sites is allocated
+    spec = single_site_spec()
+    with pytest.raises(ValueError, match="N_MAX"):
+        green_offdiag(spec, 10**12, 0, 0.3)
+    with pytest.raises(ValueError, match="N_MAX"):
+        jost_solution(spec, "r", 0.3, k_min=-10**20)

@@ -123,6 +123,35 @@ def test_truncate_half_width_must_be_an_integer_up_to_n_max(N, monkeypatch):
     assert not isinstance(err.value, WindowTooSmall)
 
 
+@pytest.mark.parametrize("offset", [10**12, 2.5, True])
+def test_spec_offset_follows_the_integer_rule(offset):
+    # 2.5 once became offset 2 and True offset 1; 10**12 was accepted, and
+    # every route then asked numpy for terabytes
+    with pytest.raises(ValueError, match="N_MAX"):
+        JacobiSpec(offset=offset, b_override=(1.0,))
+
+
+def test_spec_window_ends_within_n_max():
+    assert JacobiSpec(offset=N_MAX - 1, b_override=(1.0, 0.5)).window == (N_MAX - 1, N_MAX)
+    with pytest.raises(ValueError, match="N_MAX"):
+        JacobiSpec(offset=N_MAX, a_override=(1.0, 0.5))
+
+
+def test_numpy_integer_offset_and_phase_serialize():
+    # stored as Python ints, so the config document stays JSON
+    bg = Background.periodic((1.0, 0.5), (0.0, 0.0), np.int64(1))
+    spec = JacobiSpec(background=bg, offset=np.int64(-3), b_override=(1.0,))
+    assert type(spec.offset) is int and type(spec.background.phase) is int
+    assert parse_config(json.dumps(serialize_config(spec))) == spec
+
+
+@pytest.mark.parametrize("phase", [1.5, True])
+def test_background_phase_follows_the_integer_rule(phase):
+    # neither truncated nor read as 1
+    with pytest.raises(ValueError, match="N_MAX"):
+        Background.periodic((1.0, 0.5), (0.0, 0.0), phase)
+
+
 def test_config_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(20):

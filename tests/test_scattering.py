@@ -400,3 +400,10 @@ def test_cut_site_must_be_an_integer(route, n):
     with pytest.raises(ValueError, match="must be an integer"):
         CUT_ROUTES[route](spec, n)
     CUT_ROUTES[route](spec, np.int64(2))      # numpy integers are integers
+
+
+@pytest.mark.parametrize("route", CUT_ROUTES)
+def test_cut_site_past_n_max_is_refused(route):
+    # no OverflowError from numpy's int64
+    with pytest.raises(ValueError, match="N_MAX"):
+        CUT_ROUTES[route](perturbed_period3_spec(), 10**20)

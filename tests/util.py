@@ -53,6 +53,38 @@ def random_spec(rng):
                       a_override=tuple(a), b_override=tuple(b))
 
 
+def doubly_commuted_free_spec(kappa, gamma, side, cut=1e-17):
+    """The free chain with the eigenvalue lambda_1 = -+2 cosh(kappa) added by
+    double commutation (Gesztesy and Teschl, J. Differential Equations 128
+    (1996) 252): a reflectionless operator with a window, in closed form.
+
+    u_j = s^j e^{kappa j}, s = -1 below the band ("below") and +1 above it,
+    solves J u = lambda_1 u and is square-summable at -inf.  So
+    c(n) = 1 + gamma sum_{j <= n} u_j^2 = 1 + g q^n, with q = e^{2 kappa}
+    and g = gamma / (1 - e^{-2 kappa}).  The new coefficients
+    a(n) = sqrt(c(n-1) c(n+1)) / c(n) and
+    b(n) = gamma (u_n u_{n+1} / c(n) - u_{n-1} u_n / c(n-1)) are taken in the
+    forms that do not cancel:
+    a(n)^2 = 1 + g q^n (2 sinh kappa)^2 / c(n)^2 and
+    b(n) = 2 gamma s sinh(kappa) e^{2 kappa n} / (c(n) c(n-1)).
+    The window holds the sites where a(n)^2 - 1 or |b(n)| reaches ``cut``.
+    Returns the spec and lambda_1.
+    """
+    s = {"below": -1.0, "above": 1.0}[side]
+    reach = int(np.log(1.0 / cut) / kappa) + 10     # twice the decay length of the cut
+    n = np.arange(-reach, reach + 1)
+    g = gamma / (1.0 - np.exp(-2.0 * kappa))
+    gq = g * np.exp(2.0 * kappa * n)
+    c, c_prev = 1.0 + gq, 1.0 + g * np.exp(2.0 * kappa * (n - 1))
+    da = gq * (2.0 * np.sinh(kappa)) ** 2 / c ** 2
+    b = 2.0 * gamma * s * np.sinh(kappa) * np.exp(2.0 * kappa * n) / (c * c_prev)
+    keep = np.flatnonzero((da >= cut) | (np.abs(b) >= cut))
+    lo, hi = keep[0], keep[-1] + 1
+    spec = JacobiSpec(offset=int(n[lo]), a_override=tuple(np.sqrt(1.0 + da[lo:hi])),
+                      b_override=tuple(b[lo:hi]))
+    return spec, s * 2.0 * np.cosh(kappa)
+
+
 def seeded_specs(master, count):
     return [random_spec(np.random.default_rng((master, i))) for i in range(count)]
 
