@@ -267,6 +267,12 @@ def _packet_geometry(spec, side, lam0, dlam, N):
     bg = spec.background
     _check_packet_band(bg, lam0, dlam)
     u, mu, v_g = _floquet_wave(bg, [lam0, lam0 - 3 * dlam, lam0 + 3 * dlam])
+    # the radius PACKET_CUTOFF * sigma is a lattice extent: refused past N_MAX,
+    # compared without the division, which may overflow
+    if not PACKET_CUTOFF * v_g[0] <= 2.0 * N_MAX * dlam:
+        raise ValueError(f"dlambda = {dlam} puts the packet radius past N_MAX = {N_MAX} sites; "
+                         f"at lambda0 = {lam0} it must be at least "
+                         f"{PACKET_CUTOFF * v_g[0] / (2.0 * N_MAX):.6g}")
     sigma = v_g[0] / (2.0 * dlam)
     radius = int(np.ceil(PACKET_CUTOFF * sigma))
     w_ext = _window_extent(spec)

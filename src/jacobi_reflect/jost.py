@@ -18,7 +18,8 @@ that reads them on a window of sites, with the window's coefficients and
 their checks by kind; each caller names the ones it raises.
 ``jost_solution`` and ``alpha_beta_grid`` divide by psi_0, and
 ``jost_solution`` raises only its own side's checks; ``green_offdiag`` and
-``dynamics._floquet_wave`` need no normalization.
+``dynamics._floquet_wave`` need no normalization.  The m-ratio route reads
+m_right(0) and m_left(1) off ``mfunc.boundary_pieces``, the cut route.
 
 ``alpha_beta_grid`` expands a whole energy grid at once and keeps a status
 per energy: None, or the refusal of the first check the energy fails.  A
@@ -47,7 +48,7 @@ from .errors import (
     first_refusals,
     raise_first,
 )
-from .mfunc import POLE_TOL, weyl_sweep
+from .mfunc import boundary_pieces, weyl_sweep
 from .model import _check_integer, coefficient_arrays
 
 RECURSION_TOL = 1e-10   # residual of the three-term recursion, relative
@@ -155,7 +156,7 @@ def _jost_values(spec, lams, k_lo, k_hi):
              + (b[1:-1, None] - lams) * vals[:, 1:-1])
         worst = np.abs(r).max(axis=1, initial=0.0)
         scale = np.abs(vals).max(axis=1)
-        rec = _rows(worst > RECURSION_TOL * scale, lambda j, i: CrossCheckFailure(
+        rec = _rows(~(worst <= RECURSION_TOL * scale), lambda j, i: CrossCheckFailure(
             f"three-term recursion residual {worst[j, i]:.3e} exceeds "
             f"{RECURSION_TOL} * {scale[j, i]:.3e}"))
     return vals, (a, b), (edge, seed, norm, rec)
@@ -267,21 +268,18 @@ def spectral_reflection_mratio_grid(spec, lams):
     R_r = |a_0^2 conj(m_right(0)) m_left(1) - 1|^2
         / |a_0^2 m_right(0) m_left(1) - 1|^2   at lambda + i0,
 
-    read off the Weyl pairs at bond 0 (finite at poles of m).  With
-    W(u, v) = a_0 (u_1 v_0 - u_0 v_1), the numerator here is
-    -W(psi_l, conj psi_r) / a_0 and the denominator -W(psi_l, psi_r) / a_0,
-    so this is |beta/alpha|^2 of ``alpha_beta_grid`` off the same sweep: the
-    Jost route's ratio computed twice, not an independent route.  Reading
-    m_right(0) and m_left(1) off ``mfunc.boundary_pieces``, as the formula
-    says, would make it one.
+    with m_right(0), m_left(1) and a_0 read off ``mfunc.boundary_pieces`` at
+    cuts 0 and 1; the numerator is its spectral residual at cut 0.  Raises
+    the cut route's band-edge, seed and G_nn pole checks, then PoleHit at a
+    pole of m_right(0) or m_left(1); the other m's at those cuts are not read.
     """
-    right, left, checks = weyl_sweep(spec, 0, 0, lams)
-    (ru, rl), (lu, ll) = right.bond(0), left.bond(0)
-    num = np.conj(ru) * ll - np.conj(rl) * lu
-    den = ru * ll - rl * lu
-    vanish = np.abs(den) < POLE_TOL * (np.abs(ru) + np.abs(rl)) * (np.abs(lu) + np.abs(ll))
-    raise_first(checks + [(vanish, lambda i: PoleHit("m-ratio denominator vanishes"))])
-    return np.abs(num / den) ** 2
+    pieces = boundary_pieces(spec, [0, 1], lams)
+    num = pieces.specref[0]
+    # the cut route's checks but the last, its CROSS_TOL cross-check
+    raise_first(pieces.checks[:-1] + [(np.isinf(num), lambda i: PoleHit(
+        f"m_right(0) or m_left(1) has a pole at lambda = {float(np.atleast_1d(lams)[i])}"))])
+    m_r, m_l = pieces.m["right"][0], pieces.m["left"][1]
+    return num ** 2 / np.abs(pieces.a_r[0] ** 2 * m_r * m_l - 1.0) ** 2
 
 
 def spectral_reflection_mratio(spec, lam):
@@ -303,9 +301,11 @@ def green_offdiag(spec, n, m, lam):
     k_lo, k_hi = _site_range(spec)
     k_lo, k_hi = min(k_lo, lo - 1), max(k_hi, hi + 1)
     (psi_r, psi_l), (a, _), (edge, seed, _, rec) = _jost_values(spec, lams, k_lo, k_hi)
+    # raised before the Wronskian is formed: a failed sweep may hold inf or NaN
+    raise_first([edge, *seed, *rec])
     w, bad, spread = _wronskian_spread(psi_r, psi_l, a[:-1, None], 0)
     tol = DEGENERATE_TOL * np.abs(psi_r[:2]).sum(axis=0) * np.abs(psi_l[:2]).sum(axis=0)
-    raise_first([edge, *seed, *rec, (bad, lambda i: _wronskian_refusal(spread[i], w[i])),
+    raise_first([(bad, lambda i: _wronskian_refusal(spread[i], w[i])),
                  (np.abs(w) < tol, lambda i: PoleHit(
                      f"Wronskian vanishes at lambda = {lam} (bound state)"))])
     return psi_l[lo - k_lo, 0] * psi_r[hi - k_lo, 0] / w[0]

@@ -31,9 +31,10 @@ gives m_right(n) and m_left(n), the channel densities (an Im m under
 W is the same on every bond k, so G_nn is taken once from the pairs at
 bond n and once from those at bond n-1, and the two are cross-checked
 against ``CROSS_TOL``.  The m routes below, ``ac_density``,
-``analysis.essential_support`` and the CLI's ``mfunc`` read m and the
-channels off it; ``scattering`` builds G_nn's views and the s-matrix on
-it.  (``jost._jost_values`` is the one reader on a window of sites.)
+``analysis.essential_support``, the CLI's ``mfunc`` and jost's m-ratio
+route read m and the channels off it; ``scattering`` builds G_nn's views
+and the s-matrix on it.  (``jost._jost_values`` is the one reader on a
+window of sites.)
 
 ``m_right`` and ``m_left`` are views of the grid routes at one
 ``BoundaryPoint``: the value there as a complex number.  ``_at_point``,
@@ -45,12 +46,14 @@ the m-value routes raise PoleHit there, while the whole-line quantities read
 off the same values (``ac_density``, G_nn, the s-matrix) stay finite.  The
 sweep and ``boundary_pieces`` raise no refusal: they return ``(mask,
 refusal)`` checks, and a one-side route raises only its own side's
-``m_checks`` (band edge, seed, pole).  Non-finite energies are bad input
-(``ValueError``), not refusals.
+``m_checks`` (band edge, seed, pole).  Non-finite energies, and energies
+past the coefficients' scale (``STEP_MAX``), are bad input (``ValueError``),
+not refusals.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import NamedTuple
 
@@ -66,9 +69,15 @@ POLE_TOL = 1e-14     # |u_n| below this share of its pair makes m_n a pole
 # sharing their square root with mu), so what is left is about 30 roundings
 # of terms bounded by |M| |v|, each up to sqrt(5) ulps in complex arithmetic.
 SEED_TOL = 64 * np.finfo(float).eps
-# A step multiplies a pair's 1-norm by at most 1 + (|z - b_k| + a_k) / a_{k-1}:
-# 16 steps between rescalings overflow only if that factor reaches 1e19.
+# A step multiplies a pair's 1-norm by at most F = 1 + (|z - b_k| + a_k) / a_{k-1}
+# (a_{k-1} and a_k swapped on the left).  The seed and every 16th pair are
+# rescaled to a 1-norm below 1 (see ``weyl_sweep`` for the per-period step), so
+# a pair stays under F^16, and ``_ratios`` squares an entry: nothing overflows
+# while F^32 <= 2^1023, that is F <= STEP_MAX = 2^(1023/32), about 4.2e9.
+# ``weyl_sweep`` refuses an energy whose F, bounded over the coefficients it
+# reads (window and cell), passes STEP_MAX.
 RESCALE_EVERY = 16
+STEP_MAX = 2.0 ** (1023 / (2 * RESCALE_EVERY))
 CROSS_TOL = 1e-10    # relative agreement required of G_nn from two bonds
 SUPPORT_TOL = 1e-10  # Im m below this counts as a closed channel
 
@@ -167,6 +176,18 @@ def _seed_check(M, v1, v2, mu, nu, band, side):
     return ~np.atleast_1d((r < SEED_TOL * scale) & on_branch), refusal
 
 
+def _rescale(up, low, ex):
+    """The pair by a power of two (exact) to a 1-norm in [1/2, 1), and its
+    exponent.  One energy takes math's frexp, several times faster on a scalar."""
+    if np.ndim(up):
+        e = np.frexp(abs(up) + abs(low))[1]
+        s = np.ldexp(1.0, -e)
+    else:
+        e = math.frexp(abs(up) + abs(low))[1]
+        s = math.ldexp(1.0, -e)
+    return up * s, low * s, ex + e
+
+
 def weyl_sweep(spec, lo, hi, pts, real_limit=True):
     """``(psi_r, psi_l, checks)``: both Weyl solutions on bonds lo..hi, at
     real energies (``lambda + i0``) when ``real_limit``, else at
@@ -185,14 +206,25 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
         raise ValueError(f"energies must be finite, got {z[~np.isfinite(z)][0]}")
     if not real_limit and np.any(z.imag <= 0):
         raise ValueError("interior evaluation needs Im z > 0")
+    # one energy runs on Python scalars: the kernel below is plain arithmetic
+    zz = z.item() if z.size == 1 else z
+    a_all, b_all = spec.background.a + spec.a_override, spec.background.b + spec.b_override
+    # F <= STEP_MAX where max_k |z - b_k| <= (STEP_MAX - 1) min a - max a; that
+    # maximum is |z - c| + h on the real axis (at most that off it), for c and h
+    # the centre and half-width of the b_k's range
+    c, h = (max(b_all) + min(b_all)) / 2, (max(b_all) - min(b_all)) / 2
+    dist, reach = abs(zz - c), (STEP_MAX - 1.0) * min(a_all) - max(a_all) - h
+    if not (dist if z.size == 1 else dist.max(initial=0.0)) <= reach:
+        e = z[~(abs(z - c) <= reach)][0]
+        raise ValueError(f"energy {float(e) if real_limit else complex(e)} is beyond the "
+                         f"coefficients' scale: the recursion's step factor passes "
+                         f"STEP_MAX = {STEP_MAX:.3e}")
     w = spec.window
     seed_r, seed_l = (max(hi, w[1] + 1), min(lo, w[0] - 1)) if w else (hi, lo)
     # index i: site seed_l - 1 + i; a memoryview indexes to Python floats, as a
     # list would, at 8 bytes per site
     a, b = map(memoryview, coefficient_arrays(spec, seed_l - 1, seed_r + 1))
     checks = [_near_edge(spec.background, z)] if real_limit else []
-    # one energy runs on Python scalars: the kernel below is plain arithmetic
-    zz = z.item() if z.size == 1 else z
     p, sols = spec.background.period, []
     for side, seed in (("right", seed_r), ("left", seed_l)):
         right = side == "right"
@@ -203,6 +235,7 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
         # the default int on one energy too: frexp's int32 exponents added to it
         # give the exponents the grid's dtype whichever rows are kept
         ex = np.zeros(z.shape, dtype=int) if z.size != 1 else np.int_(0)
+        up, low, ex = _rescale(up, low, ex)
         # the rows on bonds lo..hi are kept; the last p rows feed the per-period step
         ring = deque([(up, low, ex)], maxlen=p)
         rows = [ring[0]] if lo <= seed <= hi else []
@@ -213,16 +246,19 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
         per_period = roots[1] if right else roots[0]
         for count, k in enumerate(range(seed, lo, -1) if right else range(seed + 1, hi + 1), 1):
             i, bond = k - seed_l + 1, k - 1 if right else k
-            if count >= p and (not w or (bond > w[1] if right else bond < w[0])):
+            period_step = count >= p and (not w or (bond > w[1] if right else bond < w[0]))
+            if period_step:
                 up, low, ex = (np.multiply(ring[0][0], per_period),
                                np.multiply(ring[0][1], per_period), ring[0][2])
             elif right:
                 low, up = ((zz - b[i]) * low - a[i] * up) / a[i - 1], low
             else:
                 up, low = ((zz - b[i]) * up - a[i - 1] * low) / a[i], up
-            if count % RESCALE_EVERY == 0:      # by a power of two: exact
-                _, e = np.frexp(abs(up) + abs(low))
-                up, low, ex = up * np.ldexp(1.0, -e), low * np.ldexp(1.0, -e), ex + e
+            # a per-period pair grows from the pair one period back, which may
+            # predate the last rescaling: on the first p counts of every 16 it is
+            # rescaled too, so each pair is within 16 steps of a rescaled one
+            if count % RESCALE_EVERY < (p if period_step else 1):
+                up, low, ex = _rescale(up, low, ex)
             ring.append((up, low, ex))
             if lo <= bond <= hi:
                 rows.append(ring[-1])
@@ -276,6 +312,8 @@ def _green(a, r1, pole1, r2, pole2):
     return np.divide(1.0, d, out=np.zeros(d.shape, complex), where=~(zero | bad)), bad.any(axis=0)
 
 
+# a failed seed sweeps on, maybe to NaN or inf: nothing here may warn for it
+@np.errstate(all="ignore")
 def boundary_pieces(spec, cuts, pts, real_limit=True):
     """G_nn, m_right(n), m_left(n), the channel data and the checks at every
     cut, read off one sweep over bonds min(cuts)-1..max(cuts)."""

@@ -325,6 +325,22 @@ def test_non_finite_energies_exit_3(configs, capsys):
     assert err.count("is not finite") == 2
 
 
+def test_energy_and_width_past_their_scales_exit_3(configs, capsys):
+    # scatter printed a row of nan and green printed 0,0, both exiting 0;
+    # dynamics ended in an OverflowError traceback
+    for argv in (["scatter", "--config", configs["single"], "--n", "10", "--lambda", "1e40"],
+                 ["mfunc", "--config", configs["single"], "--n", "-10", "--lambda", "1e40"],
+                 ["green", "--config", configs["single"], "--lambda", "1e20"],
+                 ["dynamics", "--config", configs["single"], "--lambda0", "0.3",
+                  "--dlambda", "1e-320"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:"), argv
+
+
 def test_non_finite_bias_exits_3_without_numpy_warnings(configs, capsys):
     bias = {"--beta-l": "1", "--mu-l": "0.3", "--beta-r": "1", "--mu-r": "0"}
     for flag in bias:

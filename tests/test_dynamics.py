@@ -419,6 +419,21 @@ def test_window_too_small_names_the_smallest_n(spec, lam0):
             call(spec, lam0, 0.05, n - 1)
 
 
+def test_a_packet_radius_past_n_max_is_refused():
+    # sigma = v_g / (2 dlambda) overflows to inf, and int() of its ceiling
+    # raised OverflowError
+    spec, match = single_site_spec(), f"packet radius past N_MAX = {N_MAX}"
+    with pytest.raises(ValueError, match=match):
+        wave_packet(spec, "l", 0.3, 1e-320, 1000)
+    with pytest.raises(ValueError, match=match):
+        dynamical_reflection(spec, 0.3, 1e-320, 1000)
+    # a radius within N_MAX keeps its refusal: the N that holds the packet
+    v_g = group_velocity(Background.free(), 0.3)
+    dlam = 5.0 * v_g / (2.0 * N_MAX) * 1.001
+    with pytest.raises(WindowTooSmall, match="cannot hold a packet"):
+        wave_packet(spec, "l", 0.3, dlam, 1000)
+
+
 def test_an_n_past_n_max_is_named_as_such():
     # 5e-6 past 3 dlambda, just outside the band-edge margin, the packet's
     # slowest part moves at 4.5e-3 sites per unit time

@@ -4,11 +4,12 @@ import pytest
 from jacobi_reflect import (Background, BoundaryPoint, JacobiSpec, alpha_beta,
                             alpha_beta_grid, band_edges, band_grid, band_intervals,
                             explicit_grid, green_diag, green_offdiag,
-                            group_velocity, jost_solution, m_left, m_right,
+                            group_velocity, jost_solution, m_left, m_left_boundary,
+                            m_right, m_right_boundary,
                             scattering_matrix, spectral_reflection_mratio,
                             spectral_reflection_mratio_grid, wronskian)
 from jacobi_reflect.errors import (BandEdge, CrossCheckFailure, DegenerateBasis,
-                                   NumericalError)
+                                   NumericalError, PoleHit)
 
 from util import (free_spec, period2_spec, perturbed_period3_spec,
                   perturbed_periodic_spec, random_spec, reflection_oracle,
@@ -107,6 +108,49 @@ def test_pure_periodic_is_reflectionless():
     lams = np.array([0.8, 1.0, 1.3, -0.8, -1.0, -1.3])
     r = spectral_reflection_mratio_grid(period2_spec(), lams)
     np.testing.assert_allclose(r, 0.0, atol=1e-12)
+
+
+def _mratio_formula(spec, lams):
+    # the docstring formula on the m routes' own values; the window covers
+    # sites -1..1, so their sweeps seed where the m-ratio route's does
+    a0, m_r, m_l = spec.a(0), m_right_boundary(spec, 0, lams), m_left_boundary(spec, 1, lams)
+    return (np.abs(a0 * a0 * np.conj(m_r) * m_l - 1.0) ** 2
+            / np.abs(a0 * a0 * m_r * m_l - 1.0) ** 2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_mratio_is_the_m_function_formula(p):
+    rng = np.random.default_rng((83, p))
+    spec = JacobiSpec(background=Background.periodic(tuple(rng.uniform(0.6, 1.4, p)),
+                                                     tuple(rng.uniform(-0.5, 0.5, p))),
+                      offset=-1, a_override=tuple(rng.uniform(0.5, 2.0, 3)),
+                      b_override=tuple(rng.uniform(-1.0, 1.0, 3)))
+    lams = band_grid(spec, 40).points
+    r = spectral_reflection_mratio_grid(spec, lams)
+    assert r.tobytes() == _mratio_formula(spec, lams).tobytes()
+    assert np.all((0.0 <= r) & (r <= 1.0 + 1e-12))
+
+
+def test_mratio_refuses_a_pole_of_the_m_it_reads():
+    # period 2 at lambda = 0: psi_r(0) = 0 and psi_l(1) = 0, poles of m_right(0)
+    # and m_left(1) in the gap
+    with pytest.raises(PoleHit, match=r"m_right\(0\) or m_left\(1\) has a pole"):
+        spectral_reflection_mratio_grid(period2_spec(), [0.0])
+
+
+def test_mratio_reads_past_poles_of_the_other_m_functions():
+    # the same background one site over, written out on sites -1..1: at lambda = 0
+    # m_right(1) and m_left(0) have poles, which the formula never reads
+    spec = JacobiSpec(background=Background.periodic((0.5, 1.0), (0.0, 0.0)), offset=-1,
+                      a_override=(1.0, 0.5, 1.0), b_override=(0.0, 0.0, 0.0))
+    with pytest.raises(PoleHit, match=r"m_right\(1\) has a pole"):
+        m_right_boundary(spec, 1, [0.0])
+    with pytest.raises(PoleHit, match=r"m_left\(0\) has a pole"):
+        m_left_boundary(spec, 0, [0.0])
+    lams = np.concatenate([[0.0], band_grid(spec, 20).points])
+    r = spectral_reflection_mratio_grid(spec, lams)
+    assert r[0] == 1.0
+    assert r.tobytes() == _mratio_formula(spec, lams).tobytes()
 
 
 def test_green_offdiag_free_closed_form():
@@ -386,6 +430,13 @@ def test_jost_window_bounds_take_numpy_integers():
     sol = jost_solution(spec, "l", 0.3, k_min=np.int64(-5), k_max=np.int32(4))
     assert (sol.k_min, sol.k_max) == (-5, 4)
     assert sol.values.tobytes() == jost_solution(spec, "l", 0.3, -5, 4).values.tobytes()
+
+
+def test_a_window_that_overflows_is_refused():
+    # 300 sites into the gap at lambda = 100 psi_l overflows on the window's one
+    # scale; the NaN recursion residual passed its check, and G read NaN
+    with pytest.raises(CrossCheckFailure, match="three-term recursion residual nan"):
+        green_offdiag(single_site_spec(), 300, 300, 100.0)
 
 
 def test_window_sites_past_n_max_are_refused():

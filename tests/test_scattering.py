@@ -366,6 +366,80 @@ def test_non_finite_energies_are_bad_input():
         reflectionless_report(spec, EnergyGrid(points=np.array([0.5, np.nan, -np.inf])))
 
 
+@pytest.mark.parametrize("route, lam", [
+    pytest.param(lambda s, z: scattering_grid(s, 10, z)["s_ll"], 1e40, id="scatter"),
+    pytest.param(lambda s, z: m_right_boundary(s, -10, z), 1e40, id="m_right"),
+    pytest.param(lambda s, z: green_diag_grid(s, 0, z), 1e20, id="green"),
+    # G_00 read as 0 from here on
+    pytest.param(lambda s, z: green_diag_grid(s, 0, z), 1e14, id="green-1e14"),
+    pytest.param(lambda s, z: jost_solution(s, "r", z[0]).values, 1e80, id="jost_solution"),
+    pytest.param(lambda s, z: green_offdiag(s, 0, 0, z[0]), 1e80, id="green_offdiag"),
+    pytest.param(spectral_reflection_mratio_grid, 1e80, id="mratio"),
+    pytest.param(lambda s, z: alpha_beta_grid(s, z).R_r, 1e150, id="alpha_beta_grid"),
+    pytest.param(lambda s, z: m_right_grid(s, 0, [z[0] + 1j]), 1e40, id="m_right_grid"),
+])
+def test_energies_past_the_coefficient_scale_are_bad_input(route, lam):
+    # a NaN row, a 0 or a status None with R_r NaN, all without a refusal
+    with pytest.raises(ValueError, match="beyond the coefficients' scale") as err:
+        route(single_site_spec(), [lam])
+    assert str(lam) in str(err.value)
+
+
+PERIOD4_SPEC = JacobiSpec(background=Background.periodic((1.0, 0.8, 1.2, 0.9),
+                                                         (0.3, -0.2, 0.1, -0.4)),
+                          offset=-1, a_override=(1.3, 0.9), b_override=(0.2, -0.4))
+
+
+@pytest.mark.parametrize("spec", [single_site_spec(), period2_spec(), PERIOD4_SPEC],
+                         ids=["single-site", "period-2", "period-4"])
+def test_energies_at_the_step_bound_stay_finite(spec):
+    # the farthest energies the gate lets through on each side, at cuts whose
+    # sweeps run 12 or 1000 bonds from a seed; at 12, the seed's own scale
+    # overflowed a squared pair entry
+    a = spec.background.a + spec.a_override
+    b = spec.background.b + spec.b_override
+    # the step factor 1 + (|lambda - b_k| + a_k) / a_{k-1} at 2^(1023/32): 16 steps
+    # of it, then squared, stay finite
+    reach = (2.0 ** (1023 / 32) - 1.0) * min(a) - max(a)
+    lams = np.array([max(b) - reach, min(b) + reach]) * (1.0 - 1e-12)
+    for n in (0, 12, -12, 1000, -1000):
+        res = scattering_grid(spec, n, lams)
+        assert all(np.isfinite(v).all() for v in res.values()), n
+        for route in (m_right_boundary, m_left_boundary):
+            m = route(spec, n, lams)
+            assert np.all(np.isfinite(m) & (np.abs(m * lams + 1.0) < 1e-6)), n
+    for lam in lams * (1.0 + 2e-12):
+        with pytest.raises(ValueError, match="beyond the coefficients' scale"):
+            scattering_grid(spec, 0, [lam])
+
+
+def test_cut_route_refuses_a_seed_without_numpy_warnings():
+    # the seeded p = 64 cell: at lambda = 1e3 the one-period product overflows;
+    # the Jost route gave the seed refusal, the cut routes warned first
+    rng = np.random.default_rng((11, 64))
+    spec = JacobiSpec(background=Background.periodic(rng.uniform(0.8, 1.2, 64),
+                                                     rng.uniform(-0.3, 0.3, 64)))
+    for route in (lambda: scattering_grid(spec, 0, [1e3]),
+                  lambda: m_right_boundary(spec, 0, [1e3])):
+        with pytest.raises(CrossCheckFailure, match=r"^Floquet seed"):
+            route()
+    status = alpha_beta_grid(spec, [1e3]).status[0]
+    assert type(status) is CrossCheckFailure and str(status).startswith("Floquet seed")
+
+
+def test_cut_lists_far_apart_read_what_each_cut_reads_alone():
+    # psi_r is carried from the seed at cut 2000 to the window by the per-period
+    # multiplier; a row one period back could predate a rescaling, and in the gap
+    # at lambda = 3 the carried rows overflowed to NaN
+    spec, lams = PERIOD4_SPEC, [3.0, 0.7]
+    both = mfunc.boundary_pieces(spec, [-3, 2000], lams)
+    for row, n in enumerate((-3, 2000)):
+        alone = mfunc.boundary_pieces(spec, [n], lams)
+        np.testing.assert_allclose(both.g[row], alone.g[0], rtol=1e-12)
+        for side in ("right", "left"):
+            np.testing.assert_allclose(both.m[side][row], alone.m[side][0], rtol=1e-12)
+
+
 def test_a_one_side_route_refuses_for_its_own_seed():
     # one sweep builds both solutions; at lambda = 0 on the free chain written
     # as period 2 neither seed exists, and a left route names the left one
