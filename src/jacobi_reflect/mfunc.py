@@ -53,8 +53,8 @@ not refusals.
 
 from __future__ import annotations
 
-import math
 from collections import deque
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -69,13 +69,14 @@ POLE_TOL = 1e-14     # |u_n| below this share of its pair makes m_n a pole
 # sharing their square root with mu), so what is left is about 30 roundings
 # of terms bounded by |M| |v|, each up to sqrt(5) ulps in complex arithmetic.
 SEED_TOL = 64 * np.finfo(float).eps
-# A step multiplies a pair's 1-norm by at most F = 1 + (|z - b_k| + a_k) / a_{k-1}
+# A step multiplies a pair's 1-norm by at most F_k = 1 + (|z - b_k| + a_k) / a_{k-1}
 # (a_{k-1} and a_k swapped on the left).  The seed and every 16th pair are
-# rescaled to a 1-norm below 1 (see ``weyl_sweep`` for the per-period step), so
-# a pair stays under F^16, and ``_ratios`` squares an entry: nothing overflows
-# while F^32 <= 2^1023, that is F <= STEP_MAX = 2^(1023/32), about 4.2e9.
-# ``weyl_sweep`` refuses an energy whose F, bounded over the coefficients it
-# reads (window and cell), passes STEP_MAX.
+# rescaled to a 1-norm below 1 (see ``weyl_sweep`` for the per-period step), so a
+# pair stays under the product of 16 consecutive F_k, and ``_ratios`` squares an
+# entry: nothing overflows while that product is at most 2^(1023/2), that is while
+# the F_k of any 16 consecutive bonds have a geometric mean of at most
+# STEP_MAX = 2^(1023/32), about 4.2e9.  ``weyl_sweep`` refuses an energy past it
+# (``_reach``).
 RESCALE_EVERY = 16
 STEP_MAX = 2.0 ** (1023 / (2 * RESCALE_EVERY))
 CROSS_TOL = 1e-10    # relative agreement required of G_nn from two bonds
@@ -177,15 +178,31 @@ def _seed_check(M, v1, v2, mu, nu, band, side):
 
 
 def _rescale(up, low, ex):
-    """The pair by a power of two (exact) to a 1-norm in [1/2, 1), and its
-    exponent.  One energy takes math's frexp, several times faster on a scalar."""
-    if np.ndim(up):
-        e = np.frexp(abs(up) + abs(low))[1]
-        s = np.ldexp(1.0, -e)
-    else:
-        e = math.frexp(abs(up) + abs(low))[1]
-        s = math.ldexp(1.0, -e)
+    """The pair by a power of two (exact) to a 1-norm in [1/2, 1), and its exponent."""
+    e = np.frexp(abs(up) + abs(low))[1]
+    s = np.ldexp(1.0, -e)
     return up * s, low * s, ex + e
+
+
+@lru_cache(maxsize=64)
+def _reach(spec):
+    """``(c, r)``: energies within r of c are inside the coefficients' scale.
+
+    For c the centre of the b_k's range, F_k <= (|z - c| + g_k) / s_k with s_k
+    and l_k the smaller and larger of a_{k-1}, a_k (one bound for both sides)
+    and g_k = s_k + |b_k - c| + l_k.  So the F_k of 16 consecutive bonds pass
+    STEP_MAX in geometric mean only if |z - c| + max g_k passes STEP_MAX times
+    the least geometric mean of 16 consecutive s_k.  Runs of bonds beyond the
+    window repeat with the cell: the window and 16 + p sites on each side hold
+    them all.
+    """
+    w, pad = spec.window or (0, -1), RESCALE_EVERY + spec.background.period
+    a, b = coefficient_arrays(spec, w[0] - pad, w[1] + pad)
+    c = (b.max() + b.min()) / 2
+    small, large = np.minimum(a[:-1], a[1:]), np.maximum(a[:-1], a[1:])
+    mean = np.convolve(np.log2(small), np.full(RESCALE_EVERY, 1.0 / RESCALE_EVERY), "valid")
+    g = small + np.abs(b[1:] - c) + large
+    return float(c), float(STEP_MAX * 2.0 ** mean.min() - g.max())
 
 
 def weyl_sweep(spec, lo, hi, pts, real_limit=True):
@@ -202,29 +219,26 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
     eigenvector of its own one-period product.
     """
     z = _real_energies(pts) if real_limit else np.atleast_1d(np.asarray(pts, dtype=complex))
-    if not np.isfinite(z).all():
-        raise ValueError(f"energies must be finite, got {z[~np.isfinite(z)][0]}")
+    # one test for both: a NaN or infinite energy is not within reach either
+    c, reach = _reach(spec)
+    if not np.abs(z - c).max(initial=0.0) <= reach:
+        if not np.isfinite(z).all():
+            raise ValueError(f"energies must be finite, got {z[~np.isfinite(z)][0]}")
+        e = z[~(np.abs(z - c) <= reach)][0]
+        raise ValueError(f"energy {float(e) if real_limit else complex(e)} is beyond the "
+                         f"coefficients' scale: the recursion's step factors over "
+                         f"{RESCALE_EVERY} bonds could pass STEP_MAX = {STEP_MAX:.3e} "
+                         f"in geometric mean")
     if not real_limit and np.any(z.imag <= 0):
         raise ValueError("interior evaluation needs Im z > 0")
-    # one energy runs on Python scalars: the kernel below is plain arithmetic
-    zz = z.item() if z.size == 1 else z
-    a_all, b_all = spec.background.a + spec.a_override, spec.background.b + spec.b_override
-    # F <= STEP_MAX where max_k |z - b_k| <= (STEP_MAX - 1) min a - max a; that
-    # maximum is |z - c| + h on the real axis (at most that off it), for c and h
-    # the centre and half-width of the b_k's range
-    c, h = (max(b_all) + min(b_all)) / 2, (max(b_all) - min(b_all)) / 2
-    dist, reach = abs(zz - c), (STEP_MAX - 1.0) * min(a_all) - max(a_all) - h
-    if not (dist if z.size == 1 else dist.max(initial=0.0)) <= reach:
-        e = z[~(abs(z - c) <= reach)][0]
-        raise ValueError(f"energy {float(e) if real_limit else complex(e)} is beyond the "
-                         f"coefficients' scale: the recursion's step factor passes "
-                         f"STEP_MAX = {STEP_MAX:.3e}")
     w = spec.window
     seed_r, seed_l = (max(hi, w[1] + 1), min(lo, w[0] - 1)) if w else (hi, lo)
     # index i: site seed_l - 1 + i; a memoryview indexes to Python floats, as a
     # list would, at 8 bytes per site
     a, b = map(memoryview, coefficient_arrays(spec, seed_l - 1, seed_r + 1))
     checks = [_near_edge(spec.background, z)] if real_limit else []
+    # one energy runs on Python scalars: the kernel below is plain arithmetic
+    zz = z.item() if z.size == 1 else z
     p, sols = spec.background.period, []
     for side, seed in (("right", seed_r), ("left", seed_l)):
         right = side == "right"

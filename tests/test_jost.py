@@ -434,8 +434,10 @@ def test_jost_window_bounds_take_numpy_integers():
 
 def test_a_window_that_overflows_is_refused():
     # 300 sites into the gap at lambda = 100 psi_l overflows on the window's one
-    # scale; the NaN recursion residual passed its check, and G read NaN
-    with pytest.raises(CrossCheckFailure, match="three-term recursion residual nan"):
+    # scale; the NaN recursion residual passed its check, and G read NaN.  Once
+    # the window route keeps the sweep's per-row exponents it reads G here
+    # instead, and this case changes with it
+    with pytest.raises(CrossCheckFailure):
         green_offdiag(single_site_spec(), 300, 300, 100.0)
 
 

@@ -396,21 +396,41 @@ def test_energies_at_the_step_bound_stay_finite(spec):
     # the farthest energies the gate lets through on each side, at cuts whose
     # sweeps run 12 or 1000 bonds from a seed; at 12, the seed's own scale
     # overflowed a squared pair entry
-    a = spec.background.a + spec.a_override
-    b = spec.background.b + spec.b_override
-    # the step factor 1 + (|lambda - b_k| + a_k) / a_{k-1} at 2^(1023/32): 16 steps
-    # of it, then squared, stay finite
-    reach = (2.0 ** (1023 / 32) - 1.0) * min(a) - max(a)
-    lams = np.array([max(b) - reach, min(b) + reach]) * (1.0 - 1e-12)
+    c, reach = mfunc._reach(spec)
+    # hoppings of 0.5 to 1.3: the bound is near STEP_MAX itself
+    assert 0.4 * mfunc.STEP_MAX < reach < mfunc.STEP_MAX
+    lams = c + np.array([-reach, reach]) * (1.0 - 1e-12)
     for n in (0, 12, -12, 1000, -1000):
         res = scattering_grid(spec, n, lams)
         assert all(np.isfinite(v).all() for v in res.values()), n
         for route in (m_right_boundary, m_left_boundary):
             m = route(spec, n, lams)
             assert np.all(np.isfinite(m) & (np.abs(m * lams + 1.0) < 1e-6)), n
-    for lam in lams * (1.0 + 2e-12):
-        with pytest.raises(ValueError, match="beyond the coefficients' scale"):
-            scattering_grid(spec, 0, [lam])
+    for lam in c + np.array([-reach, reach]) * (1.0 + 1e-12):
+        for n in (0, 1000):
+            with pytest.raises(ValueError, match="beyond the coefficients' scale"):
+                scattering_grid(spec, n, [lam])
+
+
+def test_a_weak_bond_is_swept_inside_the_energy_scale():
+    # one hopping of 1e-10 among hoppings of 1: its step factor is about
+    # 1e10 / a_k, past STEP_MAX, but over 16 bonds the factors stay far inside
+    # the bound; a bound on each factor alone refused every energy
+    spec = JacobiSpec(a_override=(1e-10,))
+    lams = np.array([-1.5, 0.3, 1.9])
+    res = scattering_grid(spec, 0, lams)
+    np.testing.assert_allclose(np.abs(res["s_ll"]) ** 2 + np.abs(res["s_lr"]) ** 2, 1.0,
+                               rtol=1e-12)
+    # the free chain through one bond eps: T = 4 eps^2 sin^2 k / |1 - eps^2 e^{2ik}|^2
+    eps, k = 1e-10, np.arccos(lams / 2)
+    t_exact = 4 * eps ** 2 * np.sin(k) ** 2 / np.abs(1 - eps ** 2 * np.exp(2j * k)) ** 2
+    np.testing.assert_allclose(np.abs(res["s_lr"]) ** 2, t_exact, rtol=1e-9)
+    # the reach: STEP_MAX times the 16-bond geometric mean (1e-10)^(2/16), less 2
+    c, reach = mfunc._reach(spec)
+    assert c == 0.0 and reach == pytest.approx(mfunc.STEP_MAX * 1e-10 ** (1 / 8) - 2.0)
+    m_right_boundary(spec, 5, [reach])
+    with pytest.raises(ValueError, match="beyond the coefficients' scale"):
+        m_right_boundary(spec, 5, [reach * (1.0 + 1e-12)])
 
 
 def test_cut_route_refuses_a_seed_without_numpy_warnings():
