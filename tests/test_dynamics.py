@@ -29,6 +29,20 @@ def test_lattice_state_mass():
         LatticeState.from_amplitudes(5, np.zeros(4))
 
 
+def test_lattice_state_refuses_sites_outside_the_truncation():
+    # unit amplitudes on N = 3: a site past -N or N wrapped to the other end
+    state = LatticeState.from_amplitudes(3, np.ones(7, dtype=complex))
+    assert state.mass(-3, -1) == 3.0
+    assert state.site(-3) == state.site(3) == 1.0
+    for k in (-4, 4):
+        with pytest.raises(IndexError, match=f"site {k} outside -N..N with N = 3"):
+            state.site(k)
+    with pytest.raises(IndexError, match="site -4 outside"):
+        state.mass(-4, -1)
+    with pytest.raises(IndexError, match="site 4 outside"):
+        state.mass(0, 4)
+
+
 def test_evolution_is_unitary_and_reversible():
     rng = np.random.default_rng(71)
     spec = random_spec(rng)
@@ -67,7 +81,7 @@ def test_chebyshev_matches_dense_propagation():
     assert np.array_equal(evolve(plan, state, 0.0).amplitudes, amps)
 
 
-def test_light_cone_is_bitwise_the_full_lattice_sum():
+def test_light_cone_is_bitwise_the_full_lattice_sum(monkeypatch):
     N = 600
     packet, plan, t_star = _left_packet_run(single_site_spec(), 0.0, 0.05, N)
     masked = evolve(plan, packet, t_star).amplitudes.copy()
@@ -82,11 +96,15 @@ def test_light_cone_is_bitwise_the_full_lattice_sum():
     cases = [(plan, "left packet", packet.amplitudes), (plan, "masked", masked),
              (plan, "both ends", ends), (plan, "zero", zero),
              (p3_plan, "p3 window", p3_amps), (p3_plan, "p3 both ends", ends)]
-    for case_plan, name, amps in cases:
-        state = LatticeState.from_amplitudes(N, amps)
-        for t in (-0.5 * case_plan.t_max, 0.0, 0.8 * case_plan.t_max, case_plan.t_max):
-            got = evolve(case_plan, state, t).amplitudes
-            assert np.array_equal(got, full_lattice_evolve(case_plan, state, t)), (name, t)
+    # one cone a term, blocks that end at every phase of the buffers' swap, the default
+    for block in (1, 2, 3, dynamics.CONE_BLOCK):
+        monkeypatch.setattr(dynamics, "CONE_BLOCK", block)
+        for case_plan, name, amps in cases:
+            state = LatticeState.from_amplitudes(N, amps)
+            for t in (-0.5 * case_plan.t_max, 0.0, 0.8 * case_plan.t_max, case_plan.t_max):
+                got = evolve(case_plan, state, t).amplitudes
+                expected = full_lattice_evolve(case_plan, state, t)
+                assert np.array_equal(got, expected), (block, name, t)
     assert not evolve(plan, LatticeState.from_amplitudes(N, zero), t_star).amplitudes.any()
 
 
@@ -469,3 +487,23 @@ def test_a_packet_that_has_not_cleared_is_refused(monkeypatch):
     monkeypatch.setattr(dynamics, "ENERGY_TAIL", out["window_mass"] / 2)
     with pytest.raises(CrossCheckFailure, match="has not cleared the window"):
         dynamical_reflection(single_site_spec(), 0.0, 0.05, 1000)
+
+
+@pytest.mark.parametrize("spec, lam0", [(single_site_spec(), 0.4), (period2_spec(), 0.95),
+                                        (PERIOD4_SPEC, 0.73)],
+                         ids=["single-site", "period 2", "period 4"])
+def test_cone_blocks_keep_the_bits_of_one_cone_a_term(spec, lam0, monkeypatch):
+    N, dlam = 1500, 0.12
+    _, plan, t_star = _left_packet_run(spec, lam0, dlam, N)
+    # the last block is a short one
+    assert (_bessel_coefficients(plan.radius * t_star).size - 1) % dynamics.CONE_BLOCK
+
+    def hexed():
+        out = dynamical_reflection(spec, lam0, dlam, N)
+        return ([out[key].hex() for key in ("R_dyn", "T_dyn", "site0_mass", "window_mass",
+                                           "t_star")]
+                + [projection_defect(spec, lam0, dlam, N).hex()])
+
+    blocked = hexed()
+    monkeypatch.setattr(dynamics, "CONE_BLOCK", 1)
+    assert hexed() == blocked
