@@ -8,13 +8,13 @@ cut where J_k(r|t|) past k = r|t| drops below CHEB_TOL.  The J_k are the
 minimal solution of the Bessel three-term recurrence, taken by Miller's
 backward recurrence on the ratios J_k / J_{k-1} and normalized by
 J_0 + 2 sum J_2k = 1 (Gautschi, SIAM Rev. 9, 24 (1967)).  The k-th term
-spreads the initial support by at most k sites per side, so the recurrence
-runs only over a light cone: CONE_BLOCK terms at a time over the cone of the
-block's last term, whose views of two reused work buffers are taken once a
-block, with 2X cast to complex once per call, so no term allocates an array
-or takes a slice.  The sites between a term's own cone and its block's hold
-exact zeros, so every nonzero amplitude has the bits of the full-lattice sum;
-only the sign of a zero there may differ.  Wave packets are Gaussian position
+spreads the initial support by at most k sites per side, so one kernel runs
+the recurrence over light cones from T_0 = phi and T_{-1} = 0: term 0 alone,
+its output 2X T_0 halved in place to T_1, then CONE_BLOCK terms at a time on
+the cone of the block's last term, with no array allocated and no slice taken
+per term.  The sites between a term's own cone and its block's hold exact
+zeros, so every nonzero amplitude has the bits of the full-lattice sum; only
+the sign of a zero there may differ.  Wave packets are Gaussian position
 envelopes riding a Bloch wave of the background, oriented toward the
 perturbation window.  The Bloch wave is a Floquet solution, u_{k+p} = mu u_k:
 ``jost._jost_values`` reads psi_r of the bare background at lambda0 + i0,
@@ -174,14 +174,15 @@ def evolve(plan, state, t):
     """e^{-itJ} on the truncation; a state of another N, a non-finite t or
     |t| past the horizon is refused.
 
-    The terms run CONE_BLOCK at a time over the light cone of the block's
-    last term.  Each block takes its views once, of 2X (cast to complex once
-    per call), of the sum and of two work buffers of the lattice's size
-    allocated once per call, which swap roles from term to term.  A term is
-    then 8 in-place ufunc calls, each product and sum written with ``out=``,
-    operands in the order of the plain expressions.  Outside a term's own
-    cone its block holds exact zeros, so every nonzero amplitude has the
-    bits of the full-lattice sum; only the sign of a zero may differ.
+    One kernel forms every term from T_0 = phi and T_{-1} = 0: term 0 alone,
+    its output 2X T_0 halved in place to T_1, then CONE_BLOCK terms at a time,
+    each block on the light cone of the term it ends by forming.  A block
+    takes its views once, of 2X (cast to complex once per call), of the sum
+    and of two work buffers allocated once per call, which swap roles from
+    term to term; a term is 8 in-place ufunc calls, operands in the order of
+    the plain expressions.  Outside a term's own cone its block holds exact
+    zeros, so every nonzero amplitude has the bits of the full-lattice sum;
+    only the sign of a zero may differ.
     """
     if state.N != plan.truncation.N:
         raise ValueError(f"state on sites -N..N with N = {state.N} does not match the "
@@ -201,25 +202,21 @@ def evolve(plan, state, t):
     n, nz = state.amplitudes.size, np.flatnonzero(state.amplitudes)
     s0, s1 = (nz[0], nz[-1] + 1) if nz.size else (0, 1)
     two_x, tmp = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-    # T_0(X) phi, and T_1(X) phi = (2X phi) / 2 on the whole lattice
-    prev = state.amplitudes.copy()
-    cur = diag2 * prev
-    cur[:-1] += off2 * prev[1:]
-    cur[1:] += off2 * prev[:-1]
-    np.multiply(0.5, cur, out=cur)
-    acc = 0.5 * weights[0] * prev
-    # then T_k = 2X T_{k-1} - T_{k-2} for k = 2, 3, ..., CONE_BLOCK terms at a
-    # time on the cone of the block's last term k, every view taken once a block
-    ws = weights[1:].tolist()
-    for start in range(0, len(ws), CONE_BLOCK):
-        block = ws[start: start + CONE_BLOCK]
-        k = start + len(block) + 1
+    # T_k = 2X T_{k-1} - T_{k-2} from T_0 = phi and T_{-1} = 0, term 0's weight halved
+    cur, prev = state.amplitudes.copy(), np.zeros(n, dtype=complex)
+    acc = np.zeros(n, dtype=complex)
+    ws = weights.tolist()
+    ws[0] *= 0.5
+    # term 0 alone, then CONE_BLOCK terms at a time, each block ws[start:k] on the
+    # cone of the term k it ends by forming, every view taken once a block
+    bounds = [0, *range(1, len(ws), CONE_BLOCK), len(ws)]
+    for start, k in zip(bounds, bounds[1:]):
         lo, hi = max(s0 - k, 0), min(s1 + k, n)
         diag, off, total = diag2[lo:hi], off2[lo:hi - 1], acc[lo:hi]
         out, out_lo, out_hi = two_x[lo:hi], two_x[lo:hi - 1], two_x[lo + 1:hi]
         term, prod = tmp[lo:hi], tmp[lo:hi - 1]
         new, old = ((v, v[1:], v[:-1]) for v in (cur[lo:hi], prev[lo:hi]))
-        for w in block:
+        for w in ws[start:k]:
             v, v_up, v_dn = new
             np.multiply(w, v, out=term)
             total += term
@@ -230,7 +227,9 @@ def evolve(plan, state, t):
             out_hi += prod
             np.subtract(out, old[0], out=old[0])
             new, old = old, new
-        if len(block) % 2:
+        if start == 0:
+            np.multiply(0.5, new[0], out=new[0])  # 2X T_0 - T_{-1} = 2 T_1
+        if (k - start) % 2:
             prev, cur = cur, prev
     np.multiply(np.exp(-1j * c * t), acc, out=acc)
     return LatticeState.from_amplitudes(state.N, acc)

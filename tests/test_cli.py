@@ -262,6 +262,21 @@ def test_json_and_csv_carry_identical_numbers(configs, capsys):
             assert float(crow[key]) == val
 
 
+def test_usage_errors_exit_3(configs, tmp_path, capsys):
+    # no config, a grid of non-numbers, and an --out naming a directory, which
+    # leaves no temporary file behind
+    assert cli.main(["describe"]) == 3
+    assert "--config: a config file is required" in capsys.readouterr().err
+    assert cli.main(["scatter", "--config", configs["single"], "--grid=a:b:c"]) == 3
+    assert "--grid: start, stop, step must be numbers" in capsys.readouterr().err
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert cli.main(["scatter", "--config", configs["single"], "--lambda", "0.3",
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert out.is_dir() and not list(tmp_path.glob(".jacobi-reflect-*"))
+
+
 def test_output_file_atomic_and_reproducible(configs, tmp_path):
     out = tmp_path / "report.csv"
     argv = ["scatter", "--config", configs["single"], "--grid",

@@ -272,6 +272,11 @@ def test_packet_must_fit_and_stay_in_band():
         wave_packet(free_spec(), "l", 1.99, 0.05, 800)
 
 
+def test_packet_refuses_an_unknown_side():
+    with pytest.raises(ValueError, match="side must be 'l' or 'r', got 'x'"):
+        wave_packet(single_site_spec(), "x", 0.0, 0.05, 800)
+
+
 def test_packet_width_must_be_positive():
     for dlam in (-0.05, 0.0, np.nan):
         with pytest.raises(ValueError, match="dlambda"):

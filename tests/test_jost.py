@@ -448,3 +448,16 @@ def test_window_sites_past_n_max_are_refused():
         green_offdiag(spec, 10**12, 0, 0.3)
     with pytest.raises(ValueError, match="N_MAX"):
         jost_solution(spec, "r", 0.3, k_min=-10**20)
+
+
+def test_jost_solution_refuses_an_unknown_side():
+    with pytest.raises(ValueError, match="side must be 'l' or 'r', got 'x'"):
+        jost_solution(period2_spec(), "x", 0.8)
+
+
+def test_jost_value_outside_its_window_is_an_index_error():
+    sol = jost_solution(period2_spec(), "r", 0.8, -2, 3)
+    assert sol.value(-2) == sol.values[0] and sol.value(3) == sol.values[-1]
+    for k in (-3, 4):
+        with pytest.raises(IndexError, match=rf"site {k} outside window \[-2, 3\]"):
+            sol.value(k)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from jacobi_reflect import (BandEdge, Background, BoundaryPoint, JacobiSpec,
-                            PoleHit, ac_density, band_intervals, m_left,
-                            m_left_boundary, m_left_grid, m_right,
+                            PoleHit, ac_density, band_intervals, green_diag_grid,
+                            m_left, m_left_boundary, m_left_grid, m_right,
                             m_right_boundary, m_right_grid)
 
 from util import (free_spec, m_oracle_truncated, period2_spec, perturbed_period3_spec,
@@ -128,6 +128,22 @@ def test_band_edge_guard():
     spec = free_spec()
     with pytest.raises(BandEdge):
         m_right_boundary(spec, 0, np.array([2.0 - 1e-8]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: m_right_grid(spec, 0, [0.3]),
+    lambda spec: m_left_grid(spec, 0, [0.3 - 0.1j]),
+    lambda spec: green_diag_grid(spec, 0, [0.3 + 0j], real_limit=False),
+], ids=["m_right real", "m_left lower", "G_nn real"])
+def test_interior_evaluation_needs_the_upper_half_plane(call):
+    # a real or lower-half-plane z is refused, not read as a boundary value
+    with pytest.raises(ValueError, match=r"interior evaluation needs Im z > 0"):
+        call(period2_spec())
+
+
+def test_ac_density_refuses_an_unknown_side():
+    with pytest.raises(ValueError, match="side must be 'right' or 'left', got 'r'"):
+        ac_density(period2_spec(), 0, [0.8], side="r")
 
 
 def test_ac_density_positive_in_band_zero_in_gap():

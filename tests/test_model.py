@@ -46,6 +46,15 @@ def test_nonfinite_rejected():
         Background.constant(1.0, float("nan"))
     with pytest.raises(NonFiniteEntry):
         JacobiSpec(b_override=(float("inf"),))
+    # NaN and infinity in either array, of an override or of a background
+    with pytest.raises(NonFiniteEntry, match="coefficient at 0 is not finite: nan"):
+        JacobiSpec(b_override=(float("nan"),))
+    with pytest.raises(NonFiniteEntry, match="coefficient at 1 is not finite: inf"):
+        Background.periodic((1.0, 1.0), (0.0, float("inf")))
+    with pytest.raises(NonFiniteEntry, match="coefficient at 0 is not finite: nan"):
+        JacobiSpec(a_override=(float("nan"),))
+    with pytest.raises(NonFiniteEntry, match="coefficient at 0 is not finite: inf"):
+        Background.constant(float("inf"), 0.0)
 
 
 def test_background_length_mismatch():
@@ -162,6 +171,10 @@ def test_config_round_trip():
     p2 = JacobiSpec(background=Background.periodic((1.0, 0.5), (0.0, 0.1), phase=1),
                     offset=2, b_override=(0.25,))
     assert parse_config(serialize_config(p2)) == p2
+    const = JacobiSpec(background=Background.constant(0.5, 0.25))
+    doc = serialize_config(const)
+    assert doc == {"background": {"kind": "constant", "a": 0.5, "b": 0.25}}
+    assert parse_config(json.dumps(doc)) == const
 
 
 def test_config_accepts_json_text():
@@ -186,6 +199,21 @@ def test_config_rejects_bad_types():
                       "perturbation": {"offset": 0.5, "b": [1.0]}})
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([{"background": {"kind": "free"}}], r"\$: top level must be an object"),
+    ({}, r"\$: missing 'background'"),
+    ({"background": "free"}, "background: must be an object"),
+    ({"background": {"kind": "periodic", "a": [1.0, 0.5]}},
+     "background: 'periodic' requires arrays a and b"),
+    ({"background": {"kind": "free"}, "perturbation": [1.0]}, "perturbation: must be an object"),
+    ({"background": {"kind": "periodic", "a": 1.0, "b": [0.0]}},
+     "background.a: expected an array, got 1.0"),
+], ids=["top level", "no background", "background", "periodic", "perturbation", "array"])
+def test_config_schema_refusals(doc, message):
+    with pytest.raises(SchemaError, match=message):
+        parse_config(doc)
+
+
 def test_boundary_point_rules():
     z = BoundaryPoint.upper(0.5 + 1e-3j)
     assert not z.is_real_limit
@@ -195,6 +223,12 @@ def test_boundary_point_rules():
     assert lam.is_real_limit
     assert lam.side == "+"
     assert BoundaryPoint.real(0.5, side="-").side == "-"
+    with pytest.raises(ValueError, match="exactly one of z, lam must be given"):
+        BoundaryPoint(z=0.5 + 1e-3j, lam=0.5)
+    with pytest.raises(ValueError, match="exactly one of z, lam must be given"):
+        BoundaryPoint()
+    with pytest.raises(ValueError, match="side must be '\\+' or '-', got 'x'"):
+        BoundaryPoint.real(0.5, side="x")
 
 
 def test_import_needs_numpy_only():
