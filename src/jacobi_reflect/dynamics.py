@@ -36,9 +36,9 @@ estimate the stationary reflection/transmission probabilities, and the
 site-0 remnant is reported separately (it is excluded from both).  What
 may not have cleared is the energy profile's tail past 3 dlambda,
 ENERGY_TAIL of the mass; a packet that leaves more than that on the window
-and PACKET_MARGIN sites either side has not cleared, and is refused.  N only
-has to hold the packet and the fronts of the run: a smaller N is refused
-with ``WindowTooSmall``, which names the smallest N that works.
+and PACKET_MARGIN sites either side has not cleared, and is refused.  A run
+is built on n_min, the smallest N that holds it: a larger N changes neither
+its bits nor its cost, and a smaller one is refused with ``WindowTooSmall``.
 """
 
 from __future__ import annotations
@@ -361,9 +361,8 @@ def _smallest_half_width(spec, k_pack, t_star):
 
 
 def _left_packet_run(spec, lam0, dlam, N):
-    """``wave_packet(spec, "l", lam0, dlam, N)``, its plan and its clearing
-    time t*; an N whose horizon ends before t* is refused with the smallest
-    N that works."""
+    """The left packet, its plan and its clearing time t*, all on n_min, the
+    smallest N whose horizon reaches t*; an N below it is refused, naming it."""
     geo = _packet_geometry(spec, "l", lam0, dlam, N)
     k_pack = geo.depth + geo.radius
     n_min = _smallest_half_width(spec, k_pack, geo.t_star)
@@ -373,23 +372,23 @@ def _left_packet_run(spec, lam0, dlam, N):
             f"N = {N} is too small for the packet at lambda0 = {lam0} to clear the "
             f"window by t* = {geo.t_star:.6g}: the smallest N that works is {n_min}{beyond}"
         )
-    return _place(geo, "l", N), make_plan(spec, N, k_pack), geo.t_star
+    return _place(geo, "l", n_min), make_plan(spec, n_min, k_pack), geo.t_star
 
 
 def dynamical_reflection(spec, lam0, dlam, N):
     """Packet run from the left; masses once it has cleared the window.
 
-    The packet is ``wave_packet(spec, "l", lam0, dlam, N)``, observed at the
-    t* of the module docstring.  Returns a dict with R_dyn (mass on sites
-    <= -1 at t*), T_dyn (>= +1), the site-0 remnant, t_star, window_mass
-    (the mass on sites within w_ext + PACKET_MARGIN of site 0) and the
-    stationary packet-averaged reflection for comparison.  Only the energy
-    profile's tail past 3 dlambda may still sit anywhere at t*, so a
-    window_mass above ENERGY_TAIL, mass that does not leave (a bound state's
-    overlap), is refused with ``CrossCheckFailure``.  R_dyn is then within
-    ENERGY_TAIL of R averaged over the packet's own energies.  The stationary
-    average takes them as a Gaussian in lambda, where the packet's is a
-    Gaussian in quasi-momentum: near a band edge the two differ at second
+    The packet is ``wave_packet(spec, "l", lam0, dlam, n_min)`` on the run's
+    own truncation (module docstring), observed at t*.  Returns a dict with
+    the caller's N, R_dyn (mass on sites <= -1 at t*), T_dyn (>= +1), the
+    site-0 remnant, t_star, window_mass (the mass on sites within w_ext +
+    PACKET_MARGIN of site 0) and the stationary packet-averaged reflection.
+    Only the energy profile's tail past 3 dlambda may still sit anywhere at
+    t*, so a window_mass above ENERGY_TAIL, mass that does not leave (a bound
+    state's overlap), is refused with ``CrossCheckFailure``.  R_dyn is then
+    within ENERGY_TAIL of R averaged over the packet's own energies.  The
+    stationary average takes them as a Gaussian in lambda, where the packet's
+    is a Gaussian in quasi-momentum: near a band edge the two differ at second
     order in dlambda / v_g.
     """
     packet, plan, t_star = _left_packet_run(spec, lam0, dlam, N)
@@ -401,8 +400,8 @@ def dynamical_reflection(spec, lam0, dlam, N):
             f"packet has not cleared the window at t* = {t_star:.6g}: mass {window:.3e} "
             f"on sites -{reach}..{reach} exceeds the energy tail {ENERGY_TAIL:.3e}"
         )
-    r_dyn = out.mass(-N, -1)
-    t_dyn = out.mass(1, N)
+    r_dyn = out.mass(-out.N, -1)
+    t_dyn = out.mass(1, out.N)
     site0 = float(np.abs(out.site(0)) ** 2)
     r_stat = _stationary_reflection_avg(spec, lam0, dlam)
     return {
@@ -424,18 +423,19 @@ def projection_defect(spec, lam0, dlam, N):
 
     Approximates the asymptotic side projection by conjugating the sharp
     site mask with the evolution: P phi = e^{itJ} chi e^{-itJ} phi at
-    t = t*.  Returns ||P_l^2 phi - P_l phi|| plus the defect of
+    t = t*, on the run's own truncation n_min.  Returns
+    ||P_l^2 phi - P_l phi|| plus the defect of
     ||P_l phi||^2 + ||P_r phi||^2 + |<delta_0, e^{-itJ} phi>|^2 = 1.
     """
     packet, plan, t_star = _left_packet_run(spec, lam0, dlam, N)
 
     def mask(state, side):
-        amp = state.amplitudes.copy()
+        amp, n = state.amplitudes.copy(), state.N
         if side == "l":
-            amp[N:] = 0.0          # keep sites <= -1
+            amp[n:] = 0.0          # keep sites <= -1
         else:
-            amp[: N + 1] = 0.0     # keep sites >= +1
-        return LatticeState.from_amplitudes(N, amp)
+            amp[: n + 1] = 0.0     # keep sites >= +1
+        return LatticeState.from_amplitudes(n, amp)
 
     def project(fwd, side):
         """P psi, given fwd = e^{-itJ} psi."""

@@ -31,13 +31,13 @@ from .errors import (
 # window offsets, phases, extents and counts.  A cut N_MAX sites from the
 # window sweeps 10^6 bonds: scattering_grid on the single-site chain takes
 # 0.96 s at one energy and 7.3 s at 200, peak 23 MiB traced (55 MB RSS), on
-# two Xeon cores.  As a truncation half-width it was sized by the dynamics
-# runs.  Per site of the 2N + 1, a plan holds 16 bytes (diag, offdiag) and a
-# packet 16; evolve holds 112 in seven complex arrays (2X cast once, T_{k-1},
-# T_k, the sum and the two work buffers), plus under 100 bytes a Chebyshev
-# term for the coefficients.  At N = 16000 on the single-site chain the
-# measured peaks are 173 bytes a site for dynamical_reflection and 240 for
-# projection_defect, which keeps four states more: about 0.5 GB at N_MAX.
+# two Xeon cores.  As a truncation half-width it bounds make_plan and evolve
+# on a caller's own N; the packet routes only check it, and build on the
+# smallest N that holds their run.  Per site of the 2N + 1, a plan holds 16
+# bytes (diag, offdiag) and a state 16; evolve holds 112 in seven complex
+# arrays (2X cast once, T_{k-1}, T_k, the sum and the two work buffers).  At
+# N = 16000 on the single-site chain a plan, a packet and one evolve to the
+# horizon peak at 166 bytes a site traced: about 0.33 GB at N_MAX.
 # Time grows as N^2 (terms times cone width).
 N_MAX = 10**6
 

@@ -82,8 +82,8 @@ def test_chebyshev_matches_dense_propagation():
 
 
 def test_light_cone_is_bitwise_the_full_lattice_sum(monkeypatch):
-    N = 600
-    packet, plan, t_star = _left_packet_run(single_site_spec(), 0.0, 0.05, N)
+    packet, plan, t_star = _left_packet_run(single_site_spec(), 0.0, 0.05, 600)
+    N = packet.N                          # the run's own truncation
     masked = evolve(plan, packet, t_star).amplitudes.copy()
     masked[N:] = 0.0                      # the left mask of projection_defect
     ends = np.zeros(2 * N + 1, dtype=complex)
@@ -109,8 +109,8 @@ def test_light_cone_is_bitwise_the_full_lattice_sum(monkeypatch):
 
 
 def test_evolve_buffers_do_not_alias_its_input_or_output():
-    N = 600
-    packet, plan, t_star = _left_packet_run(single_site_spec(), 0.0, 0.05, N)
+    packet, plan, t_star = _left_packet_run(single_site_spec(), 0.0, 0.05, 600)
+    N = packet.N
     before = packet.amplitudes.copy()
     out = evolve(plan, packet, t_star)
     assert np.array_equal(packet.amplitudes, before)
@@ -131,11 +131,15 @@ def test_evolve_buffers_do_not_alias_its_input_or_output():
 
 
 def test_packet_stays_inside_its_light_cone():
-    # T_k(X) phi reaches k sites past the support of phi, and the sum stops at K terms
-    N = 600
-    packet, plan, t_star = _left_packet_run(single_site_spec(), 0.0, 0.05, N)
-    terms = _bessel_coefficients(plan.radius * t_star).size
+    # T_k(X) phi reaches k sites past the support of phi, and the sum stops at K terms;
+    # the run's packet and plan at t*, on N = 600 rather than the run's own
+    # truncation, whose edge the cone nearly reaches
+    N, spec = 600, single_site_spec()
+    t_star = _left_packet_run(spec, 0.0, 0.05, N)[2]
+    packet = wave_packet(spec, "l", 0.0, 0.05, N)
     occupied = np.flatnonzero(packet.amplitudes)
+    plan = make_plan(spec, N, N - occupied[0])
+    terms = _bessel_coefficients(plan.radius * t_star).size
     sites = np.arange(2 * N + 1)
     outside = (sites < occupied[0] - terms) | (sites > occupied[-1] + terms)
     assert outside.sum() >= 100
@@ -415,10 +419,7 @@ def test_band_check_respects_background():
 def test_slow_packet_clears_before_it_is_observed():
     # single-site near the band edge: v_g = 0.62 at 1.9 and 0.40 at 1.96; a
     # packet observed at a fraction of the horizon had not crossed the window
-    try:
-        out = dynamical_reflection(single_site_spec(), 1.9, 0.02, 4000)
-    except WindowTooSmall:
-        return
+    out = dynamical_reflection(single_site_spec(), 1.9, 0.02, 4000)
     assert out["abs_error"] <= ENERGY_TAIL
     assert out["window_mass"] <= ENERGY_TAIL
     assert abs(out["R_dyn"] + out["T_dyn"] + out["site0_mass"] - 1.0) <= 1e-10
@@ -440,6 +441,24 @@ def test_window_too_small_names_the_smallest_n(spec, lam0):
     for call in (dynamical_reflection, projection_defect):
         with pytest.raises(WindowTooSmall, match=f"N = {n - 1} .* smallest N that works is {n}"):
             call(spec, lam0, 0.05, n - 1)
+
+
+@pytest.mark.parametrize("spec, lam0", [(single_site_spec(), 0.0), (period2_spec(), 0.85),
+                                        (PERIOD4_SPEC, 0.73)],
+                         ids=["single-site", "period 2", "period 4"])
+def test_n_is_a_bound_not_a_size(spec, lam0):
+    # a run is built on the smallest N that holds it, so a larger N gives the same bits
+    n = _smallest_n(spec, lam0, 0.05)
+
+    def hexed(N):
+        out = dynamical_reflection(spec, lam0, 0.05, N)
+        assert out.pop("N") == N
+        return ({key: float(value).hex() for key, value in out.items()},
+                projection_defect(spec, lam0, 0.05, N).hex())
+
+    at_n_min = hexed(n)
+    assert hexed(2 * n) == at_n_min
+    assert hexed(10 ** 5) == at_n_min
 
 
 def test_a_packet_radius_past_n_max_is_refused():
@@ -468,20 +487,23 @@ def test_an_n_past_n_max_is_named_as_such():
 @pytest.mark.parametrize("spec, lam0", [(single_site_spec(), 0.0), (PERIOD4_SPEC, 0.73)])
 def test_the_evolved_state_is_the_wave_packet(spec, lam0, monkeypatch):
     # placed by its own geometry: the leading edge sits PACKET_MARGIN + 2 sites
-    # before the window whatever N is, and the run evolves that very state
+    # before the window whatever N is, and the run evolves that very state, on
+    # its own truncation whatever N bounds it
     w_ext = max(map(abs, spec.window))
     seen = []
 
     def spy(plan, state, t):
-        seen.append(state.amplitudes.copy())
+        seen.append((state.N, state.amplitudes.tobytes()))
         return evolve(plan, state, t)
 
     monkeypatch.setattr(dynamics, "evolve", spy)
     for N in (1000, 4000):
         dynamical_reflection(spec, lam0, 0.05, N)
-        packet = wave_packet(spec, "l", lam0, 0.05, N)
-        assert seen.pop(0).tobytes() == packet.amplitudes.tobytes()
-        assert np.flatnonzero(packet.amplitudes)[-1] - N == -(w_ext + 2 + PACKET_MARGIN)
+        n, evolved = seen[-1]
+        packet = wave_packet(spec, "l", lam0, 0.05, n)
+        assert evolved == packet.amplitudes.tobytes()
+        assert np.flatnonzero(packet.amplitudes)[-1] - n == -(w_ext + 2 + PACKET_MARGIN)
+    assert seen[0] == seen[1]
 
 
 def test_a_packet_that_has_not_cleared_is_refused(monkeypatch):
