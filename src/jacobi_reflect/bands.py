@@ -142,5 +142,5 @@ def _near_edge(background, lams):
     dist = np.abs(lams[:, None] - flat[None, :])
     nearest = dist.argmin(axis=1)
     margin = EDGE_REL * widths[nearest // 2]
-    bad = dist[np.arange(lams.size), nearest] < margin
+    bad = dist.min(axis=1) < margin
     return bad, lambda i: BandEdge(lams[i], flat[nearest[i]], margin[i])

@@ -26,8 +26,8 @@ per energy: None, or the refusal of the first check the energy fails.  A
 check is a mask over the grid and a refusal per energy; every check runs on
 every energy, and ``errors.first_refusals`` picks each one's first failure.
 A refused energy reads NaN; the others are unaffected.  ``alpha_beta`` is
-its one-point view and raises the refusal.  One energy runs the sweep on
-Python scalars, yet gets the bits it gets on a grid.  The other routes
+its one-point view and raises the refusal.  One real energy runs the sweep
+on Python scalars, yet gets the bits it gets on a grid.  The other routes
 raise the first check their energies fail with ``errors.raise_first``.
 """
 
@@ -145,9 +145,9 @@ def _jost_values(spec, lams, k_lo, k_hi):
     with np.errstate(all="ignore"):
         *sols, (edge, *seed) = weyl_sweep(spec, k_lo, k_hi - 1, lams)
         vals = np.array([sol.values(k_lo, k_hi) for sol in sols])
-        psi0 = vals[:, -k_lo]
+        psi0, scale = vals[:, -k_lo], np.abs(vals).max(axis=1)
         # + 0 prints an exact zero as 0, whatever sign the sweep gave it
-        norm = _rows(np.abs(psi0) < 1e-12 * np.abs(vals).max(axis=1),
+        norm = _rows(np.abs(psi0) < 1e-12 * scale,
                      lambda j, i: NormalizationPole(
                          f"psi_0 = {psi0[j, i] + 0:.3e} vanishes at lambda = "
                          f"{lams[i]} ({'rl'[j]} side)"))
@@ -155,7 +155,6 @@ def _jost_values(spec, lams, k_lo, k_hi):
         r = (a[1:-1, None] * vals[:, 2:] + a[:-2, None] * vals[:, :-2]
              + (b[1:-1, None] - lams) * vals[:, 1:-1])
         worst = np.abs(r).max(axis=1, initial=0.0)
-        scale = np.abs(vals).max(axis=1)
         rec = _rows(~(worst <= RECURSION_TOL * scale), lambda j, i: CrossCheckFailure(
             f"three-term recursion residual {worst[j, i]:.3e} exceeds "
             f"{RECURSION_TOL} * {scale[j, i]:.3e}"))

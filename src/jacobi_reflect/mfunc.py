@@ -12,9 +12,10 @@ and psi_l (square-summable at +inf and at -inf):
 values, one pair ``(u_{k+1}, u_k)`` per bond k with energies along the
 second axis, and each seeded beyond the perturbation window by an
 eigenvector of the background's one-period product
-``bands.transfer_product`` on its side.  Every route reads what it needs
-off that one call, with the call's checks: the band edge, then the right
-and the left seed.  The multiplier mu follows a
+``bands.transfer_product`` on its side.  One real energy runs the sweep on
+Python scalars, with the bits a grid gives it.  Every route reads what it
+needs off that one call, with the call's checks: the band edge, then the
+right and the left seed.  The multiplier mu follows a
 rule (Teschl, *Jacobi Operators and Completely Integrable Nonlinear
 Lattices*, ch. 7), not a probe: off the real axis and in gaps psi_r takes
 |mu| < 1 and psi_l |mu| > 1; in a band each takes the root whose m has
@@ -122,13 +123,14 @@ class WeylSolution(NamedTuple):
 
 
 def _select(cond, x, y):
-    # np.where for arrays, a plain branch for one energy on Python scalars
+    # np.where for arrays, a plain branch for one real energy or the band mask off the axis
     return np.where(cond, x, y) if np.ndim(cond) else (x if cond else y)
 
 
 def _floquet_seed(m11, m12, m21, m22, side, real_limit):
     """Pair ``(u_{K+1}, u_K)`` of one side's Floquet solution, its multiplier
-    mu, the other one nu and the band mask; M is the product over K+1..K+p.
+    mu, the other one nu and the band mask, False off the axis; M is the
+    product over K+1..K+p.
 
     ``disc = (M11 - M22)^2 + 4 M12 M21`` is ``Delta^2 - 4 det M`` without the
     cancellation of ``Delta^2 - 4`` near a closed gap.
@@ -140,7 +142,7 @@ def _floquet_seed(m11, m12, m21, m22, side, real_limit):
         band = disc < 0
         toward = delta * sq.real + m21 * sq.imag     # one of the two terms is 0
     else:
-        band = np.zeros(np.shape(disc), dtype=bool)
+        band = False
         toward = (np.conj(delta) * sq).real
     ssq = np.copysign(1.0, toward) * sq
     if side == "right":
@@ -237,8 +239,9 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
     # list would, at 8 bytes per site
     a, b = map(memoryview, coefficient_arrays(spec, seed_l - 1, seed_r + 1))
     checks = [_near_edge(spec.background, z)] if real_limit else []
-    # one energy runs on Python scalars: the kernel below is plain arithmetic
-    zz = z.item() if z.size == 1 else z
+    # one real energy runs on Python scalars: a real energy times a complex value
+    # has a zero cross term, so there they round as numpy's array loops do
+    zz = z.item() if z.size == 1 and real_limit else z
     p, sols = spec.background.period, []
     for side, seed in (("right", seed_r), ("left", seed_l)):
         right = side == "right"
@@ -246,17 +249,13 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
         up, low, *roots = _floquet_seed(*M, side, real_limit)
         checks.append(_seed_check(M, up, low, *roots, side))
         flux = a[seed - seed_l + 1] * (up * np.conj(low)).imag if real_limit else None
-        # the default int on one energy too: frexp's int32 exponents added to it
-        # give the exponents the grid's dtype whichever rows are kept
-        ex = np.zeros(z.shape, dtype=int) if z.size != 1 else np.int_(0)
-        up, low, ex = _rescale(up, low, ex)
+        up, low, ex = _rescale(up, low, 0)
         # the rows on bonds lo..hi are kept; the last p rows feed the per-period step
         ring = deque([(up, low, ex)], maxlen=p)
         rows = [ring[0]] if lo <= seed <= hi else []
         # beyond the window a pair is the pair one period back times the multiplier
         # of larger modulus (det M = 1), free of the recursion's rounding.  np.multiply
-        # on one energy too: numpy's complex product can round apart from Python's,
-        # and a point must get the same bits alone as on a grid
+        # on one energy too: Python's complex product can round apart from numpy's
         per_period = roots[1] if right else roots[0]
         for count, k in enumerate(range(seed, lo, -1) if right else range(seed + 1, hi + 1), 1):
             i, bond = k - seed_l + 1, k - 1 if right else k

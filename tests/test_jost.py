@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -461,3 +463,21 @@ def test_jost_value_outside_its_window_is_an_index_error():
     for k in (-3, 4):
         with pytest.raises(IndexError, match=rf"site {k} outside window \[-2, 3\]"):
             sol.value(k)
+
+
+def test_a_wronskian_that_varies_is_refused(monkeypatch):
+    # with no spread allowed, every band point's Wronskians vary by their
+    # rounding, after the recursion checks pass: the grid's status, the
+    # one-point view and green_offdiag all name the spread
+    from jacobi_reflect import jost
+    spec = perturbed_period3_spec()
+    lams = band_grid(spec, 10).points
+    assert alpha_beta_grid(spec, lams).ok.all()
+    monkeypatch.setattr(jost, "WRONSKIAN_SPREAD_TOL", 0.0)
+    match = "Wronskian varies by .* across the window"
+    for status in alpha_beta_grid(spec, lams).status:
+        assert type(status) is CrossCheckFailure and re.match(match, str(status))
+    with pytest.raises(CrossCheckFailure, match=match):
+        alpha_beta(spec, lams[0])
+    with pytest.raises(CrossCheckFailure, match=match):
+        green_offdiag(spec, -1, 2, lams[0])

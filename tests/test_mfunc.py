@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from jacobi_reflect import (BandEdge, Background, BoundaryPoint, JacobiSpec,
-                            PoleHit, ac_density, band_intervals, green_diag_grid,
-                            m_left, m_left_boundary, m_left_grid, m_right,
-                            m_right_boundary, m_right_grid)
+                            NumericalError, PoleHit, ac_density, band_intervals,
+                            green_diag_grid, m_left, m_left_boundary, m_left_grid,
+                            m_right, m_right_boundary, m_right_grid)
+from jacobi_reflect import mfunc
 
 from util import (free_spec, m_oracle_truncated, period2_spec, perturbed_period3_spec,
-                  random_spec, single_site_spec)
+                  perturbed_periodic_spec, random_spec, single_site_spec)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -172,3 +173,35 @@ def test_half_line_dirichlet_eigenvalue_is_a_pole():
     # a pole carries no a.c. density
     assert ac_density(spec, 0, np.array([0.0]))[0] == 0.0
     assert ac_density(spec, 1, np.array([0.0]), side="left")[0] == 0.0
+
+
+def test_one_energy_sweeps_the_rows_of_its_grid_column():
+    # one energy and a grid sweep alike on and off the axis: over bonds
+    # -200..150, with rescalings and per-period steps on both sides, a point's
+    # rows are its column of the grid's, and its exponents the same values
+    rng = np.random.default_rng(61)
+    for spec in [perturbed_periodic_spec(rng, p) for p in (1, 2, 3, 4)] + [period2_spec()]:
+        edges = np.array(band_intervals(spec.background)).ravel()
+        lams = np.concatenate([(edges[0::2] + edges[1::2]) / 2,
+                               (edges[1:-1:2] + edges[2::2]) / 2,
+                               [edges[0] - 0.5, edges[-1] + 0.5]])
+        zs = lams + 1j * np.geomspace(1e-6, 3, lams.size)
+        for pts, real_limit in ((lams, True), (zs, False)):
+            grid = mfunc.weyl_sweep(spec, -200, 150, pts, real_limit)[:2]
+            for j in range(pts.size):
+                alone = mfunc.weyl_sweep(spec, -200, 150, pts[j:j + 1], real_limit)[:2]
+                for one, sol in zip(alone, grid):
+                    assert one.upper[:, 0].tobytes() == sol.upper[:, j].tobytes(), pts[j]
+                    assert one.lower[:, 0].tobytes() == sol.lower[:, j].tobytes(), pts[j]
+                    assert (one.exponent[:, 0] == sol.exponent[:, j]).all(), pts[j]
+
+
+def test_an_m_value_below_the_axis_is_refused(monkeypatch):
+    # m is Herglotz: an m route that gave Im m < 0 at lambda + i0 is refused;
+    # at lambda - i0 the conjugate is the value, and no sign is checked
+    spec = single_site_spec()
+    m_raising = mfunc._m_raising
+    monkeypatch.setattr(mfunc, "_m_raising", lambda *args: np.conj(m_raising(*args)))
+    with pytest.raises(NumericalError, match="Herglotz value with Im = .* < 0"):
+        m_right(spec, 0, BoundaryPoint.real(0.5))
+    assert m_right(spec, 0, BoundaryPoint.real(0.5, side="-")).imag > 0

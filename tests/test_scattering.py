@@ -8,14 +8,14 @@ from jacobi_reflect import (Background, BoundaryPoint, CrossCheckFailure,
                             ac_density, alpha_beta, alpha_beta_grid, band_grid,
                             band_intervals, channel_weight, green_diag, green_diag_grid,
                             green_offdiag, group_velocity, jost_solution,
-                            m_left_boundary, m_left_grid,
-                            m_right_boundary, m_right_grid,
+                            m_left, m_left_boundary, m_left_grid,
+                            m_right, m_right_boundary, m_right_grid,
                             reflection_transmission, reflectionless_report,
                             scattering_grid, scattering_matrix,
                             spectral_reflection_mratio_grid, unitarity_defect,
                             unitarity_defect_grid, wave_packet)
 from jacobi_reflect import mfunc, scattering
-from jacobi_reflect.errors import first_refusals
+from jacobi_reflect.errors import NumericalError, first_refusals
 
 from util import (closed_gap_spec, free_spec, period2_spec, perturbed_period3_spec,
                   perturbed_periodic_spec, random_spec, single_site_spec)
@@ -248,6 +248,46 @@ def test_one_energy_gets_its_bits_on_a_grid():
                 one = m_values(spec, n, gap[j:j + 1])[0]
                 assert ([x.hex() for x in (one.real, one.imag)]
                         == [x.hex() for x in (grid[j].real, grid[j].imag)]), (n, gap[j])
+
+
+def _hex(v):
+    return v.real.hex(), v.imag.hex()
+
+
+def test_one_off_axis_point_gets_its_bits_on_a_grid():
+    # off the real axis one point runs the sweep on arrays, as a grid does: its
+    # m and G_nn, alone, through a one-point grid or a scalar view, are the
+    # grid's, at Re z in bands and gaps and Im z from 1e-6 to 3
+    rng = np.random.default_rng(34)
+    specs = [perturbed_periodic_spec(rng, p) for p in (1, 2, 3, 4)]
+    for spec in specs + [single_site_spec(), period2_spec()]:
+        edges = np.array(band_intervals(spec.background)).ravel()
+        re = np.concatenate([np.linspace(edges[0] - 0.5, edges[-1] + 0.5, 5),
+                             (edges[1:-1:2] + edges[2::2]) / 2])
+        zs = (re[:, None] + 1j * np.array([1e-6, 1e-3, 0.1, 3.0])).ravel()
+        for n in (0, 2):
+            routes = [(lambda z: m_right_grid(spec, n, z), lambda pt: m_right(spec, n, pt)),
+                      (lambda z: m_left_grid(spec, n, z), lambda pt: m_left(spec, n, pt)),
+                      (lambda z: green_diag_grid(spec, n, z, real_limit=False),
+                       lambda pt: green_diag(spec, n, pt))]
+            for grid_route, scalar_route in routes:
+                grid = grid_route(zs)
+                for j, z in enumerate(zs):
+                    want = _hex(grid[j])
+                    assert _hex(grid_route(zs[j:j + 1])[0]) == want, (n, z)
+                    assert _hex(scalar_route(BoundaryPoint.upper(z))) == want, (n, z)
+
+
+def test_an_interior_green_value_below_the_axis_is_refused(monkeypatch):
+    # G_nn is Herglotz: a grid route that gave Im G_nn < 0 at an upper point
+    # is refused there; a real-limit point has no sign to check
+    spec = single_site_spec()
+    grid_route = scattering.green_diag_grid
+    monkeypatch.setattr(scattering, "green_diag_grid",
+                        lambda *args: np.conj(grid_route(*args)))
+    with pytest.raises(NumericalError, match="G_nn at an interior point must have Im > 0"):
+        green_diag(spec, 0, BoundaryPoint.upper(0.3 + 0.5j))
+    assert green_diag(spec, 0, BoundaryPoint.real(0.3)).imag < 0
 
 
 def test_a_far_cut_costs_no_memory_per_bond_swept():
