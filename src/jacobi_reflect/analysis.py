@@ -102,8 +102,8 @@ def essential_support(spec, grid):
     """Index sets where each half-line boundary density is positive, by the
     open-channel threshold of the s-matrix."""
     pieces = boundary_pieces(spec, [0], grid.points)
-    # a pole of m carries no density, so its check is not raised
-    raise_first(pieces.m_checks["left"][:-1] + pieces.m_checks["right"][:-1])
+    # the cut route's band edge and seeds, in its order; G_nn and m's poles are not read
+    raise_first(pieces.checks[:-2])
     left, right = (np.flatnonzero(d[0] > 0) for d in (pieces.density_l, pieces.density_r))
     union = np.union1d(left, right)
     return {"left": left, "right": right, "union": union}

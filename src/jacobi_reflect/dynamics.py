@@ -82,18 +82,21 @@ __all__ = [
 
 @dataclass(eq=False)
 class LatticeState:
-    """Amplitudes over sites -N..N with a cached norm."""
+    """Amplitudes over sites -N..N; ``norm`` is read off them as they are now."""
 
     N: int
     amplitudes: np.ndarray
-    norm: float
 
     @classmethod
     def from_amplitudes(cls, N, amplitudes):
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.shape != (2 * N + 1,):
             raise ValueError(f"expected {2 * N + 1} amplitudes, got {amplitudes.shape}")
-        return cls(N=N, amplitudes=amplitudes, norm=float(np.linalg.norm(amplitudes)))
+        return cls(N=N, amplitudes=amplitudes)
+
+    @property
+    def norm(self):
+        return float(np.linalg.norm(self.amplitudes))
 
     def _index(self, k):
         if not -self.N <= k <= self.N:
@@ -244,7 +247,7 @@ def _floquet_wave(background, lams):
     checks are raised, in that order."""
     spec = JacobiSpec(background=background)
     p = background.period
-    (u, _), (a, _), (edge, seed, _, rec) = _jost_values(spec, lams, 0, p + 1)
+    (u, _), a, (edge, seed, _, rec) = _jost_values(spec, lams, 0, p + 1)
     raise_first([edge, seed[0], rec[0]])
     cur = -2.0 * a[0] * np.imag(np.conj(u[0]) * u[1])
     dens = np.sum(np.abs(u[:p]) ** 2, axis=0) / p

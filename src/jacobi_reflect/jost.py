@@ -14,8 +14,8 @@ scattering-matrix route and with the m-function ratio route.
 The solutions are the ones ``mfunc.weyl_sweep`` computes for the
 m-functions, the Green's function and the s-matrix: the branch is the one
 of ``mfunc``, with no rule of its own.  ``_jost_values`` is the one route
-that reads them on a window of sites, with the window's coefficients and
-their checks by kind; each caller names the ones it raises.
+that reads them on a window of sites, which the sweep hands it whole with its
+coefficients, and their checks by kind; each caller names the ones it raises.
 ``jost_solution`` and ``alpha_beta_grid`` divide by psi_0, and
 ``jost_solution`` raises only its own side's checks; ``green_offdiag`` and
 ``dynamics._floquet_wave`` need no normalization.  The m-ratio route reads
@@ -49,7 +49,7 @@ from .errors import (
     raise_first,
 )
 from .mfunc import boundary_pieces, weyl_sweep
-from .model import _check_integer, coefficient_arrays
+from .model import _check_integer
 
 RECURSION_TOL = 1e-10   # residual of the three-term recursion, relative
 # Spread of the Wronskian over the window, relative to max|u| max|v|.  Across
@@ -136,29 +136,28 @@ def _rows(mask, refusal):
 
 def _jost_values(spec, lams, k_lo, k_hi):
     """psi_r and psi_l on sites k_lo..k_hi (k_lo <= 0) as [side, site,
-    energy], on the scale of bond k_lo, not normalized, the sites'
-    coefficient arrays ``(a, b)``, and the checks by kind, ``(edge, seed,
-    norm, rec)``: the band edge, then a pair, right then left, for the
-    Floquet seed, a vanishing psi_0 and the three-term recursion residual.
+    energy], on the scale of bond k_lo, not normalized, the sites' a_k, and
+    the checks by kind, ``(edge, seed, norm, rec)``: the band edge, then a
+    pair, right then left, for the Floquet seed, a vanishing psi_0 and the
+    three-term recursion residual.
     """
     # a failed seed sweeps on, maybe to NaN or inf: nothing here may warn for it
     with np.errstate(all="ignore"):
-        *sols, (edge, *seed) = weyl_sweep(spec, k_lo, k_hi - 1, lams)
-        vals = np.array([sol.values(k_lo, k_hi) for sol in sols])
+        psi_r, psi_l, (a, b), (edge, *seed) = weyl_sweep(spec, k_lo, k_hi - 1, lams)
+        vals = np.array([psi_r.values(), psi_l.values()])
         psi0, scale = vals[:, -k_lo], np.abs(vals).max(axis=1)
         # + 0 prints an exact zero as 0, whatever sign the sweep gave it
         norm = _rows(np.abs(psi0) < 1e-12 * scale,
                      lambda j, i: NormalizationPole(
                          f"psi_0 = {psi0[j, i] + 0:.3e} vanishes at lambda = "
                          f"{lams[i]} ({'rl'[j]} side)"))
-        a, b = coefficient_arrays(spec, k_lo, k_hi)
         r = (a[1:-1, None] * vals[:, 2:] + a[:-2, None] * vals[:, :-2]
              + (b[1:-1, None] - lams) * vals[:, 1:-1])
         worst = np.abs(r).max(axis=1, initial=0.0)
         rec = _rows(~(worst <= RECURSION_TOL * scale), lambda j, i: CrossCheckFailure(
             f"three-term recursion residual {worst[j, i]:.3e} exceeds "
             f"{RECURSION_TOL} * {scale[j, i]:.3e}"))
-    return vals, (a, b), (edge, seed, norm, rec)
+    return vals, a, (edge, seed, norm, rec)
 
 
 def jost_solution(spec, side, lam, k_min=None, k_max=None):
@@ -218,7 +217,7 @@ def alpha_beta_grid(spec, lams):
     # a refused energy runs on through the later checks, where it may divide
     # by zero or overflow: its values are replaced by NaN, so nothing warns
     with np.errstate(all="ignore"):
-        vals, (a, _), (edge, seed, norm, rec) = _jost_values(spec, lams, k_lo, k_hi)
+        vals, a, (edge, seed, norm, rec) = _jost_values(spec, lams, k_lo, k_hi)
         checks = [edge, *seed, *norm, *rec]
         psi_r, psi_l = vals / vals[:, -k_lo, None]
         psi_rbar = np.conj(psi_r)
@@ -299,7 +298,7 @@ def green_offdiag(spec, n, m, lam):
     lams = _real_energies([lam])
     k_lo, k_hi = _site_range(spec)
     k_lo, k_hi = min(k_lo, lo - 1), max(k_hi, hi + 1)
-    (psi_r, psi_l), (a, _), (edge, seed, _, rec) = _jost_values(spec, lams, k_lo, k_hi)
+    (psi_r, psi_l), a, (edge, seed, _, rec) = _jost_values(spec, lams, k_lo, k_hi)
     # raised before the Wronskian is formed: a failed sweep may hold inf or NaN
     raise_first([edge, *seed, *rec])
     w, bad, spread = _wronskian_spread(psi_r, psi_l, a[:-1, None], 0)

@@ -13,14 +13,14 @@ values, one pair ``(u_{k+1}, u_k)`` per bond k with energies along the
 second axis, and each seeded beyond the perturbation window by an
 eigenvector of the background's one-period product
 ``bands.transfer_product`` on its side.  One real energy runs the sweep on
-Python scalars, with the bits a grid gives it.  Every route reads what it
-needs off that one call, with the call's checks: the band edge, then the
-right and the left seed.  The multiplier mu follows a
-rule (Teschl, *Jacobi Operators and Completely Integrable Nonlinear
-Lattices*, ch. 7), not a probe: off the real axis and in gaps psi_r takes
-|mu| < 1 and psi_l |mu| > 1; in a band each takes the root whose m has
-Im m > 0, the boundary value at ``lambda + i0``.  Values at ``lambda - i0``
-are conjugates of the ``+`` side ones.
+Python scalars, with the bits a grid gives it.  The sweep hands its readers
+their window whole, the rows of bonds lo..hi and a_k, b_k on sites lo..hi+1,
+with its checks: the band edge, then the right and the left seed.  The
+multiplier mu follows a rule (Teschl, *Jacobi Operators and Completely
+Integrable Nonlinear Lattices*, ch. 7), not a probe: off the real axis and
+in gaps psi_r takes |mu| < 1 and psi_l |mu| > 1; in a band each takes the
+root whose m has Im m > 0, the boundary value at ``lambda + i0``.  Values at
+``lambda - i0`` are conjugates of the ``+`` side ones.
 
 ``boundary_pieces`` is the one route that reads the Weyl pairs at cut
 sites, off one sweep over bonds min(cuts)-1..max(cuts).  At each cut it
@@ -99,27 +99,21 @@ __all__ = [
 class WeylSolution(NamedTuple):
     """A Weyl solution as one pair ``(u_{k+1}, u_k)`` per bond and energy.
 
-    Row i holds bond ``first + i``.  Rows are rescaled by powers of two on
-    the way; ``2**exponent`` takes a row back to the scale of the seed.  On
-    the real axis ``flux`` is ``a_k Im(u_{k+1} conj(u_k))`` on the seed's
-    scale, the same on every bond.
+    Row i holds bond ``lo + i`` of the sweep over bonds lo..hi.  Rows are
+    rescaled by powers of two on the way; ``2**exponent`` takes a row back
+    to the scale of the seed.  On the real axis ``flux`` is
+    ``a_k Im(u_{k+1} conj(u_k))`` on the seed's scale, the same on every bond.
     """
 
-    first: int
     upper: np.ndarray       # u_{k+1}, [bond, point]
     lower: np.ndarray       # u_k
     exponent: np.ndarray
     flux: np.ndarray = None
 
-    def bond(self, k):
-        i = k - self.first
-        return self.upper[i], self.lower[i]
-
-    def values(self, k_lo, k_hi):
-        """u_k on sites k_lo..k_hi, [site, point], on the scale of bond k_lo."""
-        i, j = k_lo - self.first, k_hi - self.first
-        shift = np.ldexp(1.0, self.exponent[i:j] - self.exponent[i])
-        return np.concatenate([self.lower[i][None], self.upper[i:j] * shift])
+    def values(self):
+        """u_k on sites lo..hi+1, [site, point], on the scale of bond lo."""
+        shift = np.ldexp(1.0, self.exponent - self.exponent[0])
+        return np.concatenate([self.lower[0][None], self.upper * shift])
 
 
 def _select(cond, x, y):
@@ -208,12 +202,12 @@ def _reach(spec):
 
 
 def weyl_sweep(spec, lo, hi, pts, real_limit=True):
-    """``(psi_r, psi_l, checks)``: both Weyl solutions on bonds lo..hi, at
-    real energies (``lambda + i0``) when ``real_limit``, else at
-    upper-half-plane points, and their checks in order: the band edge (real
-    axis only), the right seed, the left seed.  It raises no refusal: a
-    point whose seed fails is swept on and flagged.  Only the rows on bonds
-    lo..hi are kept, so a sweep from a far seed costs no memory per bond.
+    """``(psi_r, psi_l, (a, b), checks)``: both Weyl solutions on bonds lo..hi
+    and a_k, b_k on sites lo..hi+1, at real energies (``lambda + i0``) when
+    ``real_limit``, else at upper-half-plane points, and the checks in order:
+    the band edge (real axis only), the right seed, the left seed.  It raises
+    no refusal: a point whose seed fails is swept on and flagged.  Only what
+    is on bonds lo..hi is kept, so a sweep from a far seed keeps no row per bond.
 
     psi_r is seeded at the first bond >= hi with only background to its right
     and swept down, psi_l at the last bond <= lo with only background to its
@@ -236,8 +230,10 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
     w = spec.window
     seed_r, seed_l = (max(hi, w[1] + 1), min(lo, w[0] - 1)) if w else (hi, lo)
     # index i: site seed_l - 1 + i; a memoryview indexes to Python floats, as a
-    # list would, at 8 bytes per site
-    a, b = map(memoryview, coefficient_arrays(spec, seed_l - 1, seed_r + 1))
+    # list would, at 8 bytes per site.  Sites lo..hi+1 go back as copies, not as
+    # views that would keep a far seed's arrays alive
+    coeffs = coefficient_arrays(spec, seed_l - 1, seed_r + 1)
+    a, b = map(memoryview, coeffs)
     checks = [_near_edge(spec.background, z)] if real_limit else []
     # one real energy runs on Python scalars: a real energy times a complex value
     # has a zero cross term, so there they round as numpy's array loops do
@@ -278,20 +274,20 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
         if right:
             rows.reverse()
         shape = (len(rows), z.size)
-        sols.append(WeylSolution(lo, *(np.array(c).reshape(shape) for c in zip(*rows)), flux))
-    return (*sols, checks)
+        sols.append(WeylSolution(*(np.array(c).reshape(shape) for c in zip(*rows)), flux))
+    return (*sols, tuple(c[lo - seed_l + 1: hi - seed_l + 3].copy() for c in coeffs), checks)
 
 
-def _ratios(sol, bonds, a):
-    """u_{k+1} / u_k and u_k / u_{k+1} at the bonds, each 0 at its poles, and
-    their pole masks.  On the real axis the imaginary parts come from the
-    conserved flux: they keep their relative accuracy where they are small
-    against the ratio, as in the stripping recursion of m.
+def _ratios(sol, a):
+    """u_{k+1} / u_k and u_k / u_{k+1} on the sweep's bonds, each 0 at its
+    poles, and their pole masks.  On the real axis the imaginary parts come
+    from the conserved flux: they keep their relative accuracy where they are
+    small against the ratio, as in the stripping recursion of m.
     """
-    up, low = sol.bond(bonds)
+    up, low = sol.upper, sol.lower
     mag_up, mag_low = np.abs(up), np.abs(low)
     if sol.flux is not None:
-        flux = np.ldexp(sol.flux, -2 * sol.exponent[bonds - sol.first]) / a
+        flux = np.ldexp(sol.flux, -2 * sol.exponent) / a
     out = []
     for num, den, mag, sign in ((up, low, mag_low, 1.0), (low, up, mag_up, -1.0)):
         pole = mag <= POLE_TOL * (mag_up + mag_low)
@@ -334,13 +330,12 @@ def boundary_pieces(spec, cuts, pts, real_limit=True):
         _check_integer(n, "cut site n")
     cuts = np.asarray(cuts, dtype=int)
     lo, hi = int(cuts.min()) - 1, int(cuts.max())
-    bonds = np.arange(lo, hi + 1)
-    right, left, checks = weyl_sweep(spec, lo, hi, pts, real_limit)
+    right, left, (a, _), checks = weyl_sweep(spec, lo, hi, pts, real_limit)
     *edge, seed_r, seed_l = checks
-    a = coefficient_arrays(spec, lo, hi)[0][:, None]
+    a = a[:-1, None]                        # a_k on bonds lo..hi
     # ratios u_{k+1}/u_k (rho) and u_k/u_{k+1} (sigma) of both pairs on each bond
-    rho_r, zero_r, sig_r, top_r = _ratios(right, bonds, a)
-    rho_l, zero_l, sig_l, top_l = _ratios(left, bonds, a)
+    rho_r, zero_r, sig_r, top_r = _ratios(right, a)
+    rho_l, zero_l, sig_l, top_l = _ratios(left, a)
     g, pole = _green(a, rho_r, zero_r, rho_l, zero_l)
     g_prev, pole_prev = _green(a, sig_l, top_l, sig_r, top_r)
     g, g_prev = g[1:], g_prev[:-1]          # G_kk from bond k and from bond k-1

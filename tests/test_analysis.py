@@ -3,14 +3,14 @@ import pytest
 from scipy import integrate
 
 from jacobi_reflect import (Background, JacobiSpec, band_grid, band_intervals,
-                            essential_support, explicit_grid, landauer_current,
-                            reflectionless_report)
-from jacobi_reflect.analysis import QUADRATURE_MAX, QUADRATURE_NODES
+                            essential_support, explicit_grid, green_diag_grid,
+                            landauer_current, reflectionless_report, scattering_grid)
+from jacobi_reflect.analysis import QUADRATURE_MAX, QUADRATURE_NODES, EnergyGrid
 from jacobi_reflect.errors import CrossCheckFailure, raise_first
 from jacobi_reflect.scattering import _s_entries, boundary_pieces
 
-from util import (free_spec, period2_spec, perturbed_period3_spec, random_spec, seeded_specs,
-                  single_site_spec)
+from util import (closed_gap_spec, free_spec, period2_spec, perturbed_period3_spec, random_spec,
+                  seeded_specs, single_site_spec)
 
 
 def test_explicit_grid_endpoint_rule():
@@ -95,6 +95,23 @@ def test_essential_support_free_vs_gap():
                if any(lo < lam < hi for lo, hi in band_intervals(spec2.background))]
     assert sup2["union"].tolist() == in_band
     assert sup2["left"].tolist() == sup2["right"].tolist()
+
+
+def test_essential_support_refuses_in_the_cut_routes_order():
+    # the free chain written as period 2 has neither Floquet seed at lambda = 0:
+    # essential_support names the right one first, as every route on the cut does
+    spec = closed_gap_spec()
+    grid = EnergyGrid(points=np.array([-0.5, 0.0, 0.5]))
+    messages = []
+    for route in (lambda: essential_support(spec, grid),
+                  lambda: scattering_grid(spec, 0, grid.points),
+                  lambda: green_diag_grid(spec, 0, grid.points),
+                  lambda: reflectionless_report(spec, grid)):
+        with pytest.raises(CrossCheckFailure) as err:
+            route()
+        messages.append(str(err.value))
+    assert messages[0].startswith("Floquet seed (right side): residual inf")
+    assert messages == messages[:1] * 4
 
 
 def test_report_free_operator_all_pass():

@@ -29,6 +29,15 @@ def test_lattice_state_mass():
         LatticeState.from_amplitudes(5, np.zeros(4))
 
 
+def test_lattice_state_norm_follows_its_amplitudes():
+    # the norm is read off the amplitudes: scaling them in place rescales it
+    state = LatticeState.from_amplitudes(3, np.ones(7, dtype=complex))
+    assert state.norm == float(np.linalg.norm(np.ones(7)))
+    state.amplitudes *= 2.0
+    assert state.norm == float(np.linalg.norm(np.full(7, 2.0)))
+    assert state.norm == pytest.approx(2.0 * np.sqrt(7.0), rel=1e-15)
+
+
 def test_lattice_state_refuses_sites_outside_the_truncation():
     # unit amplitudes on N = 3: a site past -N or N wrapped to the other end
     state = LatticeState.from_amplitudes(3, np.ones(7, dtype=complex))

@@ -397,10 +397,10 @@ def test_every_window_route_raises_the_one_recursion_check(monkeypatch):
     from jacobi_reflect import jost
     sweep = jost.weyl_sweep
 
-    def broken(*args):
-        right, left, checks = sweep(*args)
-        right.upper[0 - right.first] *= 1.0 + 1e-6
-        return right, left, checks
+    def broken(spec, lo, hi, *args):
+        right, left, coeffs, checks = sweep(spec, lo, hi, *args)
+        right.upper[0 - lo] *= 1.0 + 1e-6
+        return right, left, coeffs, checks
 
     spec = perturbed_period3_spec()
     lo, hi = band_intervals(spec.background)[0]

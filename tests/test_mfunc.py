@@ -5,10 +5,11 @@ from jacobi_reflect import (BandEdge, Background, BoundaryPoint, JacobiSpec,
                             NumericalError, PoleHit, ac_density, band_intervals,
                             green_diag_grid, m_left, m_left_boundary, m_left_grid,
                             m_right, m_right_boundary, m_right_grid)
-from jacobi_reflect import mfunc
+from jacobi_reflect import coefficient_arrays, mfunc
 
-from util import (free_spec, m_oracle_truncated, period2_spec, perturbed_period3_spec,
-                  perturbed_periodic_spec, random_spec, single_site_spec)
+from util import (closed_gap_spec, free_spec, m_oracle_truncated, period2_spec,
+                  perturbed_period3_spec, perturbed_periodic_spec, random_spec,
+                  single_site_spec)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -194,6 +195,26 @@ def test_one_energy_sweeps_the_rows_of_its_grid_column():
                     assert one.upper[:, 0].tobytes() == sol.upper[:, j].tobytes(), pts[j]
                     assert one.lower[:, 0].tobytes() == sol.lower[:, j].tobytes(), pts[j]
                     assert (one.exponent[:, 0] == sol.exponent[:, j]).all(), pts[j]
+
+
+def test_the_sweep_returns_the_coefficients_of_its_sites():
+    # a_k and b_k on sites lo..hi+1 are those of coefficient_arrays, bit for bit,
+    # for sweeps left of, across and right of the window and 10^3 bonds past it,
+    # on and off the axis, and on a spec with no window; they own their data,
+    # so a far seed's arrays are not kept alive by them
+    rng = np.random.default_rng(43)
+    for spec in (perturbed_period3_spec(), perturbed_periodic_spec(rng, 4), closed_gap_spec()):
+        lo_band, hi_band = band_intervals(spec.background)[0]
+        lams = np.linspace(lo_band, hi_band, 5)[1:-1]
+        w0, w1 = spec.window or (0, 0)
+        for lo, hi in ((w0 - 9, w0 - 3), (w0 - 2, w1 + 2), (w1 + 3, w1 + 9),
+                       (w0 - 1010, w0 - 1000), (w1 + 1000, w1 + 1010)):
+            for pts, real_limit in ((lams[:1], True), (lams, True), (lams + 0.5j, False)):
+                a, b = mfunc.weyl_sweep(spec, lo, hi, pts, real_limit)[2]
+                ref_a, ref_b = coefficient_arrays(spec, lo, hi + 1)
+                assert a.tobytes() == ref_a.tobytes() and a.dtype == ref_a.dtype, (lo, hi)
+                assert b.tobytes() == ref_b.tobytes() and b.dtype == ref_b.dtype, (lo, hi)
+                assert a.flags.owndata and b.flags.owndata
 
 
 def test_an_m_value_below_the_axis_is_refused(monkeypatch):

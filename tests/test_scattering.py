@@ -160,10 +160,10 @@ def test_broken_recursion_trips_the_bond_check(monkeypatch):
     # u_1 of the right solution off by 1e-6: no longer a solution at site 0
     sweep = mfunc.weyl_sweep
 
-    def broken(*args):
-        right, left, checks = sweep(*args)
-        right.upper[0 - right.first] *= 1.0 + 1e-6
-        return right, left, checks
+    def broken(spec, lo, hi, *args):
+        right, left, coeffs, checks = sweep(spec, lo, hi, *args)
+        right.upper[0 - lo] *= 1.0 + 1e-6
+        return right, left, coeffs, checks
 
     spec = perturbed_period3_spec()
     monkeypatch.setattr(mfunc, "weyl_sweep", broken)
@@ -178,9 +178,9 @@ def test_every_cut_route_reads_the_one_sweep(monkeypatch):
     sweep = mfunc.weyl_sweep
 
     def shifted(spec, lo, hi, *args):
-        right, left, checks = sweep(spec, lo, hi, *args)
-        right.upper[hi - right.first] *= 1.0 + 1e-6
-        return right, left, checks
+        right, left, coeffs, checks = sweep(spec, lo, hi, *args)
+        right.upper[hi - lo] *= 1.0 + 1e-6
+        return right, left, coeffs, checks
 
     spec = perturbed_period3_spec()
     lo, hi = band_intervals(spec.background)[0]
