@@ -30,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bands import _inset_bands, _near_edge, band_intervals
-from .errors import raise_first
-from .mfunc import boundary_pieces
+from .errors import _named, raise_first
+from .mfunc import _G_CHECKS, boundary_pieces
 from .model import _check_integer
 from .scattering import _s_entries
 
@@ -102,8 +102,7 @@ def essential_support(spec, grid):
     """Index sets where each half-line boundary density is positive, by the
     open-channel threshold of the s-matrix."""
     pieces = boundary_pieces(spec, [0], grid.points)
-    # the cut route's band edge and seeds, in its order; G_nn and m's poles are not read
-    raise_first(pieces.checks[:-2])
+    raise_first(_named(pieces.checks, "edge", "right seed", "left seed"))
     left, right = (np.flatnonzero(d[0] > 0) for d in (pieces.density_l, pieces.density_r))
     union = np.union1d(left, right)
     return {"left": left, "right": right, "union": union}
@@ -181,7 +180,7 @@ def reflectionless_report(spec, grid, tau=TAU_DEFAULT):
         raise ValueError(f"tolerance tau must be finite and non-negative, got {tau}")
     lams = np.asarray(grid.points, dtype=float)
     pieces = boundary_pieces(spec, N_RANGE, lams)
-    raise_first(pieces.checks)
+    raise_first(_named(pieces.checks, *_G_CHECKS))
     re_g = pieces.g.real
     specref = pieces.specref
     res = _s_entries(pieces)
@@ -242,14 +241,12 @@ def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=QUADRATURE_NOD
     lams = mid - hw * np.cos(theta)            # [band, node]
     jac = hw * np.sin(theta)
     pieces = boundary_pieces(spec, [0], lams.ravel())    # one sweep over every band
-    raise_first(pieces.checks[1:])     # all but the band edge, as said above
+    raise_first(_named(pieces.checks, "right seed", "left seed", "G_nn pole", "G_nn cross"))
     t_coef = (np.abs(_s_entries(pieces)["s_lr"][0]) ** 2).reshape(lams.shape)
     df = _fermi(lams, beta_l, mu_l) - _fermi(lams, beta_r, mu_r)
     base = w_theta * jac * t_coef * df
-    charge = energy = 0.0
-    for row, lam in zip(base, lams):           # summed per band, then in band order
-        charge += row.sum()
-        energy += (row * lam).sum()
+    # summed per band, then in band order
+    charge, energy = (sum(x.sum(axis=1).tolist()) for x in (base, base * lams))
     return {
         "charge_current": float(charge / (2.0 * np.pi)),
         "energy_current": float(energy / (2.0 * np.pi)),

@@ -36,9 +36,9 @@ from .analysis import (QUADRATURE_NODES, TAU_DEFAULT, EnergyGrid, explicit_grid,
                        landauer_current, reflectionless_report)
 from .bands import band_intervals
 from .dynamics import dynamical_reflection
-from .errors import JacobiReflectError, NumericalError, SchemaError, first_refusals
+from .errors import JacobiReflectError, NumericalError, SchemaError, _named, first_refusals
 from .jost import _sq_abs, alpha_beta_grid
-from .mfunc import boundary_pieces
+from .mfunc import _G_CHECKS, boundary_pieces
 from .model import parse_config
 from .scattering import _s_entries, scattering_grid, unitarity_defect_grid
 
@@ -190,7 +190,8 @@ def _skip(lams, refusals):
 def _cmd_mfunc(args, spec, grid):
     lams = grid.points
     pieces = boundary_pieces(spec, [args.n], lams)
-    ok = _skip(lams, first_refusals(pieces.m_checks["right"] + pieces.m_checks["left"]))
+    ok = _skip(lams, first_refusals(_named(pieces.checks, "edge", "right seed", "right m pole",
+                                           "left seed", "left m pole")))
     m_r, m_l = pieces.m["right"][0], pieces.m["left"][0]
     return 0, {"lambda": lams[ok], "re_m_right": m_r[ok].real, "im_m_right": m_r[ok].imag,
                "re_m_left": m_l[ok].real, "im_m_left": m_l[ok].imag}
@@ -198,14 +199,14 @@ def _cmd_mfunc(args, spec, grid):
 
 def _cmd_green(args, spec, grid):
     pieces = boundary_pieces(spec, [args.n], grid.points)
-    ok = _skip(grid.points, first_refusals(pieces.checks))
+    ok = _skip(grid.points, first_refusals(_named(pieces.checks, *_G_CHECKS)))
     g = pieces.g[0, ok]
     return 0, {"lambda": grid.points[ok], "re_G": g.real, "im_G": g.imag}
 
 
 def _cmd_scatter(args, spec, grid):
     pieces = boundary_pieces(spec, [args.n], grid.points)
-    ok = _skip(grid.points, first_refusals(pieces.checks))
+    ok = _skip(grid.points, first_refusals(_named(pieces.checks, *_G_CHECKS)))
     res = {k: v[0, ok] for k, v in _s_entries(pieces).items()}
     s_ll, s_lr, s_rr = res["s_ll"], res["s_lr"], res["s_rr"]
     return 0, {"lambda": grid.points[ok], "re_sll": s_ll.real, "im_sll": s_ll.imag,

@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bands import _inset_bands, _real_energies, band_intervals
-from .errors import CrossCheckFailure, HorizonExceeded, WindowTooSmall, raise_first
+from .errors import CrossCheckFailure, HorizonExceeded, WindowTooSmall, _named, raise_first
 from .jost import _jost_values
 from .model import N_MAX, JacobiSpec, _check_integer, truncate  # re-exports N_MAX
 from .scattering import scattering_grid
@@ -243,12 +243,12 @@ def _floquet_wave(background, lams):
     whose Im m > 0 branch moves right, on one period, sites 0..p-1, as
     [site, energy], its multiplier mu = u_p / u_0 and its group velocity, the
     flux over the mean density of one period.  ``jost._jost_values`` reads
-    it on sites 0..p+1; its band-edge check and psi_r's seed and recursion
-    checks are raised, in that order."""
+    it on sites 0..p+1; its ``"edge"``, ``"right seed"``, ``"right range"``
+    and ``"right recursion"`` checks are raised."""
     spec = JacobiSpec(background=background)
     p = background.period
-    (u, _), a, (edge, seed, _, rec) = _jost_values(spec, lams, 0, p + 1)
-    raise_first([edge, seed[0], rec[0]])
+    (u, _), a, checks = _jost_values(spec, lams, 0, p + 1)
+    raise_first(_named(checks, "edge", "right seed", "right range", "right recursion"))
     cur = -2.0 * a[0] * np.imag(np.conj(u[0]) * u[1])
     dens = np.sum(np.abs(u[:p]) ** 2, axis=0) / p
     return u[:p], u[p] / u[0], cur / dens

@@ -84,6 +84,13 @@ class HorizonExceeded(NumericalError):
     """Requested evolution time exceeds the boundary-contamination horizon."""
 
 
+def _named(checks, *names):
+    """The checks ``names`` of a reader's ``{name: (mask, refusal)}``, in its
+    order; a name the reader does not produce is a KeyError."""
+    chosen = {name: checks[name] for name in names}
+    return [chosen[name] for name in checks if name in chosen]
+
+
 def first_refusals(checks):
     """Per energy of a grid, None or the refusal of the first check it fails.
 

@@ -15,11 +15,12 @@ The solutions are the ones ``mfunc.weyl_sweep`` computes for the
 m-functions, the Green's function and the s-matrix: the branch is the one
 of ``mfunc``, with no rule of its own.  ``_jost_values`` is the one route
 that reads them on a window of sites, which the sweep hands it whole with its
-coefficients, and their checks by kind; each caller names the ones it raises.
-``jost_solution`` and ``alpha_beta_grid`` divide by psi_0, and
-``jost_solution`` raises only its own side's checks; ``green_offdiag`` and
-``dynamics._floquet_wave`` need no normalization.  The m-ratio route reads
-m_right(0) and m_left(1) off ``mfunc.boundary_pieces``, the cut route.
+coefficients, and their checks by name, as ``"edge"`` or ``"left psi_0"``;
+each caller names the ones it raises.  ``jost_solution`` and
+``alpha_beta_grid`` divide by psi_0, and ``jost_solution`` raises only its
+own side's checks; ``green_offdiag`` and ``dynamics._floquet_wave`` need no
+normalization.  The m-ratio route reads m_right(0) and m_left(1) off
+``mfunc.boundary_pieces``, the cut route.
 
 ``alpha_beta_grid`` expands a whole energy grid at once and keeps a status
 per energy: None, or the refusal of the first check the energy fails.  A
@@ -45,6 +46,7 @@ from .errors import (
     DegenerateBasis,
     NormalizationPole,
     PoleHit,
+    _named,
     first_refusals,
     raise_first,
 )
@@ -137,27 +139,32 @@ def _rows(mask, refusal):
 def _jost_values(spec, lams, k_lo, k_hi):
     """psi_r and psi_l on sites k_lo..k_hi (k_lo <= 0) as [side, site,
     energy], on the scale of bond k_lo, not normalized, the sites' a_k, and
-    the checks by kind, ``(edge, seed, norm, rec)``: the band edge, then a
-    pair, right then left, for the Floquet seed, a vanishing psi_0 and the
-    three-term recursion residual.
+    the checks by name: the sweep's, then per kind ``"right <kind>"`` and
+    ``"left <kind>"`` for ``range`` (a value past the float range on the
+    window's one scale), ``psi_0`` (vanishing) and ``recursion`` (the
+    three-term recursion residual).
     """
     # a failed seed sweeps on, maybe to NaN or inf: nothing here may warn for it
     with np.errstate(all="ignore"):
-        psi_r, psi_l, (a, b), (edge, *seed) = weyl_sweep(spec, k_lo, k_hi - 1, lams)
+        psi_r, psi_l, (a, b), checks = weyl_sweep(spec, k_lo, k_hi - 1, lams)
         vals = np.array([psi_r.values(), psi_l.values()])
         psi0, scale = vals[:, -k_lo], np.abs(vals).max(axis=1)
-        # + 0 prints an exact zero as 0, whatever sign the sweep gave it
-        norm = _rows(np.abs(psi0) < 1e-12 * scale,
-                     lambda j, i: NormalizationPole(
-                         f"psi_0 = {psi0[j, i] + 0:.3e} vanishes at lambda = "
-                         f"{lams[i]} ({'rl'[j]} side)"))
         r = (a[1:-1, None] * vals[:, 2:] + a[:-2, None] * vals[:, :-2]
              + (b[1:-1, None] - lams) * vals[:, 1:-1])
         worst = np.abs(r).max(axis=1, initial=0.0)
-        rec = _rows(~(worst <= RECURSION_TOL * scale), lambda j, i: CrossCheckFailure(
-            f"three-term recursion residual {worst[j, i]:.3e} exceeds "
-            f"{RECURSION_TOL} * {scale[j, i]:.3e}"))
-    return vals, a, (edge, seed, norm, rec)
+        for kind, mask, refusal in (
+                ("range", ~np.isfinite(scale), lambda j, i: CrossCheckFailure(
+                    f"sites {k_lo}..{k_hi} pass the float range on one scale at lambda = "
+                    f"{lams[i]} ({'rl'[j]} side)")),
+                # + 0 prints an exact zero as 0, whatever sign the sweep gave it
+                ("psi_0", np.abs(psi0) < 1e-12 * scale, lambda j, i: NormalizationPole(
+                    f"psi_0 = {psi0[j, i] + 0:.3e} vanishes at lambda = "
+                    f"{lams[i]} ({'rl'[j]} side)")),
+                ("recursion", ~(worst <= RECURSION_TOL * scale), lambda j, i: CrossCheckFailure(
+                    f"three-term recursion residual {worst[j, i]:.3e} exceeds "
+                    f"{RECURSION_TOL} * {scale[j, i]:.3e}"))):
+            checks.update(zip((f"right {kind}", f"left {kind}"), _rows(mask, refusal)))
+    return vals, a, checks
 
 
 def jost_solution(spec, side, lam, k_min=None, k_max=None):
@@ -174,8 +181,10 @@ def jost_solution(spec, side, lam, k_min=None, k_max=None):
             _check_integer(k, f"window bound {name}")
     k_lo, k_hi = _site_range(spec, k_min, k_max)
     j = "rl".index(side)
-    vals, _, (edge, seed, norm, rec) = _jost_values(spec, _real_energies([lam]), k_lo, k_hi)
-    raise_first([edge, seed[j], norm[j], rec[j]])
+    vals, _, checks = _jost_values(spec, _real_energies([lam]), k_lo, k_hi)
+    name = ("right", "left")[j]
+    raise_first(_named(checks, "edge", f"{name} seed", f"{name} range", f"{name} psi_0",
+                       f"{name} recursion"))
     return JostSolution(side=side, lam=float(lam), k_min=k_lo, k_max=k_hi,
                         values=vals[j, :, 0] / vals[j, -k_lo, 0], spec=spec)
 
@@ -206,19 +215,20 @@ def alpha_beta_grid(spec, lams):
     and R_r = |beta/alpha|^2 over a grid of energies, with a status per energy.
 
     The checks run in this order, each on every energy: the band-edge guard,
-    the Floquet seeds, ``NormalizationPole`` at psi_0 and the recursion
-    residual (right, then left), Wronskian constancy, ``DegenerateBasis``,
-    the expansion residual and R_r <= 1.  An energy's status is the refusal
-    of the first it fails; it then reads NaN, and the others get the bits
-    they get alone.
+    the Floquet seeds, the window's float range, ``NormalizationPole`` at psi_0
+    and the recursion residual (right, then left), Wronskian constancy,
+    ``DegenerateBasis``, the expansion residual and R_r <= 1.  An energy's
+    status is the refusal of the first it fails; it then reads NaN, and the
+    others get the bits they get alone.
     """
     lams = _real_energies(lams)
     k_lo, k_hi = _site_range(spec)
     # a refused energy runs on through the later checks, where it may divide
     # by zero or overflow: its values are replaced by NaN, so nothing warns
     with np.errstate(all="ignore"):
-        vals, a, (edge, seed, norm, rec) = _jost_values(spec, lams, k_lo, k_hi)
-        checks = [edge, *seed, *norm, *rec]
+        vals, a, checks = _jost_values(spec, lams, k_lo, k_hi)
+        checks = _named(checks, "edge", "right seed", "left seed", "right range", "left range",
+                        "right psi_0", "left psi_0", "right recursion", "left recursion")
         psi_r, psi_l = vals / vals[:, -k_lo, None]
         psi_rbar = np.conj(psi_r)
         w, bad, spread = _wronskian_spread(
@@ -273,9 +283,9 @@ def spectral_reflection_mratio_grid(spec, lams):
     """
     pieces = boundary_pieces(spec, [0, 1], lams)
     num = pieces.specref[0]
-    # the cut route's checks but the last, its CROSS_TOL cross-check
-    raise_first(pieces.checks[:-1] + [(np.isinf(num), lambda i: PoleHit(
-        f"m_right(0) or m_left(1) has a pole at lambda = {float(np.atleast_1d(lams)[i])}"))])
+    pole = (np.isinf(num), lambda i: PoleHit(
+        f"m_right(0) or m_left(1) has a pole at lambda = {float(np.atleast_1d(lams)[i])}"))
+    raise_first(_named(pieces.checks, "edge", "right seed", "left seed", "G_nn pole") + [pole])
     m_r, m_l = pieces.m["right"][0], pieces.m["left"][1]
     return num ** 2 / np.abs(pieces.a_r[0] ** 2 * m_r * m_l - 1.0) ** 2
 
@@ -298,9 +308,10 @@ def green_offdiag(spec, n, m, lam):
     lams = _real_energies([lam])
     k_lo, k_hi = _site_range(spec)
     k_lo, k_hi = min(k_lo, lo - 1), max(k_hi, hi + 1)
-    (psi_r, psi_l), a, (edge, seed, _, rec) = _jost_values(spec, lams, k_lo, k_hi)
+    (psi_r, psi_l), a, checks = _jost_values(spec, lams, k_lo, k_hi)
     # raised before the Wronskian is formed: a failed sweep may hold inf or NaN
-    raise_first([edge, *seed, *rec])
+    raise_first(_named(checks, "edge", "right seed", "left seed", "right range", "left range",
+                       "right recursion", "left recursion"))
     w, bad, spread = _wronskian_spread(psi_r, psi_l, a[:-1, None], 0)
     tol = DEGENERATE_TOL * np.abs(psi_r[:2]).sum(axis=0) * np.abs(psi_l[:2]).sum(axis=0)
     raise_first([(bad, lambda i: _wronskian_refusal(spread[i], w[i])),

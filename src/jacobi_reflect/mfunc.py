@@ -15,7 +15,7 @@ eigenvector of the background's one-period product
 ``bands.transfer_product`` on its side.  One real energy runs the sweep on
 Python scalars, with the bits a grid gives it.  The sweep hands its readers
 their window whole, the rows of bonds lo..hi and a_k, b_k on sites lo..hi+1,
-with its checks: the band edge, then the right and the left seed.  The
+with its checks by name: ``"edge"``, ``"right seed"``, ``"left seed"``.  The
 multiplier mu follows a rule (Teschl, *Jacobi Operators and Completely
 Integrable Nonlinear Lattices*, ch. 7), not a probe: off the real axis and
 in gaps psi_r takes |mu| < 1 and psi_l |mu| > 1; in a band each takes the
@@ -45,9 +45,10 @@ one-point grid and conjugates on the ``-`` side.
 m is infinite where u_n = 0, at a Dirichlet eigenvalue of the half line:
 the m-value routes raise PoleHit there, while the whole-line quantities read
 off the same values (``ac_density``, G_nn, the s-matrix) stay finite.  The
-sweep and ``boundary_pieces`` raise no refusal: they return ``(mask,
-refusal)`` checks, and a one-side route raises only its own side's
-``m_checks`` (band edge, seed, pole).  Non-finite energies, and energies
+sweep and ``boundary_pieces`` raise no refusal: each returns its checks as
+``{name: (mask, refusal)}`` in its order, and a route gets the ones it names
+in that order; a one-side m route names ``"edge"`` and its side's ``"<side>
+seed"`` and ``"<side> m pole"``.  Non-finite energies, and energies
 past the coefficients' scale (``STEP_MAX``), are bad input (``ValueError``),
 not refusals.
 """
@@ -61,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bands import _near_edge, _period_product, _real_energies
-from .errors import CrossCheckFailure, NumericalError, PoleHit, raise_first
+from .errors import CrossCheckFailure, NumericalError, PoleHit, _named, raise_first
 from .model import _check_integer, coefficient_arrays
 
 POLE_TOL = 1e-14     # |u_n| below this share of its pair makes m_n a pole
@@ -82,6 +83,8 @@ RESCALE_EVERY = 16
 STEP_MAX = 2.0 ** (1023 / (2 * RESCALE_EVERY))
 CROSS_TOL = 1e-10    # relative agreement required of G_nn from two bonds
 SUPPORT_TOL = 1e-10  # Im m below this counts as a closed channel
+# the checks raised by G_nn and by the s-matrix and criteria built on it
+_G_CHECKS = ("edge", "right seed", "left seed", "G_nn pole", "G_nn cross")
 
 __all__ = [
     "WeylSolution",
@@ -204,10 +207,10 @@ def _reach(spec):
 def weyl_sweep(spec, lo, hi, pts, real_limit=True):
     """``(psi_r, psi_l, (a, b), checks)``: both Weyl solutions on bonds lo..hi
     and a_k, b_k on sites lo..hi+1, at real energies (``lambda + i0``) when
-    ``real_limit``, else at upper-half-plane points, and the checks in order:
-    the band edge (real axis only), the right seed, the left seed.  It raises
-    no refusal: a point whose seed fails is swept on and flagged.  Only what
-    is on bonds lo..hi is kept, so a sweep from a far seed keeps no row per bond.
+    ``real_limit``, else at upper-half-plane points, and the checks ``"edge"``
+    (never failing off the axis), ``"right seed"`` and ``"left seed"``.  It
+    raises no refusal: a point whose seed fails is swept on and flagged.  Only
+    what is on bonds lo..hi is kept, so a sweep from a far seed keeps no row per bond.
 
     psi_r is seeded at the first bond >= hi with only background to its right
     and swept down, psi_l at the last bond <= lo with only background to its
@@ -234,7 +237,9 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
     # views that would keep a far seed's arrays alive
     coeffs = coefficient_arrays(spec, seed_l - 1, seed_r + 1)
     a, b = map(memoryview, coeffs)
-    checks = [_near_edge(spec.background, z)] if real_limit else []
+    # off the axis no energy is near a band edge: the check never fails, and has no refusal
+    checks = {"edge": _near_edge(spec.background, z) if real_limit
+              else (np.zeros(z.size, bool), None)}
     # one real energy runs on Python scalars: a real energy times a complex value
     # has a zero cross term, so there they round as numpy's array loops do
     zz = z.item() if z.size == 1 and real_limit else z
@@ -243,7 +248,7 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
         right = side == "right"
         M = _period_product(spec.background, seed + 1, zz)
         up, low, *roots = _floquet_seed(*M, side, real_limit)
-        checks.append(_seed_check(M, up, low, *roots, side))
+        checks[f"{side} seed"] = _seed_check(M, up, low, *roots, side)
         flux = a[seed - seed_l + 1] * (up * np.conj(low)).imag if real_limit else None
         up, low, ex = _rescale(up, low, 0)
         # the rows on bonds lo..hi are kept; the last p rows feed the per-period step
@@ -299,7 +304,9 @@ def _ratios(sol, a):
 
 
 class BoundaryPieces(NamedTuple):
-    """What the routes need at a set of cuts, as [cut, point] arrays."""
+    """What the routes need at a set of cuts, as [cut, point] arrays.  The
+    checks, in order: ``"edge"``; ``"right seed"``, ``"right m pole"``, then the
+    left's; ``"G_nn pole"`` and ``"G_nn cross"`` (G_nn's ``CROSS_TOL`` check)."""
 
     g: np.ndarray          # G_nn, cross-checked
     m: dict                # {side: m_side(n)}; 0 at a pole
@@ -308,8 +315,7 @@ class BoundaryPieces(NamedTuple):
     specref: np.ndarray    # |a_n^2 m_right(n) conj(m_left(n+1)) - 1|; inf at a pole
     a_l: np.ndarray        # a_{n-1}, [cut, 1]
     a_r: np.ndarray        # a_n
-    checks: list           # (mask, refusal) per check, masks over the points
-    m_checks: dict         # {side: an m route's checks}: band edge, seed, pole
+    checks: dict           # {name: (mask, refusal)}, masks over the points
 
 
 def _green(a, r1, pole1, r2, pole2):
@@ -330,8 +336,7 @@ def boundary_pieces(spec, cuts, pts, real_limit=True):
         _check_integer(n, "cut site n")
     cuts = np.asarray(cuts, dtype=int)
     lo, hi = int(cuts.min()) - 1, int(cuts.max())
-    right, left, (a, _), checks = weyl_sweep(spec, lo, hi, pts, real_limit)
-    *edge, seed_r, seed_l = checks
+    right, left, (a, _), sweep = weyl_sweep(spec, lo, hi, pts, real_limit)
     a = a[:-1, None]                        # a_k on bonds lo..hi
     # ratios u_{k+1}/u_k (rho) and u_k/u_{k+1} (sigma) of both pairs on each bond
     rho_r, zero_r, sig_r, top_r = _ratios(right, a)
@@ -341,10 +346,6 @@ def boundary_pieces(spec, cuts, pts, real_limit=True):
     g, g_prev = g[1:], g_prev[:-1]          # G_kk from bond k and from bond k-1
     scale = np.maximum(np.maximum(np.abs(g), np.abs(g_prev)), 1e-300)
     rel = np.max(np.abs(g - g_prev) / scale, axis=0, initial=0.0)
-    checks += [(pole | pole_prev, lambda j: PoleHit("G_nn denominator vanishes (eigenvalue hit)")),
-               (rel > CROSS_TOL, lambda j: CrossCheckFailure(
-                   f"G_nn from the Wronskians at bonds n-1 and n disagrees by "
-                   f"{rel[j]:.3e} (> {CROSS_TOL})"))]
     # m_right(k) and m_left(k+1) off bond k, 0 where psi_r(k) or psi_l(k+1) is
     m_right, m_left = -rho_r / a, -sig_l / a
     i = cuts - lo                           # row of bond n
@@ -363,15 +364,21 @@ def boundary_pieces(spec, cuts, pts, real_limit=True):
                            f"Weyl solution vanishes at site {n}")
         return pole.any(axis=0), refusal
 
-    m_checks = {"right": [*edge, seed_r, m_pole("right", pole_r)],
-                "left": [*edge, seed_l, m_pole("left", pole_l)]}
+    checks = {"edge": sweep["edge"],
+              "right seed": sweep["right seed"], "right m pole": m_pole("right", pole_r),
+              "left seed": sweep["left seed"], "left m pole": m_pole("left", pole_l),
+              "G_nn pole": (pole | pole_prev, lambda j: PoleHit(
+                  "G_nn denominator vanishes (eigenvalue hit)")),
+              "G_nn cross": (rel > CROSS_TOL, lambda j: CrossCheckFailure(
+                  f"G_nn from the Wronskians at bonds n-1 and n disagrees by "
+                  f"{rel[j]:.3e} (> {CROSS_TOL})"))}
     return BoundaryPieces(g[i - 1], {"right": m_r, "left": m_l}, dens_l, dens_r, specref,
-                          a[i - 1], a[i], checks, m_checks)
+                          a[i - 1], a[i], checks)
 
 
 def _m_raising(spec, n, pts, side, real_limit):
     pieces = boundary_pieces(spec, [n], pts, real_limit)
-    raise_first(pieces.m_checks[side])
+    raise_first(_named(pieces.checks, "edge", f"{side} seed", f"{side} m pole"))
     return pieces.m[side][0]
 
 
@@ -426,5 +433,5 @@ def ac_density(spec, n, lams, side="right"):
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     pieces = boundary_pieces(spec, [n], lams)
-    raise_first(pieces.m_checks[side][:-1])
+    raise_first(_named(pieces.checks, "edge", f"{side} seed"))
     return pieces.m[side][0].imag / np.pi

@@ -12,8 +12,9 @@ cut.  A channel with vanishing boundary density is closed; its density
 factor is exactly 0, so its row of s is exactly the identity, and it adds
 nothing to the unitarity defect ``max|s s* - I|``.  A pole of m_j on the
 real axis is a closed channel too, and G_nn stays finite there.  The grid
-routes raise the route's ``checks``: the sweep's (band edge, right seed,
-left seed) and G_nn's (a vanishing denominator, the cross-check).
+routes raise the cut route's checks named in ``mfunc._G_CHECKS``: the
+sweep's ``"edge"``, ``"right seed"`` and ``"left seed"``, then G_nn's
+``"G_nn pole"`` (a vanishing denominator) and ``"G_nn cross"``.
 
 The scalar views take one energy, through the grid routes' gate on real
 energies: ``green_diag`` gives G_nn at a ``BoundaryPoint`` as a complex
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoOpenChannel, NumericalError, raise_first
-from .mfunc import _at_point, boundary_pieces
+from .errors import NoOpenChannel, NumericalError, _named, raise_first
+from .mfunc import _G_CHECKS, _at_point, boundary_pieces
 
 __all__ = [
     "ScatteringMatrix",
@@ -71,7 +72,7 @@ class ScatteringMatrix:
 def green_diag_grid(spec, n, pts, real_limit=True):
     """Validated G_nn values over a grid of points."""
     pieces = boundary_pieces(spec, [n], pts, real_limit)
-    raise_first(pieces.checks)
+    raise_first(_named(pieces.checks, *_G_CHECKS))
     return pieces.g[0]
 
 
@@ -109,7 +110,7 @@ def scattering_grid(spec, n, lams):
     rows automatically (the density factor is exactly zero there).
     """
     pieces = boundary_pieces(spec, [n], lams)
-    raise_first(pieces.checks)
+    raise_first(_named(pieces.checks, *_G_CHECKS))
     return {k: v[0] for k, v in _s_entries(pieces).items()}
 
 

@@ -6,7 +6,7 @@ from jacobi_reflect import (Background, JacobiSpec, band_grid, band_intervals,
                             essential_support, explicit_grid, green_diag_grid,
                             landauer_current, reflectionless_report, scattering_grid)
 from jacobi_reflect.analysis import QUADRATURE_MAX, QUADRATURE_NODES, EnergyGrid
-from jacobi_reflect.errors import CrossCheckFailure, raise_first
+from jacobi_reflect.errors import CrossCheckFailure, _named, raise_first
 from jacobi_reflect.scattering import _s_entries, boundary_pieces
 
 from util import (closed_gap_spec, free_spec, period2_spec, perturbed_period3_spec, random_spec,
@@ -254,7 +254,7 @@ def _per_band_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=QUADRATURE_NO
         lams = mid - hw * np.cos(theta)
         jac = hw * np.sin(theta)
         pieces = boundary_pieces(spec, [0], lams)
-        raise_first(pieces.checks[1:])
+        raise_first(_named(pieces.checks, "right seed", "left seed", "G_nn pole", "G_nn cross"))
         t_coef = np.abs(_s_entries(pieces)["s_lr"][0]) ** 2
         df = (np.exp(-np.logaddexp(0.0, beta_l * (lams - mu_l)))
               - np.exp(-np.logaddexp(0.0, beta_r * (lams - mu_r))))

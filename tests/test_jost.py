@@ -436,11 +436,22 @@ def test_jost_window_bounds_take_numpy_integers():
 
 def test_a_window_that_overflows_is_refused():
     # 300 sites into the gap at lambda = 100 psi_l overflows on the window's one
-    # scale; the NaN recursion residual passed its check, and G read NaN.  Once
-    # the window route keeps the sweep's per-row exponents it reads G here
-    # instead, and this case changes with it
-    with pytest.raises(CrossCheckFailure):
+    # scale, and the range check names it (a NaN recursion residual once passed
+    # its check, and G read NaN).  Once the window route keeps the sweep's
+    # per-row exponents it reads G here instead, and this case changes with it
+    with pytest.raises(CrossCheckFailure, match=re.escape(
+            "sites -3..301 pass the float range on one scale at lambda = 100.0 (l side)")):
         green_offdiag(single_site_spec(), 300, 300, 100.0)
+
+
+def test_a_jost_window_past_the_float_range_is_not_a_vanishing_psi_0():
+    # 1000 sites into the gap at lambda = 3 psi_l grows past the float range on
+    # the window's one scale; psi_0 = 4.486 was refused as vanishing against it
+    with pytest.raises(CrossCheckFailure, match=re.escape(
+            "sites -3..1000 pass the float range on one scale at lambda = 3.0 (l side)")):
+        jost_solution(single_site_spec(), "l", 3.0, k_max=1000)
+    # the right side decays over the same window and is not refused
+    assert jost_solution(single_site_spec(), "r", 3.0, k_max=1000).value(0) == 1.0
 
 
 def test_window_sites_past_n_max_are_refused():

@@ -208,9 +208,9 @@ def test_a_point_that_cannot_be_seeded_is_flagged_not_raised():
     spec = closed_gap_spec()
     lams = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
     pieces = scattering.boundary_pieces(spec, [0], lams)
-    failed = np.any([mask for mask, _ in pieces.checks], axis=0)
+    failed = np.any([mask for mask, _ in pieces.checks.values()], axis=0)
     assert list(np.flatnonzero(failed)) == [2]
-    status = first_refusals(pieces.checks)
+    status = first_refusals(list(pieces.checks.values()))
     assert str(status[2]).startswith("Floquet seed (right side): residual inf")
     keep = np.arange(lams.size) != 2
     alone = scattering.boundary_pieces(spec, [0], lams[keep])
