@@ -80,7 +80,7 @@ def explicit_grid(spec, start, stop, step):
     if n_exact >= GRID_POINTS_MAX:
         raise ValueError(f"grid of {n_exact:.3g} points exceeds {GRID_POINTS_MAX}")
     n = int(np.floor(n_exact + 1e-9))
-    points = start + step * np.arange(n + 1)
+    points = start + step * np.arange(n + 1, dtype=float)
     if n_exact - n > 0.5 - 1e-9:
         # stop itself is within step/2 of the grid continuation
         points = np.append(points, stop)
@@ -178,8 +178,7 @@ def reflectionless_report(spec, grid, tau=TAU_DEFAULT):
     """
     if not 0.0 <= tau < np.inf:
         raise ValueError(f"tolerance tau must be finite and non-negative, got {tau}")
-    lams = np.asarray(grid.points, dtype=float)
-    pieces = boundary_pieces(spec, N_RANGE, lams)
+    pieces = boundary_pieces(spec, N_RANGE, grid.points)
     raise_first(_named(pieces.checks, *_G_CHECKS))
     re_g = pieces.g.real
     specref = pieces.specref

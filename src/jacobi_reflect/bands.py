@@ -112,31 +112,15 @@ def band_edges(background):
     return np.array([e for band in band_intervals(background) for e in band])
 
 
-def _real_energies(lams):
-    """``lams``, one energy or a 1-d grid, as a 1-d float array.  Only integer
-    and float values pass: a cast would drop Im z and evaluate at
-    ``Re z + i0``, read ``'0.3'`` as 0.3 and ``True`` as 1.0."""
-    lams = np.asarray(lams)
-    if lams.dtype.kind == "c":
-        raise ValueError("real-axis evaluation takes real energies, got complex values")
-    if lams.dtype.kind not in "iuf":
-        raise ValueError(f"real-axis evaluation takes real energies, got dtype {lams.dtype}")
-    if lams.ndim > 1:
-        raise ValueError(f"energies must be one value or a 1-d grid, got shape {lams.shape}")
-    return np.atleast_1d(lams.astype(float, copy=False))
-
-
 def _near_edge(background, lams):
-    """The band-edge check of the real energies lams, as ``(mask, refusal)``.
+    """The band-edge check of lams, a 1-d float array, as ``(mask, refusal)``.
 
     ``mask`` is true where a point lies within EDGE_REL * band width of its
     nearest edge, and ``refusal(i)`` is point i's ``BandEdge``: the form
     ``errors.first_refusals`` and ``errors.raise_first`` take.  Real-boundary
     limits degenerate like an inverse square root at band edges, so these
-    points are refused instead of silently losing accuracy.  Complex energies
-    raise ValueError.
+    points are refused instead of silently losing accuracy.
     """
-    lams = _real_energies(lams)
     flat = band_edges(background)
     widths = flat[1::2] - flat[0::2]
     dist = np.abs(lams[:, None] - flat[None, :])

@@ -49,10 +49,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bands import _inset_bands, _real_energies, band_intervals
+from .bands import _inset_bands, band_intervals
 from .errors import CrossCheckFailure, HorizonExceeded, WindowTooSmall, _named, raise_first
 from .jost import _jost_values
-from .model import N_MAX, JacobiSpec, _check_integer, truncate  # re-exports N_MAX
+from .model import N_MAX, JacobiSpec, _check_energies, _check_integer, truncate  # re-exports N_MAX
 from .scattering import scattering_grid
 
 PACKET_CUTOFF = 5.0   # envelope support radius in units of sigma
@@ -247,7 +247,7 @@ def _floquet_wave(background, lams):
     and ``"right recursion"`` checks are raised."""
     spec = JacobiSpec(background=background)
     p = background.period
-    (u, _), a, checks = _jost_values(spec, lams, 0, p + 1)
+    (u, _), a, checks, _ = _jost_values(spec, lams, 0, p + 1)
     raise_first(_named(checks, "edge", "right seed", "right range", "right recursion"))
     cur = -2.0 * a[0] * np.imag(np.conj(u[0]) * u[1])
     dens = np.sum(np.abs(u[:p]) ** 2, axis=0) / p
@@ -261,7 +261,7 @@ def group_velocity(background, lam0):
 
 
 def _check_packet_band(background, lam0, dlam):
-    _real_energies(lam0)
+    _check_energies([lam0])
     for lo, hi in band_intervals(background):
         if lo < lam0 - 3 * dlam and lam0 + 3 * dlam < hi:
             return

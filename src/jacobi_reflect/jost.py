@@ -16,20 +16,20 @@ m-functions, the Green's function and the s-matrix: the branch is the one
 of ``mfunc``, with no rule of its own.  ``_jost_values`` is the one route
 that reads them on a window of sites, which the sweep hands it whole with its
 coefficients, and their checks by name, as ``"edge"`` or ``"left psi_0"``;
-each caller names the ones it raises.  ``jost_solution`` and
-``alpha_beta_grid`` divide by psi_0, and ``jost_solution`` raises only its
-own side's checks; ``green_offdiag`` and ``dynamics._floquet_wave`` need no
-normalization.  The m-ratio route reads m_right(0) and m_left(1) off
-``mfunc.boundary_pieces``, the cut route.
+each caller names the ones it raises.  Its energies pass the sweep's gate,
+``model._check_energies``, first.  ``jost_solution`` and ``alpha_beta_grid``
+divide by psi_0, and ``jost_solution`` raises only its own side's checks;
+``green_offdiag`` and ``dynamics._floquet_wave`` need no normalization.  The
+m-ratio route reads m_right(0) and m_left(1) off ``mfunc.boundary_pieces``,
+the cut route.
 
 ``alpha_beta_grid`` expands a whole energy grid at once and keeps a status
 per energy: None, or the refusal of the first check the energy fails.  A
 check is a mask over the grid and a refusal per energy; every check runs on
 every energy, and ``errors.first_refusals`` picks each one's first failure.
 A refused energy reads NaN; the others are unaffected.  ``alpha_beta`` is
-its one-point view and raises the refusal.  One real energy runs the sweep
-on Python scalars, yet gets the bits it gets on a grid.  The other routes
-raise the first check their energies fail with ``errors.raise_first``.
+its one-point view and raises the refusal.  The other routes raise the
+first check their energies fail with ``errors.raise_first``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bands import _real_energies
 from .errors import (
     CrossCheckFailure,
     DegenerateBasis,
@@ -51,7 +50,7 @@ from .errors import (
     raise_first,
 )
 from .mfunc import boundary_pieces, weyl_sweep
-from .model import _check_integer
+from .model import _check_energies, _check_integer
 
 RECURSION_TOL = 1e-10   # residual of the three-term recursion, relative
 # Spread of the Wronskian over the window, relative to max|u| max|v|.  Across
@@ -138,12 +137,13 @@ def _rows(mask, refusal):
 
 def _jost_values(spec, lams, k_lo, k_hi):
     """psi_r and psi_l on sites k_lo..k_hi (k_lo <= 0) as [side, site,
-    energy], on the scale of bond k_lo, not normalized, the sites' a_k, and
-    the checks by name: the sweep's, then per kind ``"right <kind>"`` and
-    ``"left <kind>"`` for ``range`` (a value past the float range on the
-    window's one scale), ``psi_0`` (vanishing) and ``recursion`` (the
-    three-term recursion residual).
+    energy], on the scale of bond k_lo, not normalized, the sites' a_k, the
+    checks by name and the real energies lams as the gate gives them: the
+    sweep's checks, then per kind ``"right <kind>"`` and ``"left <kind>"`` for
+    ``range`` (a value past the float range on the window's one scale),
+    ``psi_0`` (vanishing) and ``recursion`` (the three-term recursion residual).
     """
+    lams = _check_energies(lams)
     # a failed seed sweeps on, maybe to NaN or inf: nothing here may warn for it
     with np.errstate(all="ignore"):
         psi_r, psi_l, (a, b), checks = weyl_sweep(spec, k_lo, k_hi - 1, lams)
@@ -164,7 +164,7 @@ def _jost_values(spec, lams, k_lo, k_hi):
                     f"three-term recursion residual {worst[j, i]:.3e} exceeds "
                     f"{RECURSION_TOL} * {scale[j, i]:.3e}"))):
             checks.update(zip((f"right {kind}", f"left {kind}"), _rows(mask, refusal)))
-    return vals, a, checks
+    return vals, a, checks, lams
 
 
 def jost_solution(spec, side, lam, k_min=None, k_max=None):
@@ -181,7 +181,7 @@ def jost_solution(spec, side, lam, k_min=None, k_max=None):
             _check_integer(k, f"window bound {name}")
     k_lo, k_hi = _site_range(spec, k_min, k_max)
     j = "rl".index(side)
-    vals, _, checks = _jost_values(spec, _real_energies([lam]), k_lo, k_hi)
+    vals, _, checks, _ = _jost_values(spec, [lam], k_lo, k_hi)
     name = ("right", "left")[j]
     raise_first(_named(checks, "edge", f"{name} seed", f"{name} range", f"{name} psi_0",
                        f"{name} recursion"))
@@ -221,12 +221,11 @@ def alpha_beta_grid(spec, lams):
     status is the refusal of the first it fails; it then reads NaN, and the
     others get the bits they get alone.
     """
-    lams = _real_energies(lams)
     k_lo, k_hi = _site_range(spec)
     # a refused energy runs on through the later checks, where it may divide
     # by zero or overflow: its values are replaced by NaN, so nothing warns
     with np.errstate(all="ignore"):
-        vals, a, checks = _jost_values(spec, lams, k_lo, k_hi)
+        vals, a, checks, lams = _jost_values(spec, lams, k_lo, k_hi)
         checks = _named(checks, "edge", "right seed", "left seed", "right range", "left range",
                         "right psi_0", "left psi_0", "right recursion", "left recursion")
         psi_r, psi_l = vals / vals[:, -k_lo, None]
@@ -305,10 +304,9 @@ def green_offdiag(spec, n, m, lam):
     _check_integer(n, "site n")
     _check_integer(m, "site m")
     lo, hi = min(n, m), max(n, m)
-    lams = _real_energies([lam])
     k_lo, k_hi = _site_range(spec)
     k_lo, k_hi = min(k_lo, lo - 1), max(k_hi, hi + 1)
-    (psi_r, psi_l), a, checks = _jost_values(spec, lams, k_lo, k_hi)
+    (psi_r, psi_l), a, checks, _ = _jost_values(spec, [lam], k_lo, k_hi)
     # raised before the Wronskian is formed: a failed sweep may hold inf or NaN
     raise_first(_named(checks, "edge", "right seed", "left seed", "right range", "left range",
                        "right recursion", "left recursion"))

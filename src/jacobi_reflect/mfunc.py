@@ -48,9 +48,9 @@ off the same values (``ac_density``, G_nn, the s-matrix) stay finite.  The
 sweep and ``boundary_pieces`` raise no refusal: each returns its checks as
 ``{name: (mask, refusal)}`` in its order, and a route gets the ones it names
 in that order; a one-side m route names ``"edge"`` and its side's ``"<side>
-seed"`` and ``"<side> m pole"``.  Non-finite energies, and energies
-past the coefficients' scale (``STEP_MAX``), are bad input (``ValueError``),
-not refusals.
+seed"`` and ``"<side> m pole"``.  Energies the sweep's gate refuses (the one
+rule of ``model._check_energies``, on and off the axis), non-finite ones and
+ones past the coefficients' scale (``STEP_MAX``) are bad input (``ValueError``).
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bands import _near_edge, _period_product, _real_energies
+from .bands import _near_edge, _period_product
 from .errors import CrossCheckFailure, NumericalError, PoleHit, _named, raise_first
-from .model import _check_integer, coefficient_arrays
+from .model import _check_energies, _check_integer, coefficient_arrays
 
 POLE_TOL = 1e-14     # |u_n| below this share of its pair makes m_n a pole
 # |M v - mu v| <= SEED_TOL |M| |v| (entrywise 1-norms).  The seed makes the
@@ -217,7 +217,7 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
     left and swept up: each toward the side where it grows, from an
     eigenvector of its own one-period product.
     """
-    z = _real_energies(pts) if real_limit else np.atleast_1d(np.asarray(pts, dtype=complex))
+    z = _check_energies(pts, real_limit)
     # one test for both: a NaN or infinite energy is not within reach either
     c, reach = _reach(spec)
     if not np.abs(z - c).max(initial=0.0) <= reach:
@@ -228,8 +228,6 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
                          f"coefficients' scale: the recursion's step factors over "
                          f"{RESCALE_EVERY} bonds could pass STEP_MAX = {STEP_MAX:.3e} "
                          f"in geometric mean")
-    if not real_limit and np.any(z.imag <= 0):
-        raise ValueError("interior evaluation needs Im z > 0")
     w = spec.window
     seed_r, seed_l = (max(hi, w[1] + 1), min(lo, w[0] - 1)) if w else (hi, lo)
     # index i: site seed_l - 1 + i; a memoryview indexes to Python floats, as a

@@ -182,7 +182,8 @@ class BoundaryPoint:
 
     Real-limit points carry a side: ``lambda - i0`` values are produced by
     conjugating the ``lambda + i0`` value (reflection principle), never by
-    an independent lower-half-plane evaluation.
+    an independent lower-half-plane evaluation.  The point is stored as
+    ``_check_energies`` gives it on its axis, a float or a complex number.
     """
 
     z: complex = None
@@ -192,18 +193,19 @@ class BoundaryPoint:
     def __post_init__(self):
         if (self.z is None) == (self.lam is None):
             raise ValueError("exactly one of z, lam must be given")
-        if self.z is not None and complex(self.z).imag <= 0:
-            raise ValueError(f"upper-half-plane point needs Im z > 0, got {self.z}")
+        real = self.z is None
+        value = _check_energies([self.lam if real else self.z], real)[0].item()
+        object.__setattr__(self, "lam" if real else "z", value)
         if self.side not in ("+", "-"):
             raise ValueError(f"side must be '+' or '-', got {self.side!r}")
 
     @classmethod
     def upper(cls, z):
-        return cls(z=complex(z))
+        return cls(z=z)
 
     @classmethod
     def real(cls, lam, side="+"):
-        return cls(lam=float(lam), side=side)
+        return cls(lam=lam, side=side)
 
     @property
     def is_real_limit(self):
@@ -242,6 +244,25 @@ def _check_integer(value, name):
             or not -N_MAX <= value <= N_MAX):
         raise ValueError(f"{name} must be an integer of magnitude at most N_MAX = {N_MAX}, "
                          f"got {value!r}")
+
+
+def _check_energies(pts, real_limit=True):
+    """The one rule for energies: ``pts``, one energy or a 1-d grid, as a 1-d
+    array, of floats on the real axis (``lambda + i0``) and of complex points
+    with Im z > 0 off it.  Integer and float values pass, and off the axis
+    complex ones: a cast would drop Im z and evaluate at ``Re z + i0``, read
+    ``'0.3'`` as 0.3 and ``True`` as 1.0."""
+    z = np.asarray(pts)
+    if z.dtype.kind not in ("iuf" if real_limit else "iufc"):
+        got = "complex values" if z.dtype.kind == "c" else f"dtype {z.dtype}"
+        raise ValueError(f"{'real-axis' if real_limit else 'interior'} evaluation takes "
+                         f"{'real' if real_limit else 'complex'} energies, got {got}")
+    if z.ndim > 1:
+        raise ValueError(f"energies must be one value or a 1-d grid, got shape {z.shape}")
+    z = np.atleast_1d(z.astype(float if real_limit else complex, copy=False))
+    if not real_limit and np.any(z.imag <= 0):
+        raise ValueError("interior evaluation needs Im z > 0")
+    return z
 
 
 def truncate(spec, N):

@@ -29,6 +29,16 @@ def test_explicit_grid_endpoint_rule():
     np.testing.assert_allclose(grid.points[-1], 1.9, atol=1e-12)
 
 
+def test_explicit_grid_points_are_floats():
+    # integer bounds built an int64 grid, whose lambda column a report's
+    # columns() rendered with %d, and dropped held numpy integers
+    grid = explicit_grid(free_spec(), -2, 2, 1)
+    assert grid.points.dtype == float and grid.points.tolist() == [-1.0, 0.0, 1.0]
+    assert [type(x) for x in grid.dropped] == [np.float64, np.float64]
+    assert grid.dropped == (-2.0, 2.0)
+    assert reflectionless_report(free_spec(), grid).columns()["lambda"].dtype == float
+
+
 def test_explicit_grid_refuses_non_finite_bounds():
     spec = free_spec()
     for start, stop, step in [(np.nan, 1.0, 0.5), (0.0, np.inf, 0.5), (0.0, 1.0, np.inf),

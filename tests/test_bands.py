@@ -81,13 +81,6 @@ def test_near_edge_refuses_the_edge_margin():
     raise_first([_near_edge(bg, np.array([0.0, 1.9, -1.9]))])
 
 
-@pytest.mark.parametrize("z", [0.3 + 5j, 2.0 + 0.5j])
-def test_complex_energies_are_refused(z):
-    # a cast to float would drop Im z and answer for Re z
-    with pytest.raises(ValueError, match="real energies"):
-        raise_first([_near_edge(Background.free(), np.array([z]))])
-
-
 def test_bands_sorted_disjoint():
     rng = np.random.default_rng(13)
     for _ in range(10):

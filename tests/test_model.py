@@ -11,7 +11,7 @@ from jacobi_reflect import (Background, BoundaryPoint, JacobiSpec, NonFiniteEntr
                             NonPositiveCoefficient, SchemaError, WindowTooSmall,
                             coefficient_arrays, parse_config, serialize_config,
                             truncate)
-from jacobi_reflect.model import N_MAX
+from jacobi_reflect.model import N_MAX, _check_energies
 
 from util import random_spec
 
@@ -229,6 +229,39 @@ def test_boundary_point_rules():
         BoundaryPoint()
     with pytest.raises(ValueError, match="side must be '\\+' or '-', got 'x'"):
         BoundaryPoint.real(0.5, side="x")
+
+
+@pytest.mark.parametrize("z", [0.3 + 5j, 2.0 + 0.5j])
+def test_complex_energies_are_refused(z):
+    # a cast to float would drop Im z and answer for Re z
+    with pytest.raises(ValueError, match="real energies"):
+        _check_energies(np.array([z]))
+
+
+@pytest.mark.parametrize("make, value, match", [
+    pytest.param(BoundaryPoint.real, "0.3", "real energies, got dtype <U", id="real str"),
+    pytest.param(BoundaryPoint.real, True, "real energies, got dtype bool", id="real bool"),
+    pytest.param(BoundaryPoint.real, 0.3 + 0.1j, "real energies, got complex", id="real complex"),
+    pytest.param(BoundaryPoint.real, [0.3, 0.4], "1-d grid, got shape", id="real list"),
+    pytest.param(lambda v: BoundaryPoint(lam=v), "0.3", "real energies, got dtype <U", id="lam str"),
+    pytest.param(BoundaryPoint.upper, "0.3+0.1j", "complex energies, got dtype <U", id="upper str"),
+    pytest.param(BoundaryPoint.upper, 0.3 - 0.1j, "interior evaluation needs Im z > 0",
+                 id="upper lower half-plane"),
+])
+def test_boundary_points_take_the_one_energy_rule(make, value, match):
+    # real('0.3') and real(True) were evaluated at 0.3 and 1.0, upper('0.3+0.1j')
+    # at 0.3 + 0.1i, and BoundaryPoint(lam='0.3') was refused only when evaluated
+    with pytest.raises(ValueError, match=match):
+        make(value)
+
+
+def test_boundary_points_store_the_gate_value():
+    # a numpy scalar or an integer is stored as the float or complex the gate gives
+    lam = BoundaryPoint.real(np.float32(0.3))
+    assert type(lam.lam) is float and lam.lam == float(np.float32(0.3))
+    assert type(BoundaryPoint.real(1).lam) is float and BoundaryPoint.real(1).lam == 1.0
+    z = BoundaryPoint.upper(np.complex64(0.3 + 0.1j))
+    assert type(z.z) is complex and z.z == complex(np.complex64(0.3 + 0.1j))
 
 
 def test_import_needs_numpy_only():

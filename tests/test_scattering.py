@@ -6,13 +6,15 @@ import pytest
 from jacobi_reflect import (Background, BoundaryPoint, CrossCheckFailure,
                             EnergyGrid, JacobiSpec, NoOpenChannel, ScatteringMatrix,
                             ac_density, alpha_beta, alpha_beta_grid, band_grid,
-                            band_intervals, channel_weight, green_diag, green_diag_grid,
+                            band_intervals, channel_weight, dynamical_reflection,
+                            essential_support, green_diag, green_diag_grid,
                             green_offdiag, group_velocity, jost_solution,
                             m_left, m_left_boundary, m_left_grid,
                             m_right, m_right_boundary, m_right_grid,
                             reflection_transmission, reflectionless_report,
                             scattering_grid, scattering_matrix,
-                            spectral_reflection_mratio_grid, unitarity_defect,
+                            spectral_reflection_mratio, spectral_reflection_mratio_grid,
+                            unitarity_defect,
                             unitarity_defect_grid, wave_packet)
 from jacobi_reflect import mfunc, scattering
 from jacobi_reflect.errors import NumericalError, first_refusals
@@ -340,6 +342,10 @@ REAL_AXIS_GRID_ROUTES = {
     "scattering_grid": lambda spec, z: scattering_grid(spec, 0, z),
     "alpha_beta_grid": alpha_beta_grid,
     "spectral_reflection_mratio_grid": spectral_reflection_mratio_grid,
+    # an EnergyGrid holds what it is given: the routes that read one take its
+    # points through the same gate
+    "reflectionless_report": lambda spec, z: reflectionless_report(spec, EnergyGrid(z)),
+    "essential_support": lambda spec, z: essential_support(spec, EnergyGrid(z)),
 }
 # the one-energy views: each takes its energy through the grid routes' gate
 ONE_POINT_VIEWS = {
@@ -348,8 +354,24 @@ ONE_POINT_VIEWS = {
     "alpha_beta": alpha_beta,
     "jost_solution": lambda spec, lam: jost_solution(spec, "r", lam),
     "green_offdiag": lambda spec, lam: green_offdiag(spec, -1, 2, lam),
+    "spectral_reflection_mratio": spectral_reflection_mratio,
+    "m_right": lambda spec, lam: m_right(spec, 0, BoundaryPoint.real(lam)),
+    "m_left": lambda spec, lam: m_left(spec, 0, BoundaryPoint.real(lam)),
+    "green_diag": lambda spec, lam: green_diag(spec, 0, BoundaryPoint.real(lam)),
     "group_velocity": lambda spec, lam: group_velocity(spec.background, lam),
     "wave_packet": lambda spec, lam: wave_packet(spec, "l", lam, 0.05, 500),
+    "dynamical_reflection": lambda spec, lam: dynamical_reflection(spec, lam, 0.05, 500),
+}
+# the routes off the real axis, on grids and at one BoundaryPoint.upper
+OFF_AXIS_GRID_ROUTES = {
+    "m_right_grid": lambda spec, z: m_right_grid(spec, 0, z),
+    "m_left_grid": lambda spec, z: m_left_grid(spec, 0, z),
+    "green_diag_grid": lambda spec, z: green_diag_grid(spec, 0, z, real_limit=False),
+}
+OFF_AXIS_POINT_VIEWS = {
+    "m_right": lambda spec, z: m_right(spec, 0, BoundaryPoint.upper(z)),
+    "m_left": lambda spec, z: m_left(spec, 0, BoundaryPoint.upper(z)),
+    "green_diag": lambda spec, z: green_diag(spec, 0, BoundaryPoint.upper(z)),
 }
 
 
@@ -380,6 +402,99 @@ def test_real_axis_routes_refuse_a_2d_grid(route):
     # not an IndexError from numpy
     with pytest.raises(ValueError, match="1-d grid, got shape"):
         REAL_AXIS_GRID_ROUTES[route](single_site_spec(), [[0.3, 0.4]])
+
+
+@pytest.mark.parametrize("view", ONE_POINT_VIEWS)
+def test_one_point_views_refuse_a_list(view):
+    # a list given as one energy is a 2-d grid; the packet routes compared it
+    # with a band and raised TypeError, BoundaryPoint.real cast it and did too
+    with pytest.raises(ValueError, match="1-d grid, got shape"):
+        ONE_POINT_VIEWS[view](single_site_spec(), [0.3, 0.4])
+
+
+@pytest.mark.parametrize("grid_value, point_value, match", [
+    pytest.param(["0.3+0.1j"], "0.3+0.1j", "complex energies, got dtype <U", id="str"),
+    pytest.param([True], True, "complex energies, got dtype bool", id="bool"),
+    pytest.param(np.array([0.3 + 0.1j], dtype=object), np.array(0.3 + 0.1j, dtype=object),
+                 "complex energies, got dtype object", id="object"),
+    pytest.param([None], [None], "complex energies, got dtype object", id="None"),
+    pytest.param([[0.3 + 0.1j, 0.4 + 0.1j]], [0.3 + 0.1j, 0.4 + 0.1j], "1-d grid, got shape",
+                 id="2-d"),
+])
+@pytest.mark.parametrize("route, one_point", [
+    *(pytest.param(r, False, id=k) for k, r in OFF_AXIS_GRID_ROUTES.items()),
+    *(pytest.param(r, True, id=f"{k} point") for k, r in OFF_AXIS_POINT_VIEWS.items()),
+])
+def test_off_axis_routes_refuse_what_is_not_an_energy(route, one_point, grid_value,
+                                                       point_value, match):
+    # a cast to complex read '0.3+0.1j' and an object array as numbers, None
+    # as nan + nan i, and flattened a 2-d grid; a point cast its value first
+    with pytest.raises(ValueError, match=match):
+        route(single_site_spec(), point_value if one_point else grid_value)
+
+
+def _bits(x):
+    # a route's output as comparable bits: arrays by dtype and bytes, refusals
+    # by type and message
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, tuple):
+        return tuple(_bits(v) for v in x)
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, Exception):
+        return type(x), str(x)
+    return x
+
+
+def test_a_valid_energy_of_any_dtype_gets_the_bits_of_its_cast():
+    # the gate casts once: an integer, float16 or float32 grid gets the bits of
+    # its float64 cast on the real axis, a complex64 grid those of its
+    # complex128 cast off it, whether a route returns or refuses
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from hypothesis.extra import numpy as hnp
+
+    spec = perturbed_period3_spec()
+    routes = {"f": (lambda z: m_right_boundary(spec, 0, z),
+                    lambda z: scattering_grid(spec, 0, z),
+                    lambda z: alpha_beta_grid(spec, z)),
+              "c": (lambda z: m_right_grid(spec, 0, z),)}
+
+    def elements(dtype):
+        kind, width = np.dtype(dtype).kind, 8 * np.dtype(dtype).itemsize
+        if kind in "iu":
+            return st.integers(-3 if kind == "i" else 0, 3)
+        if kind == "f":
+            return st.floats(-3.0, 3.0, width=width)
+        # bounds exact at every width, so Im z > 0 holds in the dtype itself
+        return st.builds(complex, st.floats(-3.0, 3.0, width=width // 2),
+                         st.floats(0.125, 3.0, width=width // 2))
+
+    @st.composite
+    def grids(draw):
+        dtype = draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
+                                      np.float16, np.float32, np.float64,
+                                      np.complex64, np.complex128]))
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=1, max_side=4))
+        return draw(hnp.arrays(dtype, shape, elements=elements(dtype)))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(grids())
+    def check(z):
+        kind = "c" if z.dtype.kind == "c" else "f"
+        cast = z.astype(np.complex128 if kind == "c" else np.float64)
+        for route in routes[kind]:
+            outcomes = []
+            for pts in (z, cast):
+                try:
+                    outcomes.append(_bits(route(pts)))
+                except Exception as exc:    # noqa: BLE001 -- a refusal is an outcome too
+                    outcomes.append(_bits(exc))
+            assert outcomes[0] == outcomes[1], (z.dtype, z)
+
+    check()
 
 
 def test_one_point_views_keep_float_bits():
