@@ -32,7 +32,7 @@ import numpy as np
 from .bands import _inset_bands, _near_edge, band_intervals
 from .errors import _named, raise_first
 from .mfunc import _G_CHECKS, boundary_pieces
-from .model import _check_integer
+from .model import _check_integer, _check_real
 from .scattering import _s_entries
 
 TAU_DEFAULT = 1e-8
@@ -70,6 +70,7 @@ def explicit_grid(spec, start, stop, step):
 
     Points inside a band-edge margin are dropped (recorded), not errors.
     """
+    start, stop, step = map(_check_real, (start, stop, step), ("start", "stop", "step"))
     if not np.isfinite([start, stop, step]).all():
         raise ValueError(f"grid {start}:{stop}:{step} is not finite")
     if step <= 0:
@@ -176,6 +177,7 @@ def reflectionless_report(spec, grid, tau=TAU_DEFAULT):
     closed, each verdict is False.  Each verdict is its criterion residual
     under ``tau``, and they agree where every verdict equals the first.
     """
+    tau = _check_real(tau, "tau")
     if not 0.0 <= tau < np.inf:
         raise ValueError(f"tolerance tau must be finite and non-negative, got {tau}")
     pieces = boundary_pieces(spec, N_RANGE, grid.points)
@@ -224,6 +226,8 @@ def landauer_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=QUADRATURE_NOD
     if not 1 <= quadrature <= QUADRATURE_MAX:
         raise ValueError(f"quadrature must be an integer in [1, {QUADRATURE_MAX}], "
                          f"got {quadrature!r}")
+    beta_l, mu_l, beta_r, mu_r = map(_check_real, (beta_l, mu_l, beta_r, mu_r),
+                                     ("beta_l", "mu_l", "beta_r", "mu_r"))
     if not np.isfinite([beta_l, mu_l, beta_r, mu_r]).all():
         raise ValueError("inverse temperatures and chemical potentials must be finite")
     if beta_l <= 0 or beta_r <= 0:

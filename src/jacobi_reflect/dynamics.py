@@ -52,7 +52,7 @@ import numpy as np
 from .bands import _inset_bands, band_intervals
 from .errors import CrossCheckFailure, HorizonExceeded, WindowTooSmall, _named, raise_first
 from .jost import _jost_values
-from .model import N_MAX, JacobiSpec, _check_energies, _check_integer, truncate  # re-exports N_MAX
+from .model import N_MAX, JacobiSpec, _check_energies, _check_integer, _check_real, truncate
 from .scattering import scattering_grid
 
 PACKET_CUTOFF = 5.0   # envelope support radius in units of sigma
@@ -89,6 +89,7 @@ class LatticeState:
 
     @classmethod
     def from_amplitudes(cls, N, amplitudes):
+        _check_integer(N, "N")
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.shape != (2 * N + 1,):
             raise ValueError(f"expected {2 * N + 1} amplitudes, got {amplitudes.shape}")
@@ -99,6 +100,7 @@ class LatticeState:
         return float(np.linalg.norm(self.amplitudes))
 
     def _index(self, k):
+        _check_integer(k, "site k")
         if not -self.N <= k <= self.N:
             raise IndexError(f"site {k} outside -N..N with N = {self.N}")
         return k + self.N
@@ -190,6 +192,7 @@ def evolve(plan, state, t):
     if state.N != plan.truncation.N:
         raise ValueError(f"state on sites -N..N with N = {state.N} does not match the "
                          f"plan's truncation, N = {plan.truncation.N}")
+    t = _check_real(t, "t")
     if not np.isfinite(t):
         raise ValueError(f"evolution time t must be finite, got {t!r}")
     if abs(t) > plan.t_max:
@@ -286,6 +289,7 @@ def _packet_geometry(spec, side, lam0, dlam, N):
     """Validate a packet request and place the packet, whatever N is."""
     if side not in ("l", "r"):
         raise ValueError(f"side must be 'l' or 'r', got {side!r}")
+    dlam = _check_real(dlam, "dlambda")
     if not dlam > 0:
         raise ValueError(f"energy width dlambda must be positive, got {dlam}")
     _check_integer(N, "N")
@@ -394,6 +398,7 @@ def dynamical_reflection(spec, lam0, dlam, N):
     is a Gaussian in quasi-momentum: near a band edge the two differ at second
     order in dlambda / v_g.
     """
+    dlam = _check_real(dlam, "dlambda")     # the row reports the checked float
     packet, plan, t_star = _left_packet_run(spec, lam0, dlam, N)
     out = evolve(plan, packet, t_star)
     reach = _window_extent(spec) + PACKET_MARGIN

@@ -14,7 +14,7 @@ class JacobiReflectError(Exception):
 
 
 class SchemaError(JacobiReflectError, ValueError):
-    """Config document violates the schema. Carries the offending field path."""
+    """An input violates its rule: a config field, a CLI flag or a parameter, named by its path."""
 
     def __init__(self, path, message):
         self.path = path

@@ -15,9 +15,9 @@ The solutions are the ones ``mfunc.weyl_sweep`` computes for the
 m-functions, the Green's function and the s-matrix: the branch is the one
 of ``mfunc``, with no rule of its own.  ``_jost_values`` is the one route
 that reads them on a window of sites, which the sweep hands it whole with its
-coefficients, and their checks by name, as ``"edge"`` or ``"left psi_0"``;
-each caller names the ones it raises.  Its energies pass the sweep's gate,
-``model._check_energies``, first.  ``jost_solution`` and ``alpha_beta_grid``
+coefficients, the energies as its gate, ``model._check_energies``, gives them,
+and their checks by name, as ``"edge"`` or ``"left psi_0"``; each caller
+names the ones it raises.  ``jost_solution`` and ``alpha_beta_grid``
 divide by psi_0, and ``jost_solution`` raises only its own side's checks;
 ``green_offdiag`` and ``dynamics._floquet_wave`` need no normalization.  The
 m-ratio route reads m_right(0) and m_left(1) off ``mfunc.boundary_pieces``,
@@ -50,7 +50,7 @@ from .errors import (
     raise_first,
 )
 from .mfunc import boundary_pieces, weyl_sweep
-from .model import _check_energies, _check_integer
+from .model import _check_integer
 
 RECURSION_TOL = 1e-10   # residual of the three-term recursion, relative
 # Spread of the Wronskian over the window, relative to max|u| max|v|.  Across
@@ -86,6 +86,7 @@ class JostSolution:
     spec: object = field(repr=False, default=None)
 
     def value(self, k):
+        _check_integer(k, "site k")
         if not self.k_min <= k <= self.k_max:
             raise IndexError(f"site {k} outside window [{self.k_min}, {self.k_max}]")
         return self.values[k - self.k_min]
@@ -143,10 +144,9 @@ def _jost_values(spec, lams, k_lo, k_hi):
     ``range`` (a value past the float range on the window's one scale),
     ``psi_0`` (vanishing) and ``recursion`` (the three-term recursion residual).
     """
-    lams = _check_energies(lams)
     # a failed seed sweeps on, maybe to NaN or inf: nothing here may warn for it
     with np.errstate(all="ignore"):
-        psi_r, psi_l, (a, b), checks = weyl_sweep(spec, k_lo, k_hi - 1, lams)
+        psi_r, psi_l, (a, b), lams, checks = weyl_sweep(spec, k_lo, k_hi - 1, lams)
         vals = np.array([psi_r.values(), psi_l.values()])
         psi0, scale = vals[:, -k_lo], np.abs(vals).max(axis=1)
         r = (a[1:-1, None] * vals[:, 2:] + a[:-2, None] * vals[:, :-2]
@@ -191,6 +191,7 @@ def jost_solution(spec, side, lam, k_min=None, k_max=None):
 
 def wronskian(u, v, k):
     """a_k (u_{k+1} v_k - u_k v_{k+1}); k-independent for equal energies."""
+    _check_integer(k, "bond k")
     return u.spec.a(k) * (u.value(k + 1) * v.value(k) - u.value(k) * v.value(k + 1))
 
 
@@ -306,7 +307,7 @@ def green_offdiag(spec, n, m, lam):
     lo, hi = min(n, m), max(n, m)
     k_lo, k_hi = _site_range(spec)
     k_lo, k_hi = min(k_lo, lo - 1), max(k_hi, hi + 1)
-    (psi_r, psi_l), a, checks, _ = _jost_values(spec, [lam], k_lo, k_hi)
+    (psi_r, psi_l), a, checks, lams = _jost_values(spec, [lam], k_lo, k_hi)
     # raised before the Wronskian is formed: a failed sweep may hold inf or NaN
     raise_first(_named(checks, "edge", "right seed", "left seed", "right range", "left range",
                        "right recursion", "left recursion"))
@@ -314,5 +315,5 @@ def green_offdiag(spec, n, m, lam):
     tol = DEGENERATE_TOL * np.abs(psi_r[:2]).sum(axis=0) * np.abs(psi_l[:2]).sum(axis=0)
     raise_first([(bad, lambda i: _wronskian_refusal(spread[i], w[i])),
                  (np.abs(w) < tol, lambda i: PoleHit(
-                     f"Wronskian vanishes at lambda = {lam} (bound state)"))])
+                     f"Wronskian vanishes at lambda = {lams[i]} (bound state)"))])
     return psi_l[lo - k_lo, 0] * psi_r[hi - k_lo, 0] / w[0]

@@ -205,10 +205,10 @@ def _reach(spec):
 
 
 def weyl_sweep(spec, lo, hi, pts, real_limit=True):
-    """``(psi_r, psi_l, (a, b), checks)``: both Weyl solutions on bonds lo..hi
-    and a_k, b_k on sites lo..hi+1, at real energies (``lambda + i0``) when
-    ``real_limit``, else at upper-half-plane points, and the checks ``"edge"``
-    (never failing off the axis), ``"right seed"`` and ``"left seed"``.  It
+    """``(psi_r, psi_l, (a, b), z, checks)``: both Weyl solutions on bonds lo..hi and
+    a_k, b_k on sites lo..hi+1, at the energies z as the gate gives them, real
+    (``lambda + i0``) when ``real_limit``, else upper-half-plane points, and the checks
+    ``"edge"`` (never failing off the axis), ``"right seed"`` and ``"left seed"``.  It
     raises no refusal: a point whose seed fails is swept on and flagged.  Only
     what is on bonds lo..hi is kept, so a sweep from a far seed keeps no row per bond.
 
@@ -278,7 +278,7 @@ def weyl_sweep(spec, lo, hi, pts, real_limit=True):
             rows.reverse()
         shape = (len(rows), z.size)
         sols.append(WeylSolution(*(np.array(c).reshape(shape) for c in zip(*rows)), flux))
-    return (*sols, tuple(c[lo - seed_l + 1: hi - seed_l + 3].copy() for c in coeffs), checks)
+    return (*sols, tuple(c[lo - seed_l + 1: hi - seed_l + 3].copy() for c in coeffs), z, checks)
 
 
 def _ratios(sol, a):
@@ -334,7 +334,7 @@ def boundary_pieces(spec, cuts, pts, real_limit=True):
         _check_integer(n, "cut site n")
     cuts = np.asarray(cuts, dtype=int)
     lo, hi = int(cuts.min()) - 1, int(cuts.max())
-    right, left, (a, _), sweep = weyl_sweep(spec, lo, hi, pts, real_limit)
+    right, left, (a, _), z, sweep = weyl_sweep(spec, lo, hi, pts, real_limit)
     a = a[:-1, None]                        # a_k on bonds lo..hi
     # ratios u_{k+1}/u_k (rho) and u_k/u_{k+1} (sigma) of both pairs on each bond
     rho_r, zero_r, sig_r, top_r = _ratios(right, a)
@@ -358,7 +358,7 @@ def boundary_pieces(spec, cuts, pts, real_limit=True):
     def m_pole(side, pole):
         def refusal(j):
             n = cuts[np.flatnonzero(pole[:, j])[0]]
-            return PoleHit(f"m_{side}({n}) has a pole at {np.atleast_1d(pts)[j]}: the {side} "
+            return PoleHit(f"m_{side}({n}) has a pole at {z[j]}: the {side} "
                            f"Weyl solution vanishes at site {n}")
         return pole.any(axis=0), refusal
 

@@ -9,12 +9,17 @@ window::
 are restricted to ``a_k > 0``: a diagonal sign gauge makes the signs of the
 ``a_k`` spectrally irrelevant, so nothing is lost and branch selection
 stays simple.
+
+Three rules own the inputs: ``_check_integer`` lattice integers,
+``_check_energies`` energies and ``_check_real`` every other real number.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
+import sys
 from dataclasses import dataclass, field
 from operator import index
 
@@ -78,8 +83,8 @@ class Background:
     phase: int = 0
 
     def __post_init__(self):
-        a = tuple(float(x) for x in self.a)
-        b = tuple(float(x) for x in self.b)
+        a = tuple(_check_real(x, f"background.a[{i}]") for i, x in enumerate(self.a))
+        b = tuple(_check_real(x, f"background.b[{i}]") for i, x in enumerate(self.b))
         if len(a) == 0 or len(a) != len(b):
             raise SchemaError("background", "a and b must have equal positive length")
         _check_entries(a, b)
@@ -132,8 +137,8 @@ class JacobiSpec:
     b_override: tuple = ()
 
     def __post_init__(self):
-        a = tuple(float(x) for x in self.a_override)
-        b = tuple(float(x) for x in self.b_override)
+        a = tuple(_check_real(x, f"a_override[{i}]") for i, x in enumerate(self.a_override))
+        b = tuple(_check_real(x, f"b_override[{i}]") for i, x in enumerate(self.b_override))
         _check_integer(self.offset, "offset")
         _check_integer(self.offset + max(len(a), len(b), 1) - 1, "window's last site")
         _check_entries(a, b, k_of=lambda i: self.offset + i)
@@ -226,6 +231,7 @@ class TruncatedOperator:
 
     def site_index(self, k):
         """Array index of lattice site ``k``."""
+        _check_integer(k, "site k")
         return k + self.N
 
     def to_dense(self):
@@ -244,6 +250,14 @@ def _check_integer(value, name):
             or not -N_MAX <= value <= N_MAX):
         raise ValueError(f"{name} must be an integer of magnitude at most N_MAX = {N_MAX}, "
                          f"got {value!r}")
+
+
+def _check_real(value, name):
+    """The one rule for a real number, as a float; finiteness and ranges are the caller's."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or isinstance(value, int) and abs(value) > sys.float_info.max):
+        raise SchemaError(name, f"expected a number, got {reprlib.repr(value)}")
+    return float(value)
 
 
 def _check_energies(pts, real_limit=True):
@@ -293,12 +307,6 @@ def _require_keys(d, allowed, path):
         raise SchemaError(path, f"unknown keys {sorted(unknown)}")
 
 
-def _as_number(v, path):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(path, f"expected a number, got {v!r}")
-    return float(v)
-
-
 def _as_int(v, path):
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError(path, f"expected an integer, got {v!r}")
@@ -308,7 +316,7 @@ def _as_int(v, path):
 def _as_array(v, path):
     if not isinstance(v, (list, tuple)):
         raise SchemaError(path, f"expected an array, got {v!r}")
-    return [_as_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
+    return [_check_real(x, f"{path}[{i}]") for i, x in enumerate(v)]
 
 
 def parse_config(doc):
@@ -338,8 +346,8 @@ def parse_config(doc):
     elif kind == "constant":
         _require_keys(bg_doc, {"kind", "a", "b"}, "background")
         bg = Background.constant(
-            _as_number(bg_doc.get("a", 1.0), "background.a"),
-            _as_number(bg_doc.get("b", 0.0), "background.b"),
+            _check_real(bg_doc.get("a", 1.0), "background.a"),
+            _check_real(bg_doc.get("b", 0.0), "background.b"),
         )
     elif kind == "periodic":
         if "a" not in bg_doc or "b" not in bg_doc:

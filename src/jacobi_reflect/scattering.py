@@ -119,7 +119,7 @@ def scattering_matrix(spec, n, lam):
     res = scattering_grid(spec, n, [lam])
     d_l, d_r = float(res["density_l"][0]), float(res["density_r"][0])
     if d_l == 0.0 and d_r == 0.0:
-        raise NoOpenChannel(f"both channels closed at lambda = {lam}")
+        raise NoOpenChannel(f"both channels closed at lambda = {float(lam)}")
     s_lr = complex(res["s_lr"][0])
     return ScatteringMatrix(
         n=n,

@@ -252,6 +252,47 @@ def test_landauer_survives_an_overflowing_inverse_temperature():
         assert huge == landauer_current(spec, 1e300, 0.0, 1.0, 0.1)
 
 
+def test_a_grid_bound_or_bias_of_any_dtype_gets_the_bits_of_its_cast():
+    # the number rule casts once: an integer or float bound or bias gets the bits
+    # of its float64 cast, whether the route returns or refuses.  A float32 grid
+    # was computed in float32, and -2:2:0.1 ended past its stop
+    pytest.importorskip("hypothesis")
+    from hypothesis import given
+    from hypothesis import strategies as st
+
+    spec = perturbed_period3_spec()
+    dtypes = st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
+                              np.float16, np.float32, np.float64])
+
+    @st.composite
+    def reals(draw, *bounds):
+        # one value per (lo, hi) pair, all of one dtype
+        dtype = np.dtype(draw(dtypes))
+        if dtype.kind in "iu":
+            drawn = [st.integers(0 if dtype.kind == "u" else int(np.ceil(lo)), int(hi))
+                     for lo, hi in bounds]
+        else:
+            drawn = [st.floats(lo, hi, width=8 * dtype.itemsize) for lo, hi in bounds]
+        return [dtype.type(draw(x)) for x in drawn]
+
+    def outcome(route, args):
+        try:
+            out = route(*args)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        if isinstance(out, EnergyGrid):
+            return out.points.tobytes(), [x.hex() for x in out.dropped]
+        return {k: v.hex() for k, v in out.items()}
+
+    @given(reals((-3, 3), (-3, 3), (0, 3)), reals((0.125, 3), (-3, 3), (0.125, 3), (-3, 3)))
+    def check(bounds, bias):
+        for route, args in ((lambda *v: explicit_grid(spec, *v), bounds),
+                            (lambda *v: landauer_current(spec, *v), bias)):
+            assert outcome(route, args) == outcome(route, [float(v) for v in args]), args
+
+    check()
+
+
 def _per_band_current(spec, beta_l, mu_l, beta_r, mu_r, quadrature=QUADRATURE_NODES):
     """landauer_current as one boundary_pieces call per band, raising each
     band's refusal before the next band is swept."""

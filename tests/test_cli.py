@@ -414,6 +414,20 @@ def test_integers_past_n_max_exit_3(configs, tmp_path, capsys):
     assert err.count("error:") == 1 and "N_MAX" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"background": {"kind": "free"}, "perturbation": {"offset": 0, "b": [1%s]}}' % ("0" * 400),
+    '{"background": {"kind": "constant", "a": 1%s}}' % ("0" * 400),
+], ids=["perturbation.b", "background.a"])
+def test_a_coefficient_past_the_float_range_exits_3(tmp_path, capsys, text):
+    # a valid JSON integer, 10**400: once an OverflowError traceback, exit 1
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(text)
+    assert cli.main(["describe", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "expected a number" in err
+
+
 def test_transport_at_an_overflowing_inverse_temperature_exits_0(configs, capsys):
     # the suite turns numpy's overflow warning into an error, as PYTHONWARNINGS=error does
     assert cli.main(["transport", "--config", configs["single"], "--beta-l", "1e308",

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,9 +14,12 @@ from jacobi_reflect import (Background, BoundaryPoint, JacobiSpec, NonFiniteEntr
                             NonPositiveCoefficient, SchemaError, WindowTooSmall,
                             coefficient_arrays, parse_config, serialize_config,
                             truncate)
+from jacobi_reflect import (LatticeState, dynamical_reflection, evolve, explicit_grid,
+                            jost_solution, landauer_current, make_plan,
+                            reflectionless_report, wave_packet, wronskian)
 from jacobi_reflect.model import N_MAX, _check_energies
 
-from util import random_spec
+from util import random_spec, single_site_spec
 
 
 def test_free_background():
@@ -272,3 +278,101 @@ def test_import_needs_numpy_only():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def _bits(x):
+    # an outcome as comparable bits: arrays by dtype and bytes, floats by repr,
+    # refusals by type and message
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, Exception):
+        return type(x), str(x)
+    if dataclasses.is_dataclass(x):
+        return type(x), _bits(vars(x))
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return type(x), [_bits(v) for v in x]
+    return type(x), repr(x)
+
+
+def _outcome(place, value):
+    try:
+        return _bits(place(value))
+    except Exception as exc:    # noqa: BLE001 -- a refusal is an outcome too
+        return _bits(exc)
+
+
+_SPEC = single_site_spec()
+_PLAN = make_plan(_SPEC, 100, 20)
+_STATE = LatticeState.from_amplitudes(100, np.eye(201)[95])
+# every place that takes a real number: (a call of the value, the path it is refused under)
+REAL_PLACES = {
+    "config": (lambda v: parse_config({"background": {"kind": "free"},
+                                       "perturbation": {"offset": 0, "b": [v]}}),
+               "perturbation.b[0]"),
+    "background": (lambda v: Background.periodic((1.0, v), (0.0, 0.0)), "background.a[1]"),
+    "spec": (lambda v: JacobiSpec(a_override=(v,), b_override=(0.5,)), "a_override[0]"),
+    "grid": (lambda v: explicit_grid(_SPEC, -1.0, v, 0.5), "stop"),
+    "tau": (lambda v: reflectionless_report(_SPEC, explicit_grid(_SPEC, 0.2, 0.4, 0.1), v),
+            "tau"),
+    "bias": (lambda v: landauer_current(_SPEC, 2.0, 0.3, 1.0, v, quadrature=16), "mu_r"),
+    "dlambda": (lambda v: wave_packet(_SPEC, "l", 0.3, v, 600), "dlambda"),
+    "dlambda row": (lambda v: dynamical_reflection(_SPEC, 0.3, v, 600), "dlambda"),
+    "t": (lambda v: evolve(_PLAN, _STATE, v), "t"),
+}
+
+
+@pytest.mark.parametrize("value", [
+    True, np.True_, "0.5", None, [0.5], 0.5 + 0j, Decimal("0.5"), Fraction(1, 2), 10**400,
+], ids=["True", "np.True_", "str", "None", "list", "complex", "Decimal", "Fraction", "10**400"])
+@pytest.mark.parametrize("place", REAL_PLACES)
+def test_real_parameters_follow_the_number_rule(place, value):
+    # each was read as a number somewhere (True as 1.0, '0.5' and Decimal by
+    # float()), or failed there in a TypeError, an OverflowError or numpy's
+    # shape ValueError
+    call, path = REAL_PLACES[place]
+    with pytest.raises(SchemaError) as err:
+        call(value)
+    assert str(err.value).startswith(f"{path}: expected a number, got ")
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), np.float32(0.05), np.float32(0.3)],
+                         ids=["int", "np.int64", "float32 0.05", "float32 0.3"])
+@pytest.mark.parametrize("place", REAL_PLACES)
+def test_a_real_parameter_gets_the_bits_of_its_float64_cast(place, value):
+    # a float32 packet width or time was computed with in float32, and a config
+    # refused numpy scalars
+    call, _ = REAL_PLACES[place]
+    assert _outcome(call, value) == _outcome(call, float(value))
+
+
+def test_a_huge_integer_is_refused_in_short():
+    # 10**400 has 401 digits: the refusal shortens it
+    with pytest.raises(SchemaError, match=r"^background\.a: expected a number, got 10+\.\.\.0+$"):
+        parse_config({"background": {"kind": "constant", "a": 10**400}})
+
+
+_SOL = jost_solution(_SPEC, "r", 0.3)
+# every accessor that takes a lattice integer, as a call of it
+INTEGER_ACCESSORS = {
+    "from_amplitudes": lambda k: LatticeState.from_amplitudes(k, np.ones(3)).amplitudes,
+    "site": lambda k: _STATE.site(k),
+    "mass lo": lambda k: _STATE.mass(k, 2),
+    "mass hi": lambda k: _STATE.mass(-2, k),
+    "value": lambda k: _SOL.value(k),
+    "wronskian": lambda k: wronskian(_SOL, _SOL, k),
+    "site_index": lambda k: truncate(_SPEC, 3).site_index(k),
+}
+
+
+@pytest.mark.parametrize("k", [True, 1.0, 0.5, "1"], ids=["True", "1.0", "0.5", "str"])
+@pytest.mark.parametrize("accessor", INTEGER_ACCESSORS)
+def test_accessors_follow_the_integer_rule(accessor, k):
+    # site(True) was site 1 and from_amplitudes(True, ...) a state of N = True;
+    # site_index(0.5) was 10.5, site(1.0) failed in numpy and wronskian(.., 0.5)
+    # in a TypeError.  A numpy integer is an integer
+    access = INTEGER_ACCESSORS[accessor]
+    with pytest.raises(ValueError, match="must be an integer of magnitude at most N_MAX"):
+        access(k)
+    assert np.array_equal(access(np.int64(1)), access(1))
